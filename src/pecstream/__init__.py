@@ -25,11 +25,8 @@ from .rangecoder import (
     Decoder,
     Encoder,
     FinalCoderState,
-    new_decoder,
-    pending_info,
 )
 from .sizeindex import (
-    SizeIndex,
     bic_decode,
     bic_encode,
     entry_points,
@@ -50,5 +47,16 @@ from .termination import (
     valid_byte_set,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BitReader", "BitWriter", "TruncatedStreamError", "elias_gamma_decode",
+    "elias_gamma_encode", "pack_bounded", "reverse_byte", "unpack_bounded",
+    "ContainerFormatError", "Header", "SegmentMap", "read_container",
+    "segment_source", "write_container", "decode_parallel", "encode_parallel",
+    "shard_ranges", "BinaryModel", "CdfModel", "Decoder", "Encoder",
+    "FinalCoderState", "bic_decode", "bic_encode", "entry_points",
+    "gamma_decode_sizes", "gamma_encode_sizes", "i32_decode_sizes",
+    "i32_encode_sizes", "rtc_decode", "rtc_encode", "JointTermination",
+    "SingleTermination", "TerminationStats", "ValidByteSet", "joint_terminate",
+    "terminate_single", "valid_byte_set",
+]
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bitio import REVERSED_BYTES, BitWriter
 from .rangecoder import MASK32, PROB_ONE, TOP, BinaryModel, Encoder
-from .sizeindex import bic_encode, gamma_encode_sizes, i32_encode_sizes, rtc_encode
+from .sizeindex import encode_index, rtc_encode
 from .termination import (
     TerminationStats,
     joint_terminate,
@@ -129,18 +129,12 @@ _INDEX_RATE = {"i32": (0.0, 32.0), "rtc": (1.0, 2.0),
 
 
 def overhead_factors(mode: str, index_codec: str, tbar: float) -> OverheadModel:
-    """(alpha, beta) for the published mode/index combinations."""
-    if mode == "uni" and index_codec == "i32":
-        return OverheadModel(0.0, (32.0 + tbar) / 8.0)
-    if mode == "uni" and index_codec == "rtc":
-        return OverheadModel(1.0 / 8.0, (2.0 + tbar) / 8.0)
-    if mode in ("fb", "fr") and index_codec == "rtc":
-        return OverheadModel(1.0 / 16.0, (3.0 + 2.0 * tbar) / 16.0)
-    raise ValueError(f"unsupported combination: {mode}/{index_codec}")
+    """(alpha, beta) for any mode/index pair, from the per-entry rate model.
 
-
-def overhead_factors_any(mode: str, index_codec: str, tbar: float) -> OverheadModel:
-    """(alpha, beta) for any mode/index pair, from the per-entry rate model."""
+    Bidirectional modes code one entry per stream pair, over a segment twice
+    the stream size: a*log2(2b)/2 bits per stream, hence a/16 and the extra
+    a in beta.
+    """
     try:
         a, c = _INDEX_RATE[index_codec]
     except KeyError:
@@ -397,13 +391,7 @@ def _index_bits(codec: str, sizes: list[int]) -> int:
     sink = BitWriter()
     if codec == "rtc":
         return rtc_encode(sizes, BENCH_RTC_BOUND, sink)
-    if codec == "bic":
-        return bic_encode(sizes, sum(sizes), sink)
-    if codec == "gamma":
-        return gamma_encode_sizes(sizes, sink)
-    if codec == "i32":
-        return i32_encode_sizes(sizes, sink)
-    raise ValueError(f"unknown index codec: {codec!r}")
+    return encode_index(codec, sizes, sum(sizes), sink)
 
 
 def redundancy_experiment(codecs: Sequence[str], sigmas: Sequence[float],

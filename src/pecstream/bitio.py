@@ -186,25 +186,18 @@ def elias_gamma_decode(source: BitReader) -> int:
 
 def bytes_to_bits(data: bytes) -> bytes:
     """Explode bytes into a sequence of 0/1 values, MSB-first per byte."""
-    out = bytearray(len(data) * 8)
-    pos = 0
-    for byte in data:
-        for shift in (7, 6, 5, 4, 3, 2, 1, 0):
-            out[pos] = (byte >> shift) & 1
-            pos += 1
-    return bytes(out)
+    # imported here: the coder modules import bitio, and numpy's ~0.2 s
+    # import would otherwise be paid by every process that never converts
+    import numpy as np
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tobytes()
 
 
 def bits_to_bytes(bits: bytes) -> bytes:
-    """Inverse of bytes_to_bits; the bit count must be a multiple of 8."""
+    """Inverse of bytes_to_bits; the bit count must be a multiple of 8.
+
+    Only the low bit of each value counts.
+    """
     if len(bits) % 8:
         raise ValueError("bit sequence length must be a multiple of 8")
-    out = bytearray(len(bits) // 8)
-    pos = 0
-    for i in range(len(out)):
-        byte = 0
-        for _ in range(8):
-            byte = (byte << 1) | (bits[pos] & 1)
-            pos += 1
-        out[i] = byte
-    return bytes(out)
+    import numpy as np
+    return np.packbits(np.frombuffer(bits, dtype=np.uint8) & 1).tobytes()

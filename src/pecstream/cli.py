@@ -51,8 +51,7 @@ def cmd_encode(args) -> int:
     data = _read_file(args.input)
     model = _parse_model(args.model, data)
     symbols = bytes_to_bits(data) if isinstance(model, BinaryModel) else data
-    blob = encode_parallel(symbols, model, args.streams, args.mode,
-                           args.index, max_workers=args.workers)
+    blob = encode_parallel(symbols, model, args.streams, args.mode, args.index)
     _write_file(args.out, blob)
     return EXIT_OK
 
@@ -60,7 +59,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     blob = _read_file(args.input)
     header, _ = read_container(blob)
-    symbols = decode_parallel(blob, max_workers=args.workers)
+    symbols = decode_parallel(blob)
     if isinstance(header.model, BinaryModel):
         data = bits_to_bytes(symbols)
     else:
@@ -200,13 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--streams", type=int, default=8)
     enc.add_argument("--model", default="order0",
                      help="order0 or bernoulli:P (default order0)")
-    enc.add_argument("--workers", type=int, default=None)
     enc.set_defaults(func=cmd_encode)
 
     dec = sub.add_parser("decode", help="decode a container back to the file")
     dec.add_argument("input")
     dec.add_argument("--out", required=True)
-    dec.add_argument("--workers", type=int, default=None)
     dec.set_defaults(func=cmd_decode)
 
     ins = sub.add_parser("inspect", help="print header and segment summary")

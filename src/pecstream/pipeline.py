@@ -1,15 +1,15 @@
 """Shard-parallel encoding and decoding over the container format.
 
 Symbols are split into N_s near-equal shards, each coded by an independent
-coder under the shared static model; the output bytes are identical whatever
-the execution schedule.  In bidirectional modes shard 2j becomes the forward
-stream of segment j and shard 2j+1 the backward stream, jointly terminated.
+coder under the shared static model.  The streams share no coder state, so
+a decoder may start all of them at once from the index.  In bidirectional
+modes shard 2j becomes the forward stream of segment j and shard 2j+1 the
+backward stream, jointly terminated.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bitio import REVERSED_BYTES
 from .container import (
@@ -32,46 +32,34 @@ def shard_ranges(n_symbols: int, n_streams: int) -> list[tuple[int, int]]:
             for k in range(n_streams)]
 
 
-def _map_jobs(jobs: Sequence[Callable], max_workers: int | None) -> list:
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda job: job(), jobs))
-    return [job() for job in jobs]
-
-
-def _reversed_bytes(data: bytes) -> bytes:
-    return data.translate(REVERSED_BYTES)
-
-
 def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
                     n_streams: int, mode: str = "uni",
-                    index_codec: str = "rtc",
-                    max_workers: int | None = None) -> bytes:
+                    index_codec: str = "rtc") -> bytes:
     """Encode symbols into a container with n_streams independent streams."""
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     if mode != "uni" and n_streams % 2:
         raise ValueError("bidirectional modes need an even stream count")
-    ranges = shard_ranges(len(symbols), n_streams)
     binary = isinstance(model, BinaryModel)
-    if binary and len(symbols):
-        bad = max(symbols) > 1 if isinstance(symbols, (bytes, bytearray)) \
-            else any(s not in (0, 1) for s in symbols)
-        if bad:
-            raise ValueError("binary models code 0/1 symbols only")
+    # bytes always fit a CdfModel's 0..255 alphabet, so only other
+    # sequences, or bytes under a binary model, need a range pass
+    if isinstance(symbols, (bytes, bytearray)):
+        bad = binary and len(symbols) and max(symbols) > 1
+    else:
+        bad = len(symbols) and (min(symbols) < 0
+                                or max(symbols) > (1 if binary else 0xFF))
+    if bad:
+        raise ValueError("binary models code 0/1 symbols only" if binary
+                         else "256-symbol models code 0..255 symbols only")
 
-    def shard_job(span: tuple[int, int]) -> Callable[[], Encoder]:
-        def run() -> Encoder:
-            enc = Encoder()
-            chunk = symbols[span[0]:span[1]]
-            if binary:
-                enc.encode_bits(model, chunk)
-            else:
-                enc.encode_symbols(model, chunk)
-            return enc
-        return run
-
-    encoders = _map_jobs([shard_job(span) for span in ranges], max_workers)
+    encoders = []
+    for start, stop in shard_ranges(len(symbols), n_streams):
+        enc = Encoder()
+        if binary:
+            enc.encode_bits(model, symbols[start:stop])
+        else:
+            enc.encode_symbols(model, symbols[start:stop])
+        encoders.append(enc)
 
     segments: list[bytes] = []
     if mode == "uni":
@@ -87,7 +75,7 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
             term = joint_terminate(fwd_state, bwd_state, mode)
             bwd = term.bwd_data
             if reversed_bits:
-                bwd = _reversed_bytes(bwd)
+                bwd = bwd.translate(REVERSED_BYTES)
             segments.append(term.fwd_data + bwd[::-1])
 
     return write_container(mode, index_codec, model, n_streams,
@@ -112,7 +100,7 @@ def stream_layout(header: Header) -> list[tuple[int, str, bool]]:
 _MAX_SYMBOLS_PER_BYTE = 364_000
 
 
-def decode_parallel(blob: bytes, max_workers: int | None = None) -> bytes:
+def decode_parallel(blob: bytes) -> bytes:
     """Decode a container back to its symbol sequence (one byte per symbol)."""
     header, seg_map = read_container(blob)
     budget = (header.data_size + 5 * header.n_streams) * _MAX_SYMBOLS_PER_BYTE
@@ -122,23 +110,13 @@ def decode_parallel(blob: bytes, max_workers: int | None = None) -> bytes:
             f"data bytes")
     model = header.model
     binary = isinstance(model, BinaryModel)
-    ranges = shard_ranges(header.n_symbols, header.n_streams)
-    layout = stream_layout(header)
-
-    def stream_job(k: int) -> Callable[[], bytes]:
-        def run() -> bytes:
-            seg, direction, reversed_bits = layout[k]
-            source = segment_source(blob, seg_map, seg, direction, reversed_bits)
-            dec = Decoder(source)
-            count = ranges[k][1] - ranges[k][0]
-            if binary:
-                return dec.decode_bits(model, count)
-            return dec.decode_symbols(model, count)
-        return run
-
-    chunks = _map_jobs([stream_job(k) for k in range(header.n_streams)],
-                       max_workers)
     out = bytearray(header.n_symbols)
-    for (start, _stop), chunk in zip(ranges, chunks):
-        out[start:start + len(chunk)] = chunk
+    for (start, stop), (seg, direction, reversed_bits) in zip(
+            shard_ranges(header.n_symbols, header.n_streams),
+            stream_layout(header)):
+        dec = Decoder(segment_source(blob, seg_map, seg, direction, reversed_bits))
+        if binary:
+            out[start:stop] = dec.decode_bits(model, stop - start)
+        else:
+            out[start:stop] = dec.decode_symbols(model, stop - start)
     return bytes(out)

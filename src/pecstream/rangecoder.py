@@ -281,27 +281,8 @@ class Encoder:
         """(integer of produced bytes, byte count) for invariant checks."""
         return self._chain.value(), len(self._chain)
 
-    def encode_bit(self, model: BinaryModel, bit: int) -> None:
-        low = self._low
-        rng = self._range
-        r0 = (rng >> 16) * model.p0
-        if bit:
-            low += r0
-            rng -= r0
-            if low > MASK32:
-                self._chain.carry()
-                low -= MASK32 + 1
-        else:
-            rng = r0
-        while rng < TOP:
-            self._chain.push(low >> 24)
-            low = (low << 8) & MASK32
-            rng <<= 8
-        self._low = low
-        self._range = rng
-
     def encode_bits(self, model: BinaryModel, bits: Iterable[int]) -> None:
-        # hot path: same step as encode_bit with everything in locals
+        # hot path: the coder state lives in locals for the whole batch
         p0 = model.p0
         low = self._low
         rng = self._range
@@ -324,31 +305,6 @@ class Encoder:
         self._low = low
         self._range = rng
 
-    def encode_symbol(self, model: CdfModel, symbol: int) -> None:
-        cdf = model.cdf
-        low = self._low
-        rng = self._range
-        r = rng >> 16
-        c_lo = cdf[symbol]
-        c_hi = cdf[symbol + 1]
-        if c_hi == c_lo:
-            raise ValueError(f"symbol {symbol} has zero width in this model")
-        base = r * c_lo
-        if c_hi == PROB_ONE:
-            rng -= base
-        else:
-            rng = r * (c_hi - c_lo)
-        low += base
-        if low > MASK32:
-            self._chain.carry()
-            low -= MASK32 + 1
-        while rng < TOP:
-            self._chain.push(low >> 24)
-            low = (low << 8) & MASK32
-            rng <<= 8
-        self._low = low
-        self._range = rng
-
     def encode_symbols(self, model: CdfModel, symbols: Iterable[int]) -> None:
         cdf = model.cdf
         low = self._low
@@ -359,7 +315,7 @@ class Encoder:
             r = rng >> 16
             c_lo = cdf[s]
             c_hi = cdf[s + 1]
-            if c_hi == c_lo:
+            if c_hi <= c_lo:
                 self._low = low
                 self._range = rng
                 raise ValueError(f"symbol {s} has zero width in this model")
@@ -388,11 +344,6 @@ class Encoder:
                                direction, bit_reversed)
 
 
-def pending_info(state: FinalCoderState) -> float:
-    """Intrinsic pending information -log2(v - u) of a final state, in bits."""
-    return state.pending_info
-
-
 class Decoder:
     """Range decoder pulling bytes from a callable source.
 
@@ -408,24 +359,6 @@ class Decoder:
         self._val = (next_byte() << 24) | (next_byte() << 16) \
             | (next_byte() << 8) | next_byte()
         self._range = MASK32
-
-    def decode_bit(self, model: BinaryModel) -> int:
-        val = self._val
-        rng = self._range
-        r0 = (rng >> 16) * model.p0
-        if val < r0:
-            bit = 0
-            rng = r0
-        else:
-            bit = 1
-            val -= r0
-            rng -= r0
-        while rng < TOP:
-            val = ((val << 8) | self._next_byte()) & MASK32
-            rng <<= 8
-        self._val = val
-        self._range = rng
-        return bit
 
     def decode_bits(self, model: BinaryModel, count: int) -> bytes:
         p0 = model.p0
@@ -447,30 +380,6 @@ class Decoder:
         self._val = val
         self._range = rng
         return bytes(out)
-
-    def decode_symbol(self, model: CdfModel) -> int:
-        cdf = model.cdf
-        val = self._val
-        rng = self._range
-        r = rng >> 16
-        target = val // r
-        if target > PROB_ONE - 1:
-            target = PROB_ONE - 1
-        s = bisect_right(cdf, target) - 1
-        c_lo = cdf[s]
-        c_hi = cdf[s + 1]
-        base = r * c_lo
-        if c_hi == PROB_ONE:
-            rng -= base
-        else:
-            rng = r * (c_hi - c_lo)
-        val -= base
-        while rng < TOP:
-            val = ((val << 8) | self._next_byte()) & MASK32
-            rng <<= 8
-        self._val = val
-        self._range = rng
-        return s
 
     def decode_symbols(self, model: CdfModel, count: int) -> bytes:
         cdf = model.cdf
@@ -500,8 +409,3 @@ class Decoder:
         self._val = val
         self._range = rng
         return bytes(out)
-
-
-def new_decoder(next_byte: Callable[[], int]) -> Decoder:
-    """Build a decoder over a clamped byte source (see container module)."""
-    return Decoder(next_byte)

@@ -8,7 +8,6 @@ interpolative codec, the known total) on the decode side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bitio import (
@@ -37,41 +36,6 @@ def entry_points(sizes: Sequence[int]) -> list[int]:
         acc += s
         out.append(acc)
     return out
-
-
-@dataclass(frozen=True)
-class SizeIndex:
-    """Segment sizes with their derived statistics."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(s < 0 for s in self.sizes):
-            raise ValueError("segment sizes must be nonnegative")
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
-    @property
-    def entry_points(self) -> list[int]:
-        return entry_points(self.sizes)
-
-    @property
-    def mean(self) -> float:
-        if not self.sizes:
-            raise ValueError("mean of an empty index")
-        return self.total / len(self.sizes)
-
-    @property
-    def minimum(self) -> int:
-        if not self.sizes:
-            raise ValueError("minimum of an empty index")
-        return min(self.sizes)
 
 
 def build_range_tree(values: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -208,7 +208,7 @@ def pair_extra_bits(term: JointTermination) -> float:
 
 @dataclass
 class TerminationStats:
-    """Accumulates termination overhead; mergeable across threads."""
+    """Accumulates termination overhead over single and paired streams."""
 
     streams: int = 0
     pair_events: int = 0
@@ -225,14 +225,6 @@ class TerminationStats:
         if term.shared:
             self.shared_events += 1
         self.extra_bits_total += 2.0 * pair_extra_bits(term)
-
-    def merge(self, other: "TerminationStats") -> "TerminationStats":
-        return TerminationStats(
-            self.streams + other.streams,
-            self.pair_events + other.pair_events,
-            self.shared_events + other.shared_events,
-            self.extra_bits_total + other.extra_bits_total,
-        )
 
     @property
     def mean_extra_bits(self) -> float:

@@ -389,8 +389,8 @@ def test_criterion_8_end_to_end():
         data_size = statistics.mean(base_sizes[codec])
         if data_size / n_streams < 64:
             continue
-        parallel = bench.overhead_factors_any(mode, codec, bench.TBAR_TABLE[mode])
-        single = bench.overhead_factors_any("uni", codec, bench.TBAR_TABLE["uni"])
+        parallel = bench.overhead_factors(mode, codec, bench.TBAR_TABLE[mode])
+        single = bench.overhead_factors("uni", codec, bench.TBAR_TABLE["uni"])
         predicted = (parallel.relative_overhead_for(data_size, n_streams)
                      - single.relative_overhead_for(data_size, 1)) * data_size
         measured = statistics.mean(measured_list)

@@ -16,7 +16,6 @@ from pecstream.bench import (
     log2_normal_entropy,
     overhead_curve,
     overhead_factors,
-    overhead_factors_any,
     redundancy_experiment,
     termination_experiment,
 )
@@ -103,20 +102,23 @@ class TestOverheadModel:
             assert model.beta == pytest.approx(beta, abs=0.005)
 
     def test_unsupported_combination(self):
-        with pytest.raises(ValueError):
-            overhead_factors("fb", "i32", 2.77)
-        with pytest.raises(ValueError):
-            overhead_factors("uni", "gamma", 4.56)
+        with pytest.raises(ValueError, match="unknown mode"):
+            overhead_factors("bi", "rtc", 2.77)
+        with pytest.raises(ValueError, match="unknown index codec"):
+            overhead_factors("uni", "lz", 4.56)
 
     def test_general_factors_match_published(self):
-        for mode, codec, tbar in (("uni", "i32", 4.56), ("uni", "rtc", 4.56),
-                                  ("fb", "rtc", 2.77), ("fr", "rtc", 1.78)):
-            a = overhead_factors(mode, codec, tbar)
-            b = overhead_factors_any(mode, codec, tbar)
-            assert (a.alpha, a.beta) == (b.alpha, b.beta)
+        # the published rows' closed forms, reproduced bit for bit
+        for mode, codec, tbar, alpha, beta in (
+                ("uni", "i32", 4.56, 0.0, (32.0 + 4.56) / 8.0),
+                ("uni", "rtc", 4.56, 1.0 / 8.0, (2.0 + 4.56) / 8.0),
+                ("fb", "rtc", 2.77, 1.0 / 16.0, (3.0 + 2.0 * 2.77) / 16.0),
+                ("fr", "rtc", 1.78, 1.0 / 16.0, (3.0 + 2.0 * 1.78) / 16.0)):
+            model = overhead_factors(mode, codec, tbar)
+            assert (model.alpha, model.beta) == (alpha, beta)
         # the general form covers the rest of the flag matrix
-        assert overhead_factors_any("fb", "i32", 2.77).alpha == 0.0
-        assert overhead_factors_any("uni", "gamma", 4.56).alpha == pytest.approx(0.25)
+        assert overhead_factors("fb", "i32", 2.77).alpha == 0.0
+        assert overhead_factors("uni", "gamma", 4.56).alpha == pytest.approx(0.25)
 
     def test_zero_alpha_form(self):
         model = OverheadModel(0.0, 4.57)

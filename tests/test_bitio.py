@@ -64,8 +64,10 @@ class TestBitStreams:
     def test_bits_bytes_helpers(self):
         data = bytes(range(256))
         bits = bytes_to_bits(data)
-        assert len(bits) == 2048
+        assert bits == bytes((b >> s) & 1 for b in data for s in range(7, -1, -1))
         assert bits_to_bytes(bits) == data
+        # only the low bit of each value counts
+        assert bits_to_bytes(bytes([2, 3, 1, 0, 255, 1, 0, 7])) == b"\x6d"
         with pytest.raises(ValueError):
             bits_to_bytes(b"\x01" * 7)
 

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from pecstream.rangecoder import (
     Decoder,
     Encoder,
     FinalCoderState,
-    pending_info,
 )
 from pecstream.termination import terminate_single
 
@@ -120,7 +118,7 @@ class TestBinaryCoding:
         model = BinaryModel(700)
         enc = Encoder()
         for _ in range(500):
-            enc.encode_bit(model, rnd.random() < 0.9)
+            enc.encode_bits(model, [rnd.random() < 0.9])
             low, rng = enc.state
             assert TOP <= rng <= MASK32
             assert 0 <= low <= MASK32
@@ -145,14 +143,6 @@ class TestBinaryCoding:
             src = backward_source(term.data, b"\x13\x37" * 4, reversed_bits)
             assert Decoder(src).decode_bits(model, len(bits)) == bits
 
-    def test_new_decoder_factory(self, rnd):
-        from pecstream.rangecoder import new_decoder
-        model = BinaryModel(12345)
-        bits = random_bits(rnd, 100)
-        term = terminate_single(encode_bit_stream(model, bits))
-        dec = new_decoder(forward_source(term.data))
-        assert bytes(dec.decode_bit(model) for _ in bits) == bits
-
     def test_payload_inefficiency_bound(self, rnd):
         for _ in range(30):
             p0 = rnd.randrange(1, PROB_ONE)
@@ -175,7 +165,7 @@ class TestBinaryCoding:
         prev_width = 1.0
         for _ in range(400):
             bit = rnd.random() < 0.4
-            enc.encode_bit(model, bit)
+            enc.encode_bits(model, [bit])
             chain_int, chain_len = enc.chain_value()
             low, rng = enc.state
             scale = 2.0 ** -(8 * chain_len + 32)
@@ -202,7 +192,7 @@ class TestSymbolCoding:
         model = CdfModel.from_counts(counts)
         enc = Encoder()
         with pytest.raises(ValueError):
-            enc.encode_symbol(model, 5)
+            enc.encode_symbols(model, [5])
 
     def test_roundtrip_random_blocks(self, rnd):
         for _ in range(25):
@@ -239,7 +229,7 @@ class TestFinalState:
     ])
     def test_pending_info(self, range_, expected):
         state = FinalCoderState(0, range_)
-        assert pending_info(state) == pytest.approx(expected, abs=1e-12)
+        assert state.pending_info == pytest.approx(expected, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

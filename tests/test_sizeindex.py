@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from pecstream.bitio import BitReader, BitWriter, TruncatedStreamError
 from pecstream.sizeindex import (
     CorruptIndexError,
-    SizeIndex,
     bic_decode,
     bic_encode,
     build_range_tree,
@@ -45,21 +44,6 @@ class TestEntryPoints:
     def test_cumulative_sums(self):
         assert entry_points([3, 5, 2]) == [3, 8, 10]
         assert entry_points([]) == []
-
-    def test_size_index_stats(self):
-        idx = SizeIndex((3, 5, 2))
-        assert idx.entry_points == [3, 8, 10]
-        assert idx.mean == pytest.approx(10 / 3)
-        assert idx.minimum == 2
-        assert idx.total == 10
-
-    def test_empty_index_errors(self):
-        idx = SizeIndex(())
-        assert idx.entry_points == []
-        with pytest.raises(ValueError):
-            idx.mean
-        with pytest.raises(ValueError):
-            SizeIndex((1, -2))
 
 
 class TestRangeTree:

@@ -182,10 +182,7 @@ class TestAccounting:
                                         False, False, 2.0, 2.0))
         assert stats.streams == 3
         assert stats.share_ratio == 1.0
-        merged = stats.merge(stats)
-        assert merged.streams == 6
-        assert merged.extra_bits_total == pytest.approx(2 * stats.extra_bits_total)
-        row = merged.csv_row("fb")
+        row = stats.csv_row("fb")
         assert row["mode"] == "fb" and row["share_ratio"] == "1.000000"
 
     def test_stats_empty_errors(self):
