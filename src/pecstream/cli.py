@@ -8,7 +8,7 @@ from collections import Counter
 
 from . import bench
 from .bitio import TruncatedStreamError, bits_to_bytes, bytes_to_bits
-from .container import INDEX_CODECS, MODES, read_container
+from .container import INDEX_CODECS, MODES, read_container, read_header
 from .pipeline import decode_parallel, encode_parallel
 from .rangecoder import BinaryModel, CdfModel
 
@@ -58,7 +58,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     blob = _read_file(args.input)
-    header, _ = read_container(blob)
+    header = read_header(blob)
     symbols = decode_parallel(blob)
     if isinstance(header.model, BinaryModel):
         data = bits_to_bytes(symbols)

@@ -20,14 +20,16 @@ Layout (all multi-byte integers little-endian):
 
 In bidirectional modes each segment holds one forward stream followed by one
 backward stream stored in reverse byte order (bit-reversed bytes in fr mode),
-so the index has N_s/2 entries instead of N_s.
+so the index has N_s/2 entries instead of N_s.  `stream_bytes` turns a stored
+segment back into a stream's bytes in decode order; decoders read 0x00 past
+their end.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bitio import REVERSED_BYTES, BitReader, BitWriter, TruncatedStreamError
 from .rangecoder import PROB_ONE, BinaryModel, CdfModel
@@ -56,6 +58,8 @@ class Header:
     n_symbols: int
     data_size: int
     index_nbytes: int
+    #: byte offset of the index payload within the container
+    index_offset: int
 
     @property
     def entry_count(self) -> int:
@@ -160,8 +164,8 @@ def write_container(mode: str, index_codec: str,
     return b"".join(parts)
 
 
-def read_container(blob: bytes) -> tuple[Header, SegmentMap]:
-    """Parse and validate a container, reconstructing the segment map."""
+def read_header(blob: bytes) -> Header:
+    """Parse and validate the fixed header, the model and the index length."""
     if len(blob) < _FIXED_HEADER.size:
         raise TruncatedStreamError("truncated header")
     magic, version, flags, model_id, reserved, n_streams, n_symbols, data_size = \
@@ -187,77 +191,59 @@ def read_container(blob: bytes) -> tuple[Header, SegmentMap]:
     if offset + 2 > len(blob):
         raise TruncatedStreamError("truncated index length")
     (index_nbytes,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    if offset + index_nbytes > len(blob):
-        raise TruncatedStreamError("truncated index payload")
-    index_payload = blob[offset:offset + index_nbytes]
-    offset += index_nbytes
+    return Header(mode=mode, index_codec=index_codec, model=model,
+                  n_streams=n_streams, n_symbols=n_symbols,
+                  data_size=data_size, index_nbytes=index_nbytes,
+                  index_offset=offset + 2)
 
-    entry_count = n_streams if mode == "uni" else n_streams // 2
-    source = BitReader(index_payload)
+
+def read_container(blob: bytes) -> tuple[Header, SegmentMap]:
+    """Parse and validate a container, reconstructing the segment map."""
+    header = read_header(blob)
+    offset = header.index_offset + header.index_nbytes
+    if offset > len(blob):
+        raise TruncatedStreamError("truncated index payload")
+    source = BitReader(blob[header.index_offset:offset])
     try:
-        sizes = decode_index(index_codec, entry_count, data_size, source)
+        sizes = decode_index(header.index_codec, header.entry_count,
+                             header.data_size, source)
     except TruncatedStreamError:
         raise TruncatedStreamError("truncated index payload") from None
     except ValueError as exc:
         raise ContainerFormatError(f"corrupt index payload: {exc}") from None
     if any(s < 0 for s in sizes):
         raise ContainerFormatError("index decoded a negative segment size")
-    if sum(sizes) != data_size:
+    if sum(sizes) != header.data_size:
         raise ContainerFormatError(
-            f"index sums to {sum(sizes)}, header says {data_size}")
-    if offset + data_size > len(blob):
+            f"index sums to {sum(sizes)}, header says {header.data_size}")
+    if offset + header.data_size > len(blob):
         raise TruncatedStreamError("truncated data region")
 
-    header = Header(mode=mode, index_codec=index_codec, model=model,
-                    n_streams=n_streams, n_symbols=n_symbols,
-                    data_size=data_size, index_nbytes=index_nbytes)
     boundaries = tuple([0] + entry_points(sizes))
     return header, SegmentMap(boundaries=boundaries, data_offset=offset)
 
 
-def byte_source(data: bytes, start: int, stop: int, direction: str = "forward",
-                bit_reversed: bool = False) -> Callable[[], int]:
-    """A clamped byte source over data[start:stop].
+def stream_bytes(segment: bytes, direction: str = "forward",
+                 bit_reversed: bool = False) -> bytes:
+    """A stored segment's bytes in the decode order of one of its streams.
 
-    Forward sources increment from `start`, backward sources decrement from
-    `stop - 1`; outside the window the source yields 0x00 forever, which is
-    a legal continuation by the termination guarantee.  With `bit_reversed`
-    every in-window byte is passed through the bit-reversal table.
+    A forward stream reads the segment as stored, a backward stream reads it
+    from its last byte; with `bit_reversed` every byte is bit-reversed.  This
+    undoes the packing of `encode_parallel`.
     """
-    if direction == "forward":
-        pos = start
-        step = 1
-    elif direction == "backward":
-        pos = stop - 1
-        step = -1
-    else:
+    if direction == "backward":
+        segment = segment[::-1]
+    elif direction != "forward":
         raise ValueError(f"bad direction: {direction!r}")
-
-    cursor = [pos]
     if bit_reversed:
-        table = REVERSED_BYTES
-
-        def next_byte() -> int:
-            p = cursor[0]
-            if start <= p < stop:
-                cursor[0] = p + step
-                return table[data[p]]
-            return 0
-    else:
-        def next_byte() -> int:
-            p = cursor[0]
-            if start <= p < stop:
-                cursor[0] = p + step
-                return data[p]
-            return 0
-    return next_byte
+        segment = segment.translate(REVERSED_BYTES)
+    return segment
 
 
 def segment_source(blob: bytes, seg_map: SegmentMap, j: int,
                    direction: str = "forward",
-                   bit_reversed: bool = False) -> Callable[[], int]:
-    """Clamped source over segment j of a parsed container."""
+                   bit_reversed: bool = False) -> bytes:
+    """Segment j of a parsed container in one stream's decode order."""
     start, stop = seg_map.segment(j)
     off = seg_map.data_offset
-    return byte_source(blob, off + start, off + stop, direction, bit_reversed)
+    return stream_bytes(blob[off + start:off + stop], direction, bit_reversed)

@@ -41,17 +41,6 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
     if mode != "uni" and n_streams % 2:
         raise ValueError("bidirectional modes need an even stream count")
     binary = isinstance(model, BinaryModel)
-    # bytes always fit a CdfModel's 0..255 alphabet, so only other
-    # sequences, or bytes under a binary model, need a range pass
-    if isinstance(symbols, (bytes, bytearray)):
-        bad = binary and len(symbols) and max(symbols) > 1
-    else:
-        bad = len(symbols) and (min(symbols) < 0
-                                or max(symbols) > (1 if binary else 0xFF))
-    if bad:
-        raise ValueError("binary models code 0/1 symbols only" if binary
-                         else "256-symbol models code 0..255 symbols only")
-
     encoders = []
     for start, stop in shard_ranges(len(symbols), n_streams):
         enc = Encoder()

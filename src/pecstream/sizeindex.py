@@ -217,19 +217,13 @@ def i32_encode_sizes(sizes: Sequence[int], sink: BitWriter) -> int:
     for s in sizes:
         if not 0 <= s < (1 << 32):
             raise ValueError(f"size {s} does not fit in 32 bits")
-        for shift in (0, 8, 16, 24):
-            sink.write_bits((s >> shift) & 0xFF, 8)
+        sink.write_bits(int.from_bytes(s.to_bytes(4, "little"), "big"), 32)
     return sink.bit_length - start
 
 
 def i32_decode_sizes(count: int, source: BitReader) -> list[int]:
-    out = []
-    for _ in range(count):
-        value = 0
-        for shift in (0, 8, 16, 24):
-            value |= source.read_bits(8) << shift
-        out.append(value)
-    return out
+    return [int.from_bytes(source.read_bits(32).to_bytes(4, "big"), "little")
+            for _ in range(count)]
 
 
 def encode_index(codec: str, sizes: Sequence[int], total: int,

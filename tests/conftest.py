@@ -7,29 +7,29 @@ import random
 import pytest
 
 from pecstream.bitio import REVERSED_BYTES
-from pecstream.container import byte_source
+from pecstream.container import stream_bytes
 from pecstream.rangecoder import BinaryModel, Decoder, Encoder
 
 
-def forward_source(stream: bytes, continuation: bytes = b"\x00" * 8):
-    """Source reading the stream bytes then the continuation, left to right."""
-    buf = stream + continuation
-    return byte_source(buf, 0, len(buf), "forward")
+def forward_source(stream: bytes, continuation: bytes = b"\x00" * 8) -> bytes:
+    """Decoder input: the stream bytes, then the continuation."""
+    return stream + continuation
 
 
 def backward_source(produced: bytes, continuation: bytes = b"\x00" * 8,
-                    bit_reversed: bool = False):
-    """Source for a backward stream given its bytes in produced order.
+                    bit_reversed: bool = False) -> bytes:
+    """Decoder input for a backward stream given its bytes in produced order.
 
     The stream is laid out as the container would store it (reversed, with
-    bit-reversed bytes in fr mode) and read with a decrementing cursor; the
-    continuation sits before it in storage, i.e. is read after the stream.
+    bit-reversed bytes in fr mode) and turned back into decode order by
+    `stream_bytes`; the continuation sits before it in storage, i.e. is read
+    after the stream.
     """
     stored = produced
     if bit_reversed:
         stored = stored.translate(REVERSED_BYTES)
     buf = continuation + stored[::-1]
-    return byte_source(buf, 0, len(buf), "backward", bit_reversed)
+    return stream_bytes(buf, "backward", bit_reversed)
 
 
 def encode_bit_stream(model: BinaryModel, bits: bytes, direction: str = "forward",

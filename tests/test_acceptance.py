@@ -15,7 +15,7 @@ import pytest
 
 from pecstream import bench
 from pecstream.bitio import BitReader, BitWriter, pack_bounded, unpack_bounded
-from pecstream.container import byte_source, read_container
+from pecstream.container import read_container, stream_bytes
 from pecstream.pipeline import decode_parallel, encode_parallel
 from pecstream.rangecoder import PROB_ONE, BinaryModel, CdfModel, Decoder, Encoder
 from pecstream.sizeindex import (
@@ -308,15 +308,12 @@ def test_criterion_7_robustness():
         continuations = (b"\x00" * 8, b"\xff" * 8,
                          bytes(rnd.randrange(256) for _ in range(8)))
         for cont in continuations:
-            buf = segment_f + cont
-            src = byte_source(buf, 0, len(buf))
+            src = segment_f + cont
             assert Decoder(src).decode_bits(model, len(bits_f)) == bits_f
             if backward:
-                buf = cont + segment_b
-                src = byte_source(buf, 0, len(buf), "backward", reversed_bits)
+                src = stream_bytes(cont + segment_b, "backward", reversed_bits)
             else:
-                buf = segment_b + cont
-                src = byte_source(buf, 0, len(buf))
+                src = segment_b + cont
             assert Decoder(src).decode_bits(model, len(bits_b)) == bits_b
 
     ok = carried >= 100 and renormed >= 100

@@ -38,6 +38,22 @@ class TestEncodeDecode:
         assert run("decode", enc, "--out", dec) == EXIT_OK
         assert (workdir / "back.bin").read_bytes() == data
 
+    def test_decode_parses_index_once(self, workdir, monkeypatch):
+        import pecstream.container
+        calls = []
+        decode_index = pecstream.container.decode_index
+
+        def counted(*args):
+            calls.append(args[0])
+            return decode_index(*args)
+
+        monkeypatch.setattr(pecstream.container, "decode_index", counted)
+        src = write_input(workdir, "in.bin", b"abracadabra" * 50)
+        enc = str(workdir / "out.pec")
+        assert run("encode", src, "--out", enc, "--streams", "4") == EXIT_OK
+        assert run("decode", enc, "--out", str(workdir / "back.bin")) == EXIT_OK
+        assert calls == ["rtc"]
+
     def test_bernoulli_roundtrip(self, workdir):
         rnd = random.Random(2)
         data = bytes(rnd.getrandbits(8) & rnd.getrandbits(8) for _ in range(2500))

@@ -1,18 +1,20 @@
 import struct
+from dataclasses import replace
 
 import pytest
 
-from pecstream.bitio import TruncatedStreamError
+from pecstream.bitio import REVERSED_BYTES, TruncatedStreamError
 from pecstream.container import (
     INDEX_CODECS,
     MODES,
     ContainerFormatError,
-    byte_source,
     read_container,
+    read_header,
     segment_source,
+    stream_bytes,
     write_container,
 )
-from pecstream.rangecoder import BinaryModel, CdfModel
+from pecstream.rangecoder import BinaryModel, CdfModel, Decoder
 
 
 def order0_model() -> CdfModel:
@@ -71,6 +73,9 @@ class TestRoundtrip:
             header, seg_map = read_container(blob)
             assert len(blob) == 24 + 512 + 2 + header.index_nbytes + header.data_size
             assert seg_map.data_offset == len(blob) - header.data_size
+            assert header.index_offset == 24 + 512 + 2
+            # models compare by identity, so only the model is taken over
+            assert replace(read_header(blob), model=header.model) == header
 
     def test_golden_container_bytes(self):
         # frozen serialization of a tiny fr/rtc bernoulli container; guards
@@ -163,41 +168,45 @@ class TestValidation:
 
 class TestSources:
     def test_forward_clamps_to_zero(self):
-        src = byte_source(b"\x01\x02\x03", 0, 3)
-        assert [src() for _ in range(5)] == [1, 2, 3, 0, 0]
+        data = stream_bytes(b"\x01\x02\x03")
+        assert data == b"\x01\x02\x03"
+        # the decoder, not the stream, supplies the 0x00 continuation
+        assert Decoder(data)._val == 0x01020300
 
     def test_backward_clamps_to_zero(self):
-        src = byte_source(b"\x01\x02\x03", 0, 3, "backward")
-        assert [src() for _ in range(5)] == [3, 2, 1, 0, 0]
+        data = stream_bytes(b"\x01\x02\x03", "backward")
+        assert data == b"\x03\x02\x01"
+        assert Decoder(data)._val == 0x03020100
 
     def test_zero_length_window(self):
-        src = byte_source(b"\x01\x02", 1, 1)
-        assert [src() for _ in range(3)] == [0, 0, 0]
-        src = byte_source(b"\x01\x02", 1, 1, "backward")
-        assert src() == 0
+        assert stream_bytes(b"") == b""
+        assert stream_bytes(b"", "backward", bit_reversed=True) == b""
+        assert Decoder(b"")._val == 0
 
     def test_bit_reversed_wrapping(self):
-        src = byte_source(bytes([0xB4, 0x01]), 0, 2, "forward", bit_reversed=True)
-        assert [src(), src(), src()] == [0x2D, 0x80, 0]
+        data = stream_bytes(bytes([0xB4, 0x01]), "forward", bit_reversed=True)
+        assert data == bytes([0x2D, 0x80])
 
     def test_segment_source_windows(self):
         segments = [b"ab", b"", b"cd"]
         blob = write_container("uni", "gamma", BinaryModel(5), 3, 0, segments)
         _, seg_map = read_container(blob)
-        fwd = segment_source(blob, seg_map, 0)
-        assert [fwd() for _ in range(3)] == [ord("a"), ord("b"), 0]
-        bwd = segment_source(blob, seg_map, 2, "backward")
-        assert [bwd() for _ in range(3)] == [ord("d"), ord("c"), 0]
-        empty = segment_source(blob, seg_map, 1)
-        assert empty() == 0
+        assert segment_source(blob, seg_map, 0) == b"ab"
+        assert segment_source(blob, seg_map, 2, "backward") == b"dc"
+        assert segment_source(blob, seg_map, 1) == b""
 
     def test_fr_backward_source_reverses_bits(self):
         blob = write_container("fb", "gamma", BinaryModel(5), 2, 0, [bytes([0xB4])])
         _, seg_map = read_container(blob)
         src = segment_source(blob, seg_map, 0, "backward", bit_reversed=True)
-        assert src() == 0x2D
-        assert src() == 0
+        assert src == bytes([0x2D])
+        # stream_bytes undoes encode_parallel's fwd + reversed(bit-reversed bwd)
+        fwd, bwd = b"\x01\x02", b"\xb4\x0f\x80"
+        segment = fwd + bwd.translate(REVERSED_BYTES)[::-1]
+        assert stream_bytes(segment) == segment
+        assert stream_bytes(segment, "backward", True) == bwd + fwd.translate(
+            REVERSED_BYTES)[::-1]
 
     def test_direction_validation(self):
         with pytest.raises(ValueError):
-            byte_source(b"", 0, 0, "up")
+            stream_bytes(b"", "up")

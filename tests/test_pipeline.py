@@ -70,7 +70,7 @@ class TestEncodeDecode:
     def test_binary_model_rejects_nonbit_symbols(self):
         with pytest.raises(ValueError, match="0/1"):
             encode_parallel(b"\x01\x07", BinaryModel(100), 1, "uni", "rtc")
-        for symbols in ([0, 1, 2], [-1], [-2, 1], [256]):
+        for symbols in ([0, 1, 2], [-1], [-2, 1], [256], [0.5]):
             with pytest.raises(ValueError, match="0/1"):
                 encode_parallel(symbols, BinaryModel(100), 1, "uni", "rtc")
 

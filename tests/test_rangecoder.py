@@ -193,6 +193,10 @@ class TestSymbolCoding:
         enc = Encoder()
         with pytest.raises(ValueError):
             enc.encode_symbols(model, [5])
+        # out-of-alphabet symbols must not index the cdf table from its end
+        for symbols in ([-2], [256]):
+            with pytest.raises(ValueError, match="0..255"):
+                Encoder().encode_symbols(CdfModel.from_counts([1] * 256), symbols)
 
     def test_roundtrip_random_blocks(self, rnd):
         for _ in range(25):
@@ -206,6 +210,10 @@ class TestSymbolCoding:
             term = terminate_single(enc.finalize())
             got = Decoder(forward_source(term.data)).decode_symbols(model, len(data))
             assert got == data
+            # past its end a stream reads as 0x00, also in the first 4 bytes
+            count = len(data) + 64
+            assert Decoder(term.data).decode_symbols(model, count) == \
+                Decoder(term.data + bytes(8)).decode_symbols(model, count)
 
     def test_skewed_model_roundtrip(self, rnd):
         counts = [0] * 256
@@ -256,3 +264,7 @@ def test_property_roundtrip(p0, bits, continuation):
     term = terminate_single(encode_bit_stream(model, bits))
     got = Decoder(forward_source(term.data, continuation)).decode_bits(model, len(bits))
     assert got == bits
+    # past its end a stream reads as 0x00, also in the first 4 bytes
+    count = len(bits) + 64
+    assert Decoder(term.data).decode_bits(model, count) == \
+        Decoder(term.data + bytes(8)).decode_bits(model, count)

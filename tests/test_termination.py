@@ -2,6 +2,7 @@ import pytest
 
 from conftest import encode_bit_stream, forward_source, random_bits
 from pecstream.bitio import REVERSED_BYTES
+from pecstream.container import stream_bytes
 from pecstream.rangecoder import (
     MASK32,
     PROB_ONE,
@@ -237,8 +238,7 @@ class TestValidityExhaustive:
             fwd_src = forward_source(segment, cont)
             assert Decoder(fwd_src).decode_bits(model, len(bits_f)) == bits_f
             buf = cont + segment
-            from pecstream.container import byte_source
-            bwd_src = byte_source(buf, 0, len(buf), "backward", reversed_bits)
+            bwd_src = stream_bytes(buf, "backward", reversed_bits)
             assert Decoder(bwd_src).decode_bits(model, len(bits_b)) == bits_b
         assert shared_seen > 30
 
