@@ -230,7 +230,7 @@ def simulate_termination_population(pairs: int, seed: int,
         r0 = (rng_ >> 16) * p0
         low = np.where(active, low + np.where(one, r0, 0), low)
         rng_ = np.where(active, np.where(one, rng_ - r0, r0), rng_)
-        low &= MASK32  # the carry is absorbed by the byte chain
+        low &= MASK32  # the carry goes into the bytes already produced
         need = active & (rng_ < TOP)
         while need.any():
             low[need] = (low[need] << 8) & MASK32

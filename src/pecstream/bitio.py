@@ -89,10 +89,6 @@ class BitReader:
         self._pos = 0
 
     @property
-    def bits_consumed(self) -> int:
-        return self._pos
-
-    @property
     def bits_remaining(self) -> int:
         return self._nbits - self._pos
 

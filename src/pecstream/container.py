@@ -73,10 +73,6 @@ class SegmentMap:
     boundaries: tuple[int, ...]
     data_offset: int
 
-    @property
-    def segment_count(self) -> int:
-        return len(self.boundaries) - 1
-
     def segment(self, j: int) -> tuple[int, int]:
         """Relative [start, stop) byte range of segment j (0-based)."""
         return self.boundaries[j], self.boundaries[j + 1]

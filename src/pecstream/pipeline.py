@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .bitio import REVERSED_BYTES
 from .container import (
+    MAX_STREAMS,
     MODES,
     ContainerFormatError,
     Header,
@@ -38,6 +39,8 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
     """Encode symbols into a container with n_streams independent streams."""
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
+    if not 1 <= n_streams <= MAX_STREAMS:
+        raise ValueError(f"stream count must be in [1, {MAX_STREAMS}]")
     if mode != "uni" and n_streams % 2:
         raise ValueError("bidirectional modes need an even stream count")
     binary = isinstance(model, BinaryModel)

@@ -1,11 +1,15 @@
-"""Byte-oriented 32-bit range coder with a deferred-carry byte chain.
+"""Byte-oriented 32-bit range coder writing into a plain bytearray.
 
 The encoder keeps the interval as (low, range) with 2**24 <= range < 2**32
 after every renormalization, i.e. the final interval [u, v) with u = low/2**32
-and v - u = range/2**32 satisfies 2**-8 <= v - u < 1.  Addition carries are
-never applied to already-flushed bytes: produced bytes pass through a chain
-holding one absorption byte (`cache`, always < 0xFF) followed by a run of
-pending 0xFF bytes, so a carry increments `cache` and zeroes the run.
+and v - u = range/2**32 satisfies 2**-8 <= v - u < 1.  Renormalization appends
+the top byte of low to the stream.  Every stream stays in memory until it is
+terminated, so an addition carry out of low is propagated in place: the
+trailing run of 0xFF bytes becomes zeros and the byte before the run, which
+is below 0xFF by definition, is incremented.  That byte always exists.  The
+produced bytes followed by low are the coder's lower bound, and coding only
+narrows the interval inside [0, 1), so that bound stays below 1 after the
+carry; an output of nothing but 0xFF bytes would have carried to 1.0.
 
 Probabilities use a 16-bit scale.  The interval split gives the top symbol
 the rounding remainder, so both branches of any legal model are nonzero and
@@ -132,73 +136,20 @@ class CdfModel:
         return [self.cdf[s + 1] - self.cdf[s] for s in range(256)]
 
 
-class _ByteChain:
-    """Produced bytes with a single deferred-carry absorption point.
+def _carry(out: bytearray) -> None:
+    """Add one to the bytes produced so far, in place.
 
-    Logical byte order is flushed ++ [cache] ++ 0xFF * pending.  `cache` is
-    the earliest byte a future carry may still touch; bytes in `flushed` can
-    never change.  A 0xFF byte joins the pending run instead of becoming
-    cache, so a carry is always absorbed without rippling into `flushed`.
+    The trailing 0xFF run becomes zeros and the byte before it absorbs the
+    carry.  An all-0xFF output would mean the coded value crossed 1.0, which
+    the coder's invariant rules out (see the module docstring).
     """
-
-    __slots__ = ("flushed", "cache", "pending")
-
-    def __init__(self) -> None:
-        self.flushed = bytearray()
-        self.cache: int | None = None
-        self.pending = 0
-
-    def __len__(self) -> int:
-        return len(self.flushed) + (self.cache is not None) + self.pending
-
-    def push(self, byte: int) -> None:
-        if byte == 0xFF:
-            self.pending += 1
-            return
-        self._settle()
-        self.cache = byte
-
-    def carry(self) -> None:
-        # A carry with no absorption byte, or onto a 0xFF cache, would mean
-        # the coded value crossed 1.0 -- ruled out by the low+range <= 2**32
-        # invariant that holds from any carry until a byte < 0xFF is emitted.
-        if self.cache is None or self.cache == 0xFF:
-            raise AssertionError("carry cannot ripple past the byte chain")
-        if self.pending:
-            self.flushed.append(self.cache + 1)
-            self.flushed.extend(b"\x00" * (self.pending - 1))
-            self.cache = 0
-            self.pending = 0
-        else:
-            self.cache += 1
-
-    def _settle(self) -> None:
-        if self.cache is not None:
-            self.flushed.append(self.cache)
-            self.cache = None
-        if self.pending:
-            self.flushed.extend(b"\xff" * self.pending)
-            self.pending = 0
-
-    def flush(self) -> bytearray:
-        self._settle()
-        return self.flushed
-
-    def value(self) -> int:
-        """The logical bytes as one big integer (for invariant checks)."""
-        v = int.from_bytes(self.flushed, "big")
-        if self.cache is not None:
-            v = (v << 8) | self.cache
-        for _ in range(self.pending):
-            v = (v << 8) | 0xFF
-        return v
-
-    def copy(self) -> "_ByteChain":
-        dup = _ByteChain()
-        dup.flushed = bytearray(self.flushed)
-        dup.cache = self.cache
-        dup.pending = self.pending
-        return dup
+    i = len(out) - 1
+    while i >= 0 and out[i] == 0xFF:
+        out[i] = 0
+        i -= 1
+    if i < 0:
+        raise AssertionError("carry cannot ripple past the first byte")
+    out[i] += 1
 
 
 class FinalCoderState:
@@ -212,7 +163,7 @@ class FinalCoderState:
     __slots__ = ("low", "range", "direction", "bit_reversed", "chain",
                  "pending_info", "payload_len")
 
-    def __init__(self, low: int, range_: int, chain: _ByteChain | None = None,
+    def __init__(self, low: int, range_: int, chain: bytearray | None = None,
                  direction: str = "forward", bit_reversed: bool = False) -> None:
         if not 0 <= low <= MASK32:
             raise ValueError("low out of 32-bit range")
@@ -222,7 +173,7 @@ class FinalCoderState:
             raise ValueError(f"bad direction: {direction!r}")
         self.low = low
         self.range = range_
-        self.chain = chain if chain is not None else _ByteChain()
+        self.chain = chain if chain is not None else bytearray()
         self.direction = direction
         self.bit_reversed = bit_reversed
         self.pending_info = 32.0 - math.log2(range_)
@@ -235,39 +186,38 @@ class FinalCoderState:
         rescaled width is capped at the representable maximum, which only
         shrinks the interval and so preserves the decoding guarantee.
         """
-        self.chain.push(self.low >> 24)
+        self.chain.append(self.low >> 24)
         self.low = (self.low << 8) & MASK32
         self.range = min(self.range << 8, MASK32)
 
     def finish(self, value: int) -> bytes:
         """Apply the chosen termination value and return the full stream.
 
-        Values >= 256 fold one addition carry into the byte chain; the
-        stored final byte is value mod 256 and is never carry-modified.
+        Values >= 256 carry one into the bytes already produced; the stored
+        final byte is value mod 256 and is never carry-modified.
         """
         if value >= 256:
-            self.chain.carry()
-        out = self.chain.flush()
-        out.append(value & 0xFF)
-        return bytes(out)
+            _carry(self.chain)
+        self.chain.append(value & 0xFF)
+        return bytes(self.chain)
 
     def copy(self) -> "FinalCoderState":
         """Independent copy; intended for use before any termination step."""
-        return FinalCoderState(self.low, self.range, self.chain.copy(),
+        return FinalCoderState(self.low, self.range, bytearray(self.chain),
                                self.direction, self.bit_reversed)
 
 
 class Encoder:
-    """Range encoder producing bytes in decode order into an internal chain."""
+    """Range encoder producing bytes in decode order into a bytearray."""
 
-    __slots__ = ("_low", "_range", "_chain")
+    __slots__ = ("_low", "_range", "_out")
 
     def __init__(self) -> None:
         self._low = 0
         # 2**32 itself is unrepresentable; the 1-ulp deficiency is absorbed
         # by the coder inefficiency bound.
         self._range = MASK32
-        self._chain = _ByteChain()
+        self._out = bytearray()
 
     @property
     def state(self) -> tuple[int, int]:
@@ -275,11 +225,11 @@ class Encoder:
 
     @property
     def payload_len(self) -> int:
-        return len(self._chain)
+        return len(self._out)
 
     def chain_value(self) -> tuple[int, int]:
         """(integer of produced bytes, byte count) for invariant checks."""
-        return self._chain.value(), len(self._chain)
+        return int.from_bytes(self._out, "big"), len(self._out)
 
     def encode_bits(self, model: BinaryModel, bits: Sequence[int]) -> None:
         # deleting the legal values checks bytes ~30x faster than a set does
@@ -293,15 +243,15 @@ class Encoder:
         p0 = model.p0
         low = self._low
         rng = self._range
-        push = self._chain.push
-        carry = self._chain.carry
+        out = self._out
+        push = out.append
         for bit in bits:
             r0 = (rng >> 16) * p0
             if bit:
                 low += r0
                 rng -= r0
                 if low > MASK32:
-                    carry()
+                    _carry(out)
                     low -= MASK32 + 1
             else:
                 rng = r0
@@ -321,8 +271,8 @@ class Encoder:
         cdf = model.cdf
         low = self._low
         rng = self._range
-        push = self._chain.push
-        carry = self._chain.carry
+        out = self._out
+        push = out.append
         for s in symbols:
             r = rng >> 16
             c_lo = cdf[s]
@@ -338,7 +288,7 @@ class Encoder:
                 rng = r * (c_hi - c_lo)
             low += base
             if low > MASK32:
-                carry()
+                _carry(out)
                 low -= MASK32 + 1
             while rng < TOP:
                 push(low >> 24)
@@ -350,9 +300,9 @@ class Encoder:
     def finalize(self, direction: str = "forward",
                  bit_reversed: bool = False) -> FinalCoderState:
         """Capture the final interval; the encoder must not be used again."""
-        chain = self._chain
-        self._chain = None  # type: ignore[assignment]
-        return FinalCoderState(self._low, self._range, chain,
+        out = self._out
+        self._out = None  # type: ignore[assignment]
+        return FinalCoderState(self._low, self._range, out,
                                direction, bit_reversed)
 
 

@@ -2,11 +2,11 @@
 
 For a final interval [u, v) the integers U = ceil(2**8 u) and
 V = floor(2**8 v) - 1 bound the termination values T whose byte step
-[T/256, (T+1)/256) lies inside [u, v); writing T mod 256 (with one addition
-carry into the byte chain when T >= 256) then guarantees exact decoding
-under any continuation bytes.  Bidirectional stream pairs can share one
-stored junction byte whenever the forward stored set intersects the
-backward one (bit-reversed storage in `fr` mode), saving 8 bits.
+[T/256, (T+1)/256) lies inside [u, v); writing T mod 256 (and carrying one
+into the bytes already produced when T >= 256) then guarantees exact
+decoding under any continuation bytes.  Bidirectional stream pairs can
+share one stored junction byte whenever the forward stored set intersects
+the backward one (bit-reversed storage in `fr` mode), saving 8 bits.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def valid_byte_set(state: FinalCoderState) -> ValidByteSet:
     """Compute the valid termination set, renormalizing once if needed.
 
     When no whole byte step fits (possible only while v - u < 2**-7) one
-    byte is pushed into the stream's carry chain and the interval rescaled;
-    the rescaled width guarantees a nonempty set, so a single step suffices.
+    byte is appended to the stream and the interval rescaled; the rescaled
+    width guarantees a nonempty set, so a single step suffices.
     """
     lo = (state.low + TOP - 1) >> 24
     hi = ((state.low + state.range) >> 24) - 1
@@ -123,28 +123,15 @@ def terminate_single(state: FinalCoderState) -> SingleTermination:
     )
 
 
-def _stored_ascending(lo: int, hi: int):
-    """Yield (stored byte, carry) for all values in [lo, hi], stored order."""
-    if hi <= 255:
-        parts = [(lo, hi, False)]
-    elif lo >= 256:
-        parts = [(lo - 256, hi - 256, True)]
-    else:
-        parts = [(0, hi - 256, True), (lo, 255, False)]
-    for a, b, carry in sorted(parts):
-        for z in range(a, b + 1):
-            yield z, carry
-
-
 def joint_terminate(fwd: FinalCoderState, bwd: FinalCoderState,
                     mode: str) -> JointTermination:
     """Terminate a forward/backward pair, sharing one stored byte if possible.
 
     In `fr` mode the backward stream is stored with reversed bit order, so
     its stored candidates are the bit-reversed byte values.  The smallest
-    shared stored value wins; each side's carry is applied to its own chain
-    and the junction byte itself is stored exactly once (in the forward
-    stream's buffer).
+    shared stored value wins; each side's carry goes into its own stream's
+    bytes and the junction byte itself is stored exactly once (in the
+    forward stream's buffer).
     """
     if mode not in PAIR_MODES:
         raise ValueError(f"joint termination mode must be fb or fr, got {mode!r}")
@@ -153,45 +140,30 @@ def joint_terminate(fwd: FinalCoderState, bwd: FinalCoderState,
     vf = valid_byte_set(fwd)
     vb = valid_byte_set(bwd)
 
-    reversed_bits = mode == "fr"
-    stored_bwd: dict[int, int] = {}
-    for t in range(vb.lo, vb.hi + 1):
-        stored = t & 0xFF
-        if reversed_bits:
-            stored = REVERSED_BYTES[stored]
-        stored_bwd.setdefault(stored, t)
-
-    junction = None
-    for z, carry_f in _stored_ascending(vf.lo, vf.hi):
-        t_bwd = stored_bwd.get(z)
-        if t_bwd is not None:
-            junction = (z, z + 256 if carry_f else z, t_bwd)
-            break
-
-    renormed = bool(vf.prefix_bytes or vb.prefix_bytes)
-    if junction is not None:
-        z, t_fwd, t_bwd = junction
-        fwd_data = fwd.finish(t_fwd)
-        bwd_data = bwd.finish(t_bwd)[:-1]  # junction stored once, forward side
-        return JointTermination(
-            fwd_data=fwd_data, bwd_data=bwd_data, shared=True, stored_byte=z,
-            k_fwd=vf.prefix_bytes + 1, k_bwd=vb.prefix_bytes + 1,
-            fwd_value=t_fwd, bwd_value=t_bwd,
-            carried_fwd=t_fwd >= 256, carried_bwd=t_bwd >= 256,
-            pending_fwd=fwd.pending_info, pending_bwd=bwd.pending_info,
-            renormed=renormed,
-        )
-
-    t_fwd = vf.lo
-    t_bwd = vb.lo
+    stored_bwd = bytes(vb.stored_values())
+    if mode == "fr":
+        stored_bwd = stored_bwd.translate(REVERSED_BYTES)
+    common = set(vf.stored_values()).intersection(stored_bwd)
+    if common:
+        z = min(common)
+        t_fwd = vf.value_for_stored(z)
+        t_bwd = vb.value_for_stored(REVERSED_BYTES[z] if mode == "fr" else z)
+    else:
+        z = None
+        t_fwd = vf.lo
+        t_bwd = vb.lo
+    fwd_data = fwd.finish(t_fwd)
+    bwd_data = bwd.finish(t_bwd)
+    if common:
+        bwd_data = bwd_data[:-1]  # junction stored once, forward side
     return JointTermination(
-        fwd_data=fwd.finish(t_fwd), bwd_data=bwd.finish(t_bwd),
-        shared=False, stored_byte=None,
+        fwd_data=fwd_data, bwd_data=bwd_data,
+        shared=bool(common), stored_byte=z,
         k_fwd=vf.prefix_bytes + 1, k_bwd=vb.prefix_bytes + 1,
         fwd_value=t_fwd, bwd_value=t_bwd,
         carried_fwd=t_fwd >= 256, carried_bwd=t_bwd >= 256,
         pending_fwd=fwd.pending_info, pending_bwd=bwd.pending_info,
-        renormed=renormed,
+        renormed=bool(vf.prefix_bytes or vb.prefix_bytes),
     )
 
 

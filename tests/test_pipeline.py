@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from pecstream.container import read_container, write_container
+from pecstream import pipeline
+from pecstream.container import MAX_STREAMS, read_container, write_container
 from pecstream.pipeline import decode_parallel, encode_parallel, shard_ranges
 from pecstream.rangecoder import BinaryModel, CdfModel, Encoder
 from pecstream.termination import terminate_single
@@ -66,6 +67,16 @@ class TestEncodeDecode:
     def test_bidirectional_needs_even_streams(self):
         with pytest.raises(ValueError):
             encode_parallel(b"abc", order0(b"abc"), 3, "fb", "rtc")
+
+    def test_stream_count_checked_before_sharding(self, monkeypatch):
+        def no_shard_coding():
+            raise AssertionError("a shard was coded before the check")
+
+        monkeypatch.setattr(pipeline, "Encoder", no_shard_coding)
+        for n_streams, mode in ((0, "uni"), (MAX_STREAMS + 1, "uni"),
+                                (0, "fr"), (MAX_STREAMS + 2, "fr")):
+            with pytest.raises(ValueError, match="stream count"):
+                encode_parallel(b"\x00\x01", BinaryModel(30000), n_streams, mode)
 
     def test_binary_model_rejects_nonbit_symbols(self):
         with pytest.raises(ValueError, match="0/1"):

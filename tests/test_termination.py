@@ -26,7 +26,7 @@ def state_for(u: float, width: float, chain_bytes: bytes = b"") -> FinalCoderSta
     """Final state whose normalized interval is [u, u + width)."""
     state = FinalCoderState(round(u * 2.0**32), round(width * 2.0**32))
     for b in chain_bytes:
-        state.chain.push(b)
+        state.chain.append(b)
     return state
 
 
@@ -37,7 +37,7 @@ def state_for_bounds(set_lo: int, set_hi: int, direction: str = "forward",
     range_ = ((set_hi + 1) << 24) + (1 << 23) - low
     state = FinalCoderState(low, min(range_, MASK32), direction=direction)
     for b in chain_bytes:
-        state.chain.push(b)
+        state.chain.append(b)
     return state
 
 
@@ -57,7 +57,7 @@ class TestValidByteSet:
         low0 = state.low
         vset = valid_byte_set(state)
         assert vset.prefix_bytes == 1
-        assert state.chain.cache == low0 >> 24 == 128
+        assert state.chain[-1] == low0 >> 24 == 128
         assert vset.lo <= vset.hi
         assert len(vset) >= 64
 
@@ -90,11 +90,21 @@ class TestTerminateSingle:
         assert term.data == bytes([77])
 
     def test_carry_folds_into_chain(self):
-        term = terminate_single(state_for(0.999, 0.201, chain_bytes=b"\x10\x20"))
-        assert term.value == 256
-        assert term.stored_byte == 0
-        assert term.carried
-        assert term.data == bytes([0x10, 0x21, 0x00])  # chain incremented
+        # the carry zeroes the trailing 0xFF run and increments the byte
+        # before it; the final byte is the stored value 0
+        for payload, carried in ((b"\x10\x20", b"\x10\x21"),
+                                 (b"\x10\xff\xff", b"\x11\x00\x00")):
+            term = terminate_single(state_for(0.999, 0.201, chain_bytes=payload))
+            assert term.value == 256
+            assert term.stored_byte == 0
+            assert term.carried
+            assert term.data == carried + b"\x00"
+
+    def test_carry_past_first_byte_raises(self):
+        for payload in (b"", b"\xff", b"\xff\xff\xff"):
+            state = state_for(0.999, 0.201, chain_bytes=payload)
+            with pytest.raises(AssertionError):
+                state.finish(256)
 
     def test_zero_symbol_stream_terminates_as_zero_byte(self):
         term = terminate_single(FinalCoderState(0, MASK32))
@@ -139,21 +149,40 @@ class TestJointTerminate:
         assert term.fwd_data == bytes([0x43, 20])  # chain byte incremented
 
     def test_fr_junction_is_bit_reversed_member(self, rnd):
-        hits = 0
-        for _ in range(200):
-            lo_f = rnd.randrange(0, 250)
-            lo_b = rnd.randrange(0, 250)
-            fwd = state_for_bounds(lo_f, lo_f + rnd.randrange(0, 120), "forward")
-            bwd = state_for_bounds(lo_b, lo_b + rnd.randrange(0, 120), "backward")
-            f_set = valid_byte_set(fwd.copy())
-            b_set = valid_byte_set(bwd.copy())
-            term = joint_terminate(fwd, bwd, "fr")
-            if term.shared:
-                hits += 1
+        """The junction is the smallest stored byte both sides can end on.
+
+        Checked for `fb` and `fr` against a brute force over all 256 stored
+        bytes; in `fr` the backward side stores its byte bit-reversed.
+        """
+        for mode in ("fb", "fr"):
+            flip = REVERSED_BYTES if mode == "fr" else range(256)
+            shared = 0
+            for _ in range(200):
+                lo_f = rnd.randrange(0, 250)
+                lo_b = rnd.randrange(0, 250)
+                fwd = state_for_bounds(lo_f, lo_f + rnd.randrange(0, 120), "forward")
+                bwd = state_for_bounds(lo_b, lo_b + rnd.randrange(0, 120), "backward")
+                f_set = valid_byte_set(fwd.copy())
+                b_set = valid_byte_set(bwd.copy())
+                f_bytes = {t & 0xFF for t in range(f_set.lo, f_set.hi + 1)}
+                b_bytes = {t & 0xFF for t in range(b_set.lo, b_set.hi + 1)}
+                common = [z for z in range(256)
+                          if z in f_bytes and flip[z] in b_bytes]
+                term = joint_terminate(fwd, bwd, mode)
+                assert term.shared == bool(common)
+                if not common:
+                    assert term.stored_byte is None
+                    assert (term.fwd_value, term.bwd_value) == (f_set.lo, b_set.lo)
+                    continue
+                shared += 1
                 z = term.stored_byte
-                assert z in f_set
-                assert REVERSED_BYTES[z] in b_set
-        assert hits > 0
+                assert z == common[0]
+                assert f_set.lo <= term.fwd_value <= f_set.hi
+                assert b_set.lo <= term.bwd_value <= b_set.hi
+                assert term.fwd_value & 0xFF == z
+                assert term.bwd_value & 0xFF == flip[z]
+                assert term.fwd_data[-1] == z
+            assert 0 < shared < 200
 
     def test_direction_validation(self):
         fwd = state_for_bounds(5, 9, "forward")
