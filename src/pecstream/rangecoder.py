@@ -223,10 +223,6 @@ class Encoder:
     def state(self) -> tuple[int, int]:
         return self._low, self._range
 
-    @property
-    def payload_len(self) -> int:
-        return len(self._out)
-
     def chain_value(self) -> tuple[int, int]:
         """(integer of produced bytes, byte count) for invariant checks."""
         return int.from_bytes(self._out, "big"), len(self._out)

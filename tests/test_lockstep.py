@@ -1,0 +1,209 @@
+"""The lockstep decode engine against the scalar `Decoder` loop.
+
+`decode_parallel` picks an engine by stream count alone; these tests call
+both engines directly, whatever the threshold, and require byte-identical
+output.  Valid containers cannot tell a wrong continuation byte from a
+right one (termination makes every continuation decode the coded symbols),
+so over-long symbol counts and corrupted containers are compared as well:
+there the bytes past a segment's end decide the output.
+"""
+
+import random
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pecstream
+from pecstream import pipeline
+from pecstream.bitio import TruncatedStreamError
+from pecstream.container import ContainerFormatError, read_container
+from pecstream.pipeline import (
+    LOCKSTEP_MIN_STREAMS,
+    _decode_lockstep,
+    _decode_scalar,
+    decode_parallel,
+    encode_parallel,
+)
+from pecstream.rangecoder import PROB_ONE, BinaryModel, CdfModel
+
+from test_golden import CODECS, INPUTS, MODES, STREAMS, bernoulli_bits, mixed_bytes
+from test_pipeline import order0
+
+N_STREAMS = (2, 64, 1024, 4096)
+
+
+def source(model_name: str, n_symbols: int, seed: int = 1):
+    if model_name == "order0":
+        data = mixed_bytes(seed, n_symbols)
+        return data, order0(data)
+    return bernoulli_bits(seed, n_symbols, 9000), BinaryModel(65536 - 9000)
+
+
+def both_engines(blob: bytes) -> bytes:
+    """The common output of both engines; fails if they differ."""
+    header, seg_map = read_container(blob)
+    scalar = _decode_scalar(blob, header, seg_map)
+    assert _decode_lockstep(blob, header, seg_map) == scalar
+    return scalar
+
+
+@pytest.mark.parametrize("n_streams", N_STREAMS)
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model_name", ("order0", "bernoulli"))
+def test_engines_agree_on_matrix(model_name, mode, codec, n_streams):
+    # 2.5 symbols per stream: the shards differ in length by one
+    symbols, model = source(model_name, 5 * n_streams // 2 + 1)
+    blob = encode_parallel(symbols, model, n_streams, mode, codec)
+    assert both_engines(blob) == symbols
+
+
+@pytest.mark.parametrize("n_streams", (2, 64, 1024))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model_name", ("order0", "bernoulli"))
+def test_engines_agree_on_shapes(model_name, mode, n_streams):
+    # empty, one symbol, fewer symbols than streams, not divisible, divisible
+    for n_symbols in (0, 1, n_streams - 1, 7 * n_streams + 3, 4 * n_streams):
+        symbols, model = source(model_name, n_symbols, seed=n_symbols)
+        blob = encode_parallel(symbols, model, n_streams, mode, "rtc")
+        assert both_engines(blob) == symbols, n_symbols
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model_name", ("order0", "bernoulli"))
+def test_reads_past_segment_end(model_name, mode):
+    # Claiming more symbols than were coded makes both engines decode the
+    # continuation: 0x00 past the segment's end, never a neighbour's bytes.
+    symbols, model = source(model_name, 3000, seed=11)
+    blob = bytearray(encode_parallel(symbols, model, 1024, mode, "bic"))
+    header, seg_map = read_container(bytes(blob))
+    assert min(seg_map.sizes()) < 4  # the first 4-byte load runs past the end
+    for extra in (1, 1024, 5 * 1024 + 17):
+        struct.pack_into("<Q", blob, 12, len(symbols) + extra)
+        assert len(both_engines(bytes(blob))) == len(symbols) + extra
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_symbols_at_cdf_index_255(mode):
+    rnd = random.Random(255)
+    # 255 as the top symbol (cdf[256] == 65536 ends its interval) ...
+    data = bytes(rnd.choice((0, 7, 255, 255, 255)) for _ in range(5000))
+    for n_streams in (2, 1024):
+        blob = encode_parallel(data, order0(data), n_streams, mode, "gamma")
+        assert both_engines(blob) == data
+    # ... and with zero width, the top symbol being 200
+    widths = [0] * 256
+    widths[3], widths[200] = 1000, PROB_ONE - 1000
+    model = CdfModel([0] * 4 + [1000] * 197 + [PROB_ONE] * 56)
+    assert model.widths() == widths
+    data = bytes(rnd.choice((3, 200, 200)) for _ in range(3000))
+    blob = encode_parallel(data, model, 512, mode, "i32")
+    assert both_engines(blob) == data
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_lanes_split_into_blocks(mode, monkeypatch):
+    for model_name in ("order0", "bernoulli"):
+        # one block of 8192 lanes and a partial second block
+        symbols, model = source(model_name, 20000)
+        blob = encode_parallel(symbols, model, 8194, mode, "gamma")
+        assert both_engines(blob) == symbols
+    monkeypatch.setattr(pipeline, "_LOCKSTEP_BLOCK", 5)
+    for model_name in ("order0", "bernoulli"):
+        for n_streams in (2, 64, 66):
+            symbols, model = source(model_name, 7 * n_streams + 3)
+            blob = encode_parallel(symbols, model, n_streams, mode, "rtc")
+            assert both_engines(blob) == symbols
+
+
+def test_golden_inputs_decode_through_both_engines():
+    # The index codec only moves the data region, and a lockstep step over
+    # one or two lanes costs 15-50 us, so the codecs take turns: every
+    # (model, mode, N_s) cell once, every codec several times.
+    turn = 0
+    for model_name, (symbols, model) in INPUTS.items():
+        for mode in MODES:
+            for n_streams in STREAMS:
+                if n_streams == 1 and mode != "uni":
+                    continue
+                codec = CODECS[turn % len(CODECS)]
+                turn += 1
+                blob = encode_parallel(symbols, model, n_streams, mode, codec)
+                assert both_engines(blob) == symbols, \
+                    (model_name, mode, codec, n_streams)
+
+
+def test_decode_parallel_dispatches_on_stream_count(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "_decode_lockstep",
+                        lambda *args: calls.append("lockstep") or b"")
+    monkeypatch.setattr(pipeline, "_decode_scalar",
+                        lambda *args: calls.append("scalar") or b"")
+    model = BinaryModel(30000)
+    for n_streams in (LOCKSTEP_MIN_STREAMS - 2, LOCKSTEP_MIN_STREAMS):
+        decode_parallel(encode_parallel(b"\x01\x00", model, n_streams, "fr"))
+    assert calls == ["scalar", "lockstep"]
+
+
+class _WouldDecode(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise _WouldDecode
+
+
+def test_corrupted_containers_differential(monkeypatch):
+    # Seeded 1-3 byte mutations of valid containers.  An accepted container
+    # decodes to the same bytes on both engines; a rejected one raises only
+    # the two format errors.
+    rnd = random.Random(5)
+    originals = []
+    for mode in MODES:
+        for model_name in ("order0", "bernoulli"):
+            symbols, model = source(model_name, 1500, seed=len(originals))
+            originals.append(encode_parallel(symbols, model, 64, mode, "rtc"))
+    accepted = rejected = too_long = 0
+    for trial in range(600):
+        blob = bytearray(originals[trial % len(originals)])
+        for _ in range(rnd.randint(1, 3)):
+            blob[rnd.randrange(len(blob))] = rnd.randrange(256)
+        blob = bytes(blob)
+        try:
+            header, seg_map = read_container(blob)
+        except (ContainerFormatError, TruncatedStreamError):
+            with pytest.raises((ContainerFormatError, TruncatedStreamError)):
+                decode_parallel(blob)
+            rejected += 1
+            continue
+        if header.n_symbols > 1 << 16:
+            # decode_parallel must refuse a mutated symbol count above its
+            # budget; one below it (364k symbols per data byte, ROADMAP
+            # item 3) could take minutes to decode, so the engines are
+            # stubbed out and such a count is only counted
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, "_decode_lockstep", _refuse)
+                patch.setattr(pipeline, "_decode_scalar", _refuse)
+                try:
+                    decode_parallel(blob)
+                except ContainerFormatError:
+                    rejected += 1
+                except _WouldDecode:
+                    too_long += 1
+            continue
+        assert _decode_lockstep(blob, header, seg_map) == \
+            _decode_scalar(blob, header, seg_map)
+        accepted += 1
+    assert accepted > 250 and rejected > 200 and too_long < 5
+
+
+def test_importing_pipeline_loads_no_numpy():
+    src = Path(pecstream.__file__).resolve().parent.parent
+    code = ("import sys; import pecstream, pecstream.pipeline; "
+            "sys.exit('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                            env={"PYTHONPATH": str(src)}, timeout=60)
+    assert result.returncode == 0
