@@ -16,13 +16,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitio import REVERSED_BYTES, BitWriter
+from .bitio import BitWriter
 from .rangecoder import MASK32, PROB_ONE, TOP, BinaryModel, Encoder
 from .sizeindex import encode_index, rtc_encode
 from .termination import (
     TerminationStats,
     joint_terminate,
+    junction_bytes,
+    pair_extra_bits,
+    single_extra_bits,
     terminate_single,
+    valid_byte_sets,
 )
 
 #: published termination overhead (mean extra bits per stream)
@@ -181,7 +185,6 @@ class TerminationPopulation:
     appended: np.ndarray   # termination bytes per stream (1, or 2 if renormed)
     set_lo: np.ndarray     # U per stream
     set_hi: np.ndarray     # V per stream
-    p0: np.ndarray
     lengths: np.ndarray
 
     @property
@@ -195,19 +198,6 @@ def _draw_stream_params(rng: np.random.Generator, n_streams: int,
     p0 = np.clip(np.rint(p * PROB_ONE), 1, PROB_ONE - 1).astype(np.int64)
     lengths = rng.integers(min_symbols, max_symbols + 1, n_streams)
     return p0, lengths
-
-
-def _terminal_sets(low: np.ndarray, rng_: np.ndarray):
-    """Vectorized valid_byte_set: (U, V, appended, low', range')."""
-    set_lo = (low + (TOP - 1)) >> 24
-    set_hi = ((low + rng_) >> 24) - 1
-    renorm = set_hi < set_lo
-    low2 = np.where(renorm, (low << 8) & MASK32, low)
-    rng2 = np.where(renorm, np.minimum(rng_ << 8, MASK32), rng_)
-    set_lo = np.where(renorm, (low2 + (TOP - 1)) >> 24, set_lo)
-    set_hi = np.where(renorm, ((low2 + rng2) >> 24) - 1, set_hi)
-    appended = 1 + renorm.astype(np.int64)
-    return set_lo, set_hi, appended, low2, rng2
 
 
 def simulate_termination_population(pairs: int, seed: int,
@@ -237,10 +227,10 @@ def simulate_termination_population(pairs: int, seed: int,
             rng_[need] <<= 8
             need &= rng_ < TOP
     pending = 32.0 - np.log2(rng_.astype(np.float64))
-    set_lo, set_hi, appended, low, rng_ = _terminal_sets(low, rng_)
+    set_lo, set_hi, appended, low, rng_ = valid_byte_sets(low, rng_)
     return TerminationPopulation(low=low, range_=rng_, pending=pending,
                                  appended=appended, set_lo=set_lo,
-                                 set_hi=set_hi, p0=p0, lengths=lengths)
+                                 set_hi=set_hi, lengths=lengths)
 
 
 def exact_termination_population(pairs: int, seed: int,
@@ -267,66 +257,24 @@ def exact_termination_population(pairs: int, seed: int,
     low = np.array([s.low for s in states], dtype=np.int64)
     rng_ = np.array([s.range for s in states], dtype=np.int64)
     pending = np.array([s.pending_info for s in states])
-    set_lo, set_hi, appended, low2, rng2 = _terminal_sets(low, rng_)
+    set_lo, set_hi, appended, low2, rng2 = valid_byte_sets(low, rng_)
     pop = TerminationPopulation(low=low2, range_=rng2, pending=pending,
                                 appended=appended, set_lo=set_lo,
-                                set_hi=set_hi, p0=p0, lengths=lengths)
+                                set_hi=set_hi, lengths=lengths)
     return pop, states
-
-
-_ARC_MASKS: dict[bool, np.ndarray] = {}
-
-
-def _arc_mask_table(reversed_bits: bool) -> np.ndarray:
-    """256x256x4 uint64 bitmask of stored-byte arcs.
-
-    Entry [start, length] is the 256-bit membership mask of the stored bytes
-    {perm((start + i) mod 256) : i < length} with perm = identity or the
-    bit-reversal table.
-    """
-    table = _ARC_MASKS.get(reversed_bits)
-    if table is not None:
-        return table
-    perm = REVERSED_BYTES if reversed_bits else bytes(range(256))
-    masks = np.zeros((256, 256, 4), dtype=np.uint64)
-    for start in range(256):
-        acc = 0
-        row = masks[start]
-        for length in range(1, 256):
-            acc |= 1 << perm[(start + length - 1) & 0xFF]
-            row[length, 0] = acc & 0xFFFFFFFFFFFFFFFF
-            row[length, 1] = (acc >> 64) & 0xFFFFFFFFFFFFFFFF
-            row[length, 2] = (acc >> 128) & 0xFFFFFFFFFFFFFFFF
-            row[length, 3] = (acc >> 192) & 0xFFFFFFFFFFFFFFFF
-    _ARC_MASKS[reversed_bits] = masks
-    return masks
-
-
-def _shared_mask(pop: TerminationPopulation, reversed_bits: bool) -> np.ndarray:
-    """Whether each pair's stored termination sets intersect."""
-    f_lo, f_hi = pop.set_lo[0::2], pop.set_hi[0::2]
-    b_lo, b_hi = pop.set_lo[1::2], pop.set_hi[1::2]
-    f_len = f_hi - f_lo + 1
-    b_len = b_hi - b_lo + 1
-    if int(f_len.max()) > 255 or int(b_len.max()) > 255:
-        raise AssertionError("termination set wider than one byte period")
-    fwd_masks = _arc_mask_table(False)[f_lo & 0xFF, f_len]
-    bwd_masks = _arc_mask_table(reversed_bits)[b_lo & 0xFF, b_len]
-    return ((fwd_masks & bwd_masks) != 0).any(axis=1)
 
 
 def population_stats(pop: TerminationPopulation, mode: str) -> TerminationStats:
     """Termination-module accounting applied to a simulated population."""
-    extra_single = 8.0 * pop.appended - pop.pending
+    extra_single = single_extra_bits(pop.appended, pop.pending)
     if mode == "uni":
         return TerminationStats(
             streams=pop.n_streams,
             extra_bits_total=float(extra_single.sum()),
         )
-    if mode not in ("fb", "fr"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    shared = _shared_mask(pop, reversed_bits=(mode == "fr"))
-    pair_total = extra_single[0::2] + extra_single[1::2] - 8.0 * shared
+    shared = junction_bytes(pop.set_lo[0::2], pop.set_hi[0::2],
+                            pop.set_lo[1::2], pop.set_hi[1::2], mode) >= 0
+    pair_total = pair_extra_bits(extra_single[0::2], extra_single[1::2], shared)
     return TerminationStats(
         streams=pop.n_streams,
         pair_events=len(shared),
@@ -355,9 +303,7 @@ def termination_experiment(mode: str, pairs: int, seed: int,
             stats.add_single(terminate_single(state))
         return stats
     for j in range(0, len(states), 2):
-        bwd = states[j + 1]
-        bwd.bit_reversed = mode == "fr"
-        stats.add_pair(joint_terminate(states[j], bwd, mode))
+        stats.add_pair(joint_terminate(states[j], states[j + 1], mode))
     return stats
 
 

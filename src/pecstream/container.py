@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .bitio import REVERSED_BYTES, BitReader, BitWriter, TruncatedStreamError
 from .rangecoder import PROB_ONE, BinaryModel, CdfModel
-from .sizeindex import decode_index, encode_index, entry_points
+from .sizeindex import decode_index, encode_index
 
 MAGIC = b"PEC1"
 VERSION = 1
@@ -215,7 +216,7 @@ def read_container(blob: bytes) -> tuple[Header, SegmentMap]:
     if offset + header.data_size > len(blob):
         raise TruncatedStreamError("truncated data region")
 
-    boundaries = tuple([0] + entry_points(sizes))
+    boundaries = tuple(accumulate(sizes, initial=0))
     return header, SegmentMap(boundaries=boundaries, data_offset=offset)
 
 

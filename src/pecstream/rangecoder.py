@@ -129,9 +129,6 @@ class CdfModel:
             cdf[s + 1] = cdf[s] + widths[s]
         return cls(cdf)
 
-    def width(self, symbol: int) -> int:
-        return self.cdf[symbol + 1] - self.cdf[symbol]
-
     def widths(self) -> list[int]:
         return [self.cdf[s + 1] - self.cdf[s] for s in range(256)]
 

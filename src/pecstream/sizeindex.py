@@ -8,6 +8,7 @@ interpolative codec, the known total) on the decode side.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from .bitio import (
@@ -30,12 +31,7 @@ class CorruptIndexError(ValueError):
 
 def entry_points(sizes: Sequence[int]) -> list[int]:
     """Cumulative sums h_1..h_N of the segment sizes."""
-    out = []
-    acc = 0
-    for s in sizes:
-        acc += s
-        out.append(acc)
-    return out
+    return list(accumulate(sizes))
 
 
 def build_range_tree(values: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -1,31 +1,49 @@
-"""Valid termination byte sets and single/joint stream termination.
+"""The termination rule, in a scalar form for the encoder and an array form.
 
-For a final interval [u, v) the integers U = ceil(2**8 u) and
-V = floor(2**8 v) - 1 bound the termination values T whose byte step
-[T/256, (T+1)/256) lies inside [u, v); writing T mod 256 (and carrying one
-into the bytes already produced when T >= 256) then guarantees exact
-decoding under any continuation bytes.  Bidirectional stream pairs can
-share one stored junction byte whenever the forward stored set intersects
-the backward one (bit-reversed storage in `fr` mode), saving 8 bits.
+The array forms serve `bench-term`'s whole populations; they import numpy
+inside, so importing this module loads none.
+
+1. Valid set: for the final interval [low, low + range), the values
+   U = ceil(low / 2**24) .. V = floor((low + range) / 2**24) - 1 are the
+   T whose byte step [T/256, (T+1)/256) lies inside it; storing T mod 256
+   (carrying one into the bytes already produced when T >= 256) decodes
+   exactly under any continuation.  When V < U one byte is renormalized
+   out first.  Forms: `valid_byte_set`, `valid_byte_sets`.
+2. Junction: a forward/backward pair stores one byte for both ends when
+   some byte fits both sets.  That junction is the smallest z in 0..255
+   with (z - U_f) mod 256 <= V_f - U_f and (perm[z] - U_b) mod 256 <=
+   V_b - U_b, perm being the bit reversal in `fr` (backward bytes are
+   stored bit-reversed) and the identity in `fb`.  Each side's value is
+   then U + ((its byte - U) mod 256), unique because every set is
+   narrower than 256.  Forms: `joint_terminate`, `junction_bytes`.
+3. Accounting: a stream's termination costs 8 * appended - pending bits
+   beyond its pending information (`single_extra_bits`); a pair's costs
+   the sum of its two streams' less 8 bits for a shared junction
+   (`pair_extra_bits`).  Both take scalars or arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .bitio import REVERSED_BYTES
-from .rangecoder import TOP, FinalCoderState
+from .rangecoder import MASK32, TOP, FinalCoderState
 
-PAIR_MODES = ("fb", "fr")
+#: the backward side's value byte for each stored junction byte, per mode
+_PERM = {"fb": bytes(range(256)), "fr": REVERSED_BYTES}
+
+#: pairs per membership matrix in `junction_bytes` (256 bytes per pair)
+_JUNCTION_CHUNK = 8192
 
 
 @dataclass
 class ValidByteSet:
     """Inclusive termination value range [lo, hi] in the value domain.
 
-    Values may exceed 255; the realized byte set is {t mod 256} with a carry
-    flag for t >= 256.  `prefix_bytes` counts renormalization bytes emitted
-    while constructing the set (0 or 1).
+    Values may exceed 255; the stored byte is t mod 256, with a carry into
+    the bytes already produced for t >= 256.  `prefix_bytes` counts
+    renormalization bytes emitted while constructing the set (0 or 1).
     """
 
     lo: int
@@ -39,30 +57,19 @@ class ValidByteSet:
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def stored_values(self) -> list[int]:
-        return [t & 0xFF for t in range(self.lo, self.hi + 1)]
-
     def value_for_stored(self, stored: int) -> int:
-        """The termination value realizing a stored byte, smallest first."""
-        for t in (stored, stored + 256):
-            if self.lo <= t <= self.hi:
-                return t
-        raise KeyError(f"stored byte {stored} not in set")
-
-    def carry_for_stored(self, stored: int) -> bool:
-        return self.value_for_stored(stored) >= 256
-
-    def __contains__(self, stored: int) -> bool:
-        return self.lo <= stored <= self.hi or self.lo <= stored + 256 <= self.hi
+        """The termination value whose low byte is `stored`."""
+        value = self.lo + ((stored - self.lo) & 0xFF)
+        if value > self.hi:
+            raise KeyError(f"stored byte {stored} not in set")
+        return value
 
 
 @dataclass
 class SingleTermination:
     data: bytes              # complete stream bytes, termination applied
     appended: int            # bytes added by termination (incl. renorm byte)
-    value: int               # chosen termination value T
-    stored_byte: int         # T mod 256
-    carried: bool            # T >= 256
+    value: int               # chosen termination value T (carried if >= 256)
     pending_bits: float      # -log2(v - u) of the finalized state
 
 
@@ -72,13 +79,10 @@ class JointTermination:
     bwd_data: bytes          # complete backward stream in produced order;
                              # when shared the junction byte is not repeated
     shared: bool
-    stored_byte: int | None  # stored junction byte value when shared
     k_fwd: int               # termination bytes charged to the forward side
     k_bwd: int               # ... and the backward side (junction in both)
-    fwd_value: int
+    fwd_value: int           # termination values (carried if >= 256)
     bwd_value: int
-    carried_fwd: bool
-    carried_bwd: bool
     pending_fwd: float
     pending_bwd: float
     renormed: bool = False   # either side needed a V < U renormalization
@@ -108,74 +112,116 @@ def valid_byte_set(state: FinalCoderState) -> ValidByteSet:
     return ValidByteSet(lo, hi, prefix)
 
 
+def valid_byte_sets(low, range_):
+    """Array form of `valid_byte_set`: (U, V, appended, low', range')."""
+    import numpy as np
+
+    set_lo = (low + (TOP - 1)) >> 24
+    set_hi = ((low + range_) >> 24) - 1
+    renorm = set_hi < set_lo
+    low2 = np.where(renorm, (low << 8) & MASK32, low)
+    rng2 = np.where(renorm, np.minimum(range_ << 8, MASK32), range_)
+    set_lo = np.where(renorm, (low2 + (TOP - 1)) >> 24, set_lo)
+    set_hi = np.where(renorm, ((low2 + rng2) >> 24) - 1, set_hi)
+    appended = 1 + renorm.astype(np.int64)
+    return set_lo, set_hi, appended, low2, rng2
+
+
 def terminate_single(state: FinalCoderState) -> SingleTermination:
     """Terminate one stream, choosing the smallest valid value T = U."""
     vset = valid_byte_set(state)
-    t = vset.lo
-    data = state.finish(t)
     return SingleTermination(
-        data=data,
+        data=state.finish(vset.lo),
         appended=vset.prefix_bytes + 1,
-        value=t,
-        stored_byte=t & 0xFF,
-        carried=t >= 256,
+        value=vset.lo,
         pending_bits=state.pending_info,
     )
+
+
+def _perm(mode: str) -> bytes:
+    if mode not in _PERM:
+        raise ValueError(f"joint termination mode must be fb or fr, got {mode!r}")
+    return _PERM[mode]
 
 
 def joint_terminate(fwd: FinalCoderState, bwd: FinalCoderState,
                     mode: str) -> JointTermination:
     """Terminate a forward/backward pair, sharing one stored byte if possible.
 
-    In `fr` mode the backward stream is stored with reversed bit order, so
-    its stored candidates are the bit-reversed byte values.  The smallest
-    shared stored value wins; each side's carry goes into its own stream's
-    bytes and the junction byte itself is stored exactly once (in the
-    forward stream's buffer).
+    The forward set's stored bytes are scanned in ascending order, and the
+    first one whose `perm` image is a backward stored byte is the junction.
+    Each side's carry goes into its own stream's bytes, and the junction
+    byte itself is stored once (in the forward stream's buffer).  Without a
+    junction both sides end on their smallest value U.
     """
-    if mode not in PAIR_MODES:
-        raise ValueError(f"joint termination mode must be fb or fr, got {mode!r}")
+    perm = _perm(mode)
     if fwd.direction != "forward" or bwd.direction != "backward":
         raise ValueError("joint_terminate needs a (forward, backward) pair")
     vf = valid_byte_set(fwd)
     vb = valid_byte_set(bwd)
 
-    stored_bwd = bytes(vb.stored_values())
-    if mode == "fr":
-        stored_bwd = stored_bwd.translate(REVERSED_BYTES)
-    common = set(vf.stored_values()).intersection(stored_bwd)
-    if common:
-        z = min(common)
-        t_fwd = vf.value_for_stored(z)
-        t_bwd = vb.value_for_stored(REVERSED_BYTES[z] if mode == "fr" else z)
+    first, last = vf.lo & 0xFF, vf.hi & 0xFF
+    stored = (range(first, last + 1) if first <= last
+              else chain(range(last + 1), range(first, 256)))
+    b_lo, b_span = vb.lo, vb.hi - vb.lo
+    for z in stored:
+        if (perm[z] - b_lo) & 0xFF <= b_span:
+            t_fwd = vf.value_for_stored(z)
+            t_bwd = vb.value_for_stored(perm[z])
+            shared = True
+            break
     else:
-        z = None
-        t_fwd = vf.lo
-        t_bwd = vb.lo
+        t_fwd, t_bwd, shared = vf.lo, vb.lo, False
     fwd_data = fwd.finish(t_fwd)
     bwd_data = bwd.finish(t_bwd)
-    if common:
+    if shared:
         bwd_data = bwd_data[:-1]  # junction stored once, forward side
     return JointTermination(
-        fwd_data=fwd_data, bwd_data=bwd_data,
-        shared=bool(common), stored_byte=z,
+        fwd_data=fwd_data, bwd_data=bwd_data, shared=shared,
         k_fwd=vf.prefix_bytes + 1, k_bwd=vb.prefix_bytes + 1,
         fwd_value=t_fwd, bwd_value=t_bwd,
-        carried_fwd=t_fwd >= 256, carried_bwd=t_bwd >= 256,
         pending_fwd=fwd.pending_info, pending_bwd=bwd.pending_info,
         renormed=bool(vf.prefix_bytes or vb.prefix_bytes),
     )
 
 
-def single_extra_bits(term: SingleTermination) -> float:
-    """Termination cost beyond the intrinsic pending information."""
-    return 8.0 * term.appended - term.pending_bits
+def junction_bytes(fwd_lo, fwd_hi, bwd_lo, bwd_hi, mode: str):
+    """Array form of the junction: per pair its stored byte, -1 if none.
+
+    Takes each pair's forward and backward valid sets [U, V].  A pair's
+    stored-byte memberships are one row of a (pairs, 256) boolean matrix,
+    and `argmax` finds the row's first shared byte.
+    """
+    import numpy as np
+
+    perm = np.frombuffer(_perm(mode), dtype=np.uint8)
+    fwd_span, bwd_span = fwd_hi - fwd_lo, bwd_hi - bwd_lo
+    if max(fwd_span.max(), bwd_span.max()) > 254:
+        raise AssertionError("termination set wider than one byte period")
+    # as uint8 columns, differences wrap: that is the rule's mod 256
+    fwd_lo, fwd_span, bwd_lo, bwd_span = (
+        (a & 0xFF).astype(np.uint8)[:, None]
+        for a in (fwd_lo, fwd_span, bwd_lo, bwd_span))
+    stored = np.arange(256, dtype=np.uint8)
+    out = np.empty(len(fwd_lo), dtype=np.int64)
+    for start in range(0, len(out), _JUNCTION_CHUNK):
+        rows = slice(start, start + _JUNCTION_CHUNK)
+        member = (stored - fwd_lo[rows]) <= fwd_span[rows]
+        member &= (perm - bwd_lo[rows]) <= bwd_span[rows]
+        first = member.argmax(axis=1)
+        found = member[np.arange(len(first)), first]
+        out[rows] = np.where(found, first, -1)
+    return out
 
 
-def pair_extra_bits(term: JointTermination) -> float:
-    """Per-stream termination cost of a jointly terminated pair."""
-    stored = term.k_fwd + term.k_bwd - (1 if term.shared else 0)
-    return (8.0 * stored - term.pending_fwd - term.pending_bwd) / 2.0
+def single_extra_bits(appended, pending):
+    """Termination cost of a stream beyond its intrinsic pending information."""
+    return 8.0 * appended - pending
+
+
+def pair_extra_bits(extra_fwd, extra_bwd, shared):
+    """Termination cost of a pair: both streams', less a shared junction byte."""
+    return extra_fwd + extra_bwd - 8.0 * shared
 
 
 @dataclass
@@ -189,14 +235,17 @@ class TerminationStats:
 
     def add_single(self, term: SingleTermination) -> None:
         self.streams += 1
-        self.extra_bits_total += single_extra_bits(term)
+        self.extra_bits_total += single_extra_bits(term.appended,
+                                                   term.pending_bits)
 
     def add_pair(self, term: JointTermination) -> None:
         self.streams += 2
         self.pair_events += 1
-        if term.shared:
-            self.shared_events += 1
-        self.extra_bits_total += 2.0 * pair_extra_bits(term)
+        self.shared_events += term.shared
+        self.extra_bits_total += pair_extra_bits(
+            single_extra_bits(term.k_fwd, term.pending_fwd),
+            single_extra_bits(term.k_bwd, term.pending_bwd),
+            term.shared)
 
     @property
     def mean_extra_bits(self) -> float:

@@ -284,7 +284,7 @@ def test_criterion_7_robustness():
         if mode == "uni":
             term_f = terminate_single(enc_f.finalize())
             term_b = terminate_single(enc_b.finalize())
-            carried += term_f.carried + term_b.carried
+            carried += (term_f.value >= 256) + (term_b.value >= 256)
             renormed += (term_f.appended == 2) + (term_b.appended == 2)
             reversed_bits = False
             segment_f, segment_b = term_f.data, term_b.data
@@ -295,7 +295,7 @@ def test_criterion_7_robustness():
                 enc_f.finalize(direction="forward"),
                 enc_b.finalize(direction="backward", bit_reversed=reversed_bits),
                 mode)
-            carried += joint.carried_fwd + joint.carried_bwd
+            carried += (joint.fwd_value >= 256) + (joint.bwd_value >= 256)
             renormed += (joint.k_fwd == 2) + (joint.k_bwd == 2)
             stored_b = joint.bwd_data
             if reversed_bits:

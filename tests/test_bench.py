@@ -19,6 +19,7 @@ from pecstream.bench import (
     redundancy_experiment,
     termination_experiment,
 )
+from pecstream.termination import joint_terminate, junction_bytes
 
 
 class TestLog2Normal:
@@ -159,6 +160,17 @@ class TestTerminationExperiment:
         assert np.array_equal(pop_fast.range_, pop_exact.range_)
         assert np.array_equal(pop_fast.appended, pop_exact.appended)
         assert np.allclose(pop_fast.pending, pop_exact.pending, atol=1e-12)
+        for mode in ("fb", "fr"):
+            # the array junction is joint_terminate's stored junction byte
+            junctions = junction_bytes(pop_exact.set_lo[0::2], pop_exact.set_hi[0::2],
+                                       pop_exact.set_lo[1::2], pop_exact.set_hi[1::2],
+                                       mode)
+            scalar = []
+            for j in range(0, len(states), 2):
+                term = joint_terminate(states[j].copy(), states[j + 1].copy(), mode)
+                scalar.append(term.fwd_data[-1] if term.shared else -1)
+            assert junctions.tolist() == scalar
+            assert 0 < sum(z >= 0 for z in scalar) < pairs
         for mode in ("uni", "fb", "fr"):
             fast = bench.population_stats(pop_fast, mode)
             exact = termination_experiment(mode, pairs, seed, exact=True,

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from conftest import encode_bit_stream, forward_source, random_bits
+from pecstream import termination
 from pecstream.bitio import REVERSED_BYTES
 from pecstream.container import stream_bytes
 from pecstream.rangecoder import (
@@ -15,6 +17,7 @@ from pecstream.termination import (
     SingleTermination,
     TerminationStats,
     joint_terminate,
+    junction_bytes,
     pair_extra_bits,
     single_extra_bits,
     terminate_single,
@@ -48,8 +51,11 @@ class TestValidByteSet:
         assert (vset.lo, vset.hi) == (77, 88)
         assert len(vset) == 12
         assert vset.prefix_bytes == 0
-        assert vset.stored_values() == list(range(77, 89))
-        assert not any(vset.carry_for_stored(z) for z in vset.stored_values())
+        # every stored byte is realized without a carry
+        assert [vset.value_for_stored(z) for z in range(77, 89)] == list(range(77, 89))
+        for z in (76, 89, 0, 255):
+            with pytest.raises(KeyError):
+                vset.value_for_stored(z)
 
     def test_renormalization_when_no_byte_fits(self):
         # [0.501, 0.505): U = 129 > V = 128, one extra renormalization
@@ -65,9 +71,10 @@ class TestValidByteSet:
         # [0.999, 1.2): all stored values 0..50 need an addition carry
         vset = valid_byte_set(state_for(0.999, 0.201))
         assert (vset.lo, vset.hi) == (256, 306)
-        assert vset.stored_values() == list(range(51))
-        assert all(vset.carry_for_stored(z) for z in vset.stored_values())
-        assert 0 in vset and 50 in vset and 51 not in vset
+        assert [vset.value_for_stored(z) for z in range(51)] == list(range(256, 307))
+        for z in (51, 255):
+            with pytest.raises(KeyError):
+                vset.value_for_stored(z)
 
     def test_fresh_stream_set(self):
         vset = valid_byte_set(FinalCoderState(0, MASK32))
@@ -83,9 +90,7 @@ class TestValidByteSet:
 class TestTerminateSingle:
     def test_smallest_member_policy(self):
         term = terminate_single(state_for(0.3, 0.05))
-        assert term.value == 77
-        assert term.stored_byte == 77
-        assert not term.carried
+        assert term.value == 77  # stored as 77, no carry
         assert term.appended == 1
         assert term.data == bytes([77])
 
@@ -95,9 +100,7 @@ class TestTerminateSingle:
         for payload, carried in ((b"\x10\x20", b"\x10\x21"),
                                  (b"\x10\xff\xff", b"\x11\x00\x00")):
             term = terminate_single(state_for(0.999, 0.201, chain_bytes=payload))
-            assert term.value == 256
-            assert term.stored_byte == 0
-            assert term.carried
+            assert term.value == 256  # stored as 0, carried
             assert term.data == carried + b"\x00"
 
     def test_carry_past_first_byte_raises(self):
@@ -123,7 +126,7 @@ class TestJointTerminate:
         bwd = state_for_bounds(80, 95, "backward")
         term = joint_terminate(fwd, bwd, "fb")
         assert term.shared
-        assert term.stored_byte == 80
+        assert (term.fwd_value, term.bwd_value) == (80, 80)
         assert term.fwd_data[-1] == 80
         # backward stream keeps its payload only; junction stored once
         assert term.bwd_data == b"\x42"
@@ -143,20 +146,24 @@ class TestJointTerminate:
         bwd = state_for_bounds(20, 60, "backward")
         term = joint_terminate(fwd, bwd, "fb")
         assert term.shared
-        assert term.stored_byte == 20
-        assert term.carried_fwd and not term.carried_bwd
+        assert term.fwd_data[-1] == 20
+        # the forward side carries, the backward side does not
         assert term.fwd_value == 276 and term.bwd_value == 20
         assert term.fwd_data == bytes([0x43, 20])  # chain byte incremented
 
-    def test_fr_junction_is_bit_reversed_member(self, rnd):
+    def test_fr_junction_is_bit_reversed_member(self, rnd, monkeypatch):
         """The junction is the smallest stored byte both sides can end on.
 
         Checked for `fb` and `fr` against a brute force over all 256 stored
-        bytes; in `fr` the backward side stores its byte bit-reversed.
+        bytes; in `fr` the backward side stores its byte bit-reversed.  The
+        scalar `joint_terminate` and the array `junction_bytes` (in chunks
+        of 64 pairs, the last one partial) are both checked.
         """
+        monkeypatch.setattr(termination, "_JUNCTION_CHUNK", 64)
         for mode in ("fb", "fr"):
             flip = REVERSED_BYTES if mode == "fr" else range(256)
             shared = 0
+            sets, expected = [], []
             for _ in range(200):
                 lo_f = rnd.randrange(0, 250)
                 lo_b = rnd.randrange(0, 250)
@@ -168,21 +175,28 @@ class TestJointTerminate:
                 b_bytes = {t & 0xFF for t in range(b_set.lo, b_set.hi + 1)}
                 common = [z for z in range(256)
                           if z in f_bytes and flip[z] in b_bytes]
+                sets.append((f_set.lo, f_set.hi, b_set.lo, b_set.hi))
+                expected.append(common[0] if common else -1)
                 term = joint_terminate(fwd, bwd, mode)
                 assert term.shared == bool(common)
                 if not common:
-                    assert term.stored_byte is None
                     assert (term.fwd_value, term.bwd_value) == (f_set.lo, b_set.lo)
                     continue
                 shared += 1
-                z = term.stored_byte
+                z = term.fwd_data[-1]
                 assert z == common[0]
                 assert f_set.lo <= term.fwd_value <= f_set.hi
                 assert b_set.lo <= term.bwd_value <= b_set.hi
                 assert term.fwd_value & 0xFF == z
                 assert term.bwd_value & 0xFF == flip[z]
-                assert term.fwd_data[-1] == z
             assert 0 < shared < 200
+            columns = np.array(sets, dtype=np.int64).T
+            assert junction_bytes(*columns, mode).tolist() == expected
+        with pytest.raises(AssertionError):
+            junction_bytes(np.array([0]), np.array([255]), np.array([0]),
+                           np.array([0]), "fb")
+        with pytest.raises(ValueError):
+            junction_bytes(*columns, "uni")
 
     def test_direction_validation(self):
         fwd = state_for_bounds(5, 9, "forward")
@@ -194,23 +208,30 @@ class TestJointTerminate:
 
 class TestAccounting:
     def test_single_formula(self):
-        term = SingleTermination(b"\x00", appended=1, value=0, stored_byte=0,
-                                 carried=False, pending_bits=3.5)
-        assert single_extra_bits(term) == pytest.approx(4.5)
+        term = SingleTermination(b"\x00", appended=1, value=0, pending_bits=3.5)
+        assert single_extra_bits(term.appended, term.pending_bits) == pytest.approx(4.5)
+        # the same formula over arrays
+        got = single_extra_bits(np.array([1, 2]), np.array([3.5, 0.25]))
+        assert got.tolist() == [4.5, 15.75]
 
     def test_pair_formula_shared(self):
-        term = JointTermination(b"", b"", shared=True, stored_byte=0,
+        term = JointTermination(b"", b"", shared=True,
                                 k_fwd=1, k_bwd=1, fwd_value=0, bwd_value=0,
-                                carried_fwd=False, carried_bwd=False,
                                 pending_fwd=3.0, pending_bwd=3.0)
-        assert pair_extra_bits(term) == pytest.approx(1.0)
+        total = pair_extra_bits(single_extra_bits(term.k_fwd, term.pending_fwd),
+                                single_extra_bits(term.k_bwd, term.pending_bwd),
+                                term.shared)
+        assert total / 2 == pytest.approx(1.0)  # per stream
+        got = pair_extra_bits(np.array([5.0, 5.0]), np.array([5.0, 13.0]),
+                              np.array([True, False]))
+        assert got.tolist() == [2.0, 18.0]
 
     def test_stats_accumulate_and_merge(self):
         stats = TerminationStats()
-        stats.add_single(SingleTermination(b"", 1, 0, 0, False, 4.0))
-        stats.add_pair(JointTermination(b"", b"", True, 0, 1, 1, 0, 0,
-                                        False, False, 2.0, 2.0))
+        stats.add_single(SingleTermination(b"", 1, 0, 4.0))
+        stats.add_pair(JointTermination(b"", b"", True, 1, 1, 0, 0, 2.0, 2.0))
         assert stats.streams == 3
+        assert stats.mean_extra_bits == pytest.approx((4.0 + 4.0) / 3)
         assert stats.share_ratio == 1.0
         row = stats.csv_row("fb")
         assert row["mode"] == "fb" and row["share_ratio"] == "1.000000"
