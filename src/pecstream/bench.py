@@ -1,10 +1,10 @@
 """Benchmark reproductions: termination overhead, index redundancy, W curves.
 
-The termination experiment codes pseudo-random binary streams and accumulates
-the share ratio and mean extra bits per stream.  Its default engine is a
-numpy lockstep replay of the coder's (low, range) state transitions, which
-is bit-identical to running the real encoder (asserted by tests against the
-exact engine on the same seed) and fast enough for 10**5 stream pairs.
+`termination_table` codes pseudo-random binary streams and accounts the share
+ratio and mean extra bits per stream for each mode.  Its engine is a numpy
+lockstep replay of the coder's (low, range) transitions on the streams still
+coding, bit-identical to driving the real encoder (the tests compare it with
+`exact_termination_population`) and fast enough for 10**5 stream pairs.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bitio import BitWriter
+from .container import MODES
 from .rangecoder import MASK32, PROB_ONE, TOP, BinaryModel, Encoder
 from .sizeindex import encode_index, rtc_encode
 from .termination import (
     TerminationStats,
-    joint_terminate,
     junction_bytes,
     pair_extra_bits,
     single_extra_bits,
-    terminate_single,
     valid_byte_sets,
 )
 
@@ -200,37 +199,57 @@ def _draw_stream_params(rng: np.random.Generator, n_streams: int,
     return p0, lengths
 
 
+def _population(low, range_, lengths) -> TerminationPopulation:
+    """A population from its coders' final (low, range): pending info, sets."""
+    pending = 32.0 - np.log2(range_.astype(np.float64))
+    set_lo, set_hi, appended, low, range_ = valid_byte_sets(low, range_)
+    return TerminationPopulation(low=low, range_=range_, pending=pending,
+                                 appended=appended, set_lo=set_lo,
+                                 set_hi=set_hi, lengths=lengths)
+
+
 def simulate_termination_population(pairs: int, seed: int,
                                     min_symbols: int = 64,
                                     max_symbols: int = 4096) -> TerminationPopulation:
-    """Lockstep replay of the coder state for 2*pairs Bernoulli streams."""
+    """Lockstep replay of the coder state for 2*pairs Bernoulli streams.
+
+    Lanes run longest stream first, so the live[t] streams still coding at
+    step t are a prefix.  Every step draws for all streams, as the exact
+    engine does.
+    """
     if pairs < 1:
         raise ValueError("need at least one pair")
     n = 2 * pairs
     rng = np.random.default_rng(seed)
     p0, lengths = _draw_stream_params(rng, n, min_symbols, max_symbols)
+    order = np.argsort(-lengths, kind="stable")
+    p0 = p0[order]
     threshold = p0 / PROB_ONE
+    live = np.searchsorted(-lengths[order], -np.arange(lengths.max()))
 
     low = np.zeros(n, dtype=np.int64)
     rng_ = np.full(n, MASK32, dtype=np.int64)
-    for t in range(int(lengths.max())):
-        active = lengths > t
-        draw = rng.random(n)
-        one = draw >= threshold
-        r0 = (rng_ >> 16) * p0
-        low = np.where(active, low + np.where(one, r0, 0), low)
-        rng_ = np.where(active, np.where(one, rng_ - r0, r0), rng_)
-        low &= MASK32  # the carry goes into the bytes already produced
-        need = active & (rng_ < TOP)
-        while need.any():
-            low[need] = (low[need] << 8) & MASK32
-            rng_[need] <<= 8
-            need &= rng_ < TOP
-    pending = 32.0 - np.log2(rng_.astype(np.float64))
-    set_lo, set_hi, appended, low, rng_ = valid_byte_sets(low, rng_)
-    return TerminationPopulation(low=low, range_=rng_, pending=pending,
-                                 appended=appended, set_lo=set_lo,
-                                 set_hi=set_hi, lengths=lengths)
+    # masks enter as 0/1 factors, as in the lockstep decoder
+    for k in live:
+        one = rng.random(n)[order[:k]] >= threshold[:k]
+        lo, r = low[:k], rng_[:k]  # views of the live lanes
+        r0 = (r >> 16) * p0[:k]
+        lo += r0 * one
+        lo &= MASK32  # the carry goes into the bytes already produced
+        r -= r0 + r0  # r0 + (r - 2*r0)*one: r - r0 on a one, r0 on a zero
+        r *= one
+        r += r0
+        # every symbol leaves range >= 2**8, so two rounds restore 2**24
+        for _ in range(2):
+            need = r < TOP
+            if not need.any():
+                break
+            scale = 1 + 255 * need
+            lo *= scale
+            lo &= MASK32
+            r *= scale
+    back = np.argsort(order)
+    return _population(low[back], rng_[back], lengths)
 
 
 def exact_termination_population(pairs: int, seed: int,
@@ -253,15 +272,9 @@ def exact_termination_population(pairs: int, seed: int,
         enc.encode_bits(BinaryModel(int(p0[i])), bits[:int(lengths[i]), i])
         direction = "forward" if i % 2 == 0 else "backward"
         states.append(enc.finalize(direction=direction))
-
     low = np.array([s.low for s in states], dtype=np.int64)
     rng_ = np.array([s.range for s in states], dtype=np.int64)
-    pending = np.array([s.pending_info for s in states])
-    set_lo, set_hi, appended, low2, rng2 = valid_byte_sets(low, rng_)
-    pop = TerminationPopulation(low=low2, range_=rng2, pending=pending,
-                                appended=appended, set_lo=set_lo,
-                                set_hi=set_hi, lengths=lengths)
-    return pop, states
+    return _population(low, rng_, lengths), states
 
 
 def population_stats(pop: TerminationPopulation, mode: str) -> TerminationStats:
@@ -283,28 +296,10 @@ def population_stats(pop: TerminationPopulation, mode: str) -> TerminationStats:
     )
 
 
-def termination_experiment(mode: str, pairs: int, seed: int,
-                           exact: bool = False,
-                           min_symbols: int = 64,
-                           max_symbols: int = 4096) -> TerminationStats:
-    """Measure share ratio and mean extra bits for one packing mode.
-
-    `exact=True` runs the real encoder and termination module instead of the
-    lockstep engine (identical results, far slower; for cross-validation).
-    """
-    if not exact:
-        pop = simulate_termination_population(pairs, seed, min_symbols, max_symbols)
-        return population_stats(pop, mode)
-
-    _, states = exact_termination_population(pairs, seed, min_symbols, max_symbols)
-    stats = TerminationStats()
-    if mode == "uni":
-        for state in states:
-            stats.add_single(terminate_single(state))
-        return stats
-    for j in range(0, len(states), 2):
-        stats.add_pair(joint_terminate(states[j], states[j + 1], mode))
-    return stats
+def termination_table(pairs: int, seed: int) -> dict[str, TerminationStats]:
+    """The `bench-term` table: one replayed population, accounted per mode."""
+    pop = simulate_termination_population(pairs, seed)
+    return {mode: population_stats(pop, mode) for mode in MODES}
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import argparse
 import sys
 from collections import Counter
 
-from . import bench
 from .bitio import TruncatedStreamError, bits_to_bytes, bytes_to_bits
 from .container import INDEX_CODECS, MODES, read_container, read_header
 from .pipeline import decode_parallel, encode_parallel
 from .rangecoder import BinaryModel, CdfModel
+
+# the bench commands import `bench` inside: it loads numpy (~0.14 s), which
+# the file commands do not need
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,11 +92,9 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench_term(args) -> int:
-    pop = bench.simulate_termination_population(args.pairs, args.seed)
-    rows = []
-    for mode in MODES:
-        stats = bench.population_stats(pop, mode)
-        rows.append(stats.csv_row(mode))
+    from . import bench
+    table = bench.termination_table(args.pairs, args.seed)
+    rows = [stats.csv_row(mode) for mode, stats in table.items()]
     bench.write_csv(args.csv, ["mode", "streams", "share_ratio", "mean_extra_bits"],
                     rows, bench.csv_metadata(seed=args.seed, pairs=args.pairs))
     for row in rows:
@@ -104,6 +104,7 @@ def cmd_bench_term(args) -> int:
 
 
 def cmd_bench_index(args) -> int:
+    from . import bench
     sigmas = [float(s) for s in args.sigmas.split(",")]
     log2_means = [float(s) for s in args.log2_means.split(",")]
     cells = bench.redundancy_experiment(("bic", "rtc"), sigmas, log2_means,
@@ -123,12 +124,12 @@ def cmd_bench_index(args) -> int:
 
 
 def cmd_bench_overhead(args) -> int:
+    from . import bench
     if args.tbar == "published":
         tbar = dict(bench.TBAR_TABLE)
     else:
-        pop = bench.simulate_termination_population(args.pairs, args.seed)
-        tbar = {mode: bench.population_stats(pop, mode).mean_extra_bits
-                for mode in MODES}
+        table = bench.termination_table(args.pairs, args.seed)
+        tbar = {mode: stats.mean_extra_bits for mode, stats in table.items()}
     combos = [("uni", "i32"), ("uni", "rtc"), ("fb", "rtc"), ("fr", "rtc")]
     rows = []
     models = {}

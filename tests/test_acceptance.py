@@ -45,10 +45,9 @@ def report(tag: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def population():
     start = time.perf_counter()
-    pop = bench.simulate_termination_population(PAIRS, SEED)
-    stats = {mode: bench.population_stats(pop, mode) for mode in MODES}
+    stats = bench.termination_table(PAIRS, SEED)
     elapsed = time.perf_counter() - start
-    return pop, stats, elapsed
+    return stats, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +72,15 @@ def rtc_rate_trials():
 
 
 def test_criterion_1_termination_table(population):
-    _, stats, elapsed = population
+    stats, elapsed = population
     uni, fb, fr = stats["uni"], stats["fb"], stats["fr"]
-    checks = [
+    # the full-size table, pinned: replay drift would pass the bands below
+    pinned = {"uni": ("", "4.552967"), "fb": ("0.447580", "2.762647"),
+              "fr": ("0.693300", "1.779767")}
+    checks = [(f"{mode} pinned", stats[mode].csv_row(mode) == {
+        "mode": mode, "streams": 2 * PAIRS, "share_ratio": share,
+        "mean_extra_bits": tbar}) for mode, (share, tbar) in pinned.items()]
+    checks += [
         ("uni tbar", abs(uni.mean_extra_bits - bench.TBAR_TABLE["uni"]) <= 0.3),
         ("fb share", abs(fb.share_ratio - bench.SHARE_TABLE["fb"]) <= 0.05),
         ("fb tbar", abs(fb.mean_extra_bits - bench.TBAR_TABLE["fb"]) <= 0.3),
@@ -93,7 +98,7 @@ def test_criterion_1_termination_table(population):
 
 
 def test_criterion_2_accounting_identity(population):
-    _, stats, _ = population
+    stats, _ = population
     uni = stats["uni"]
     gaps = []
     for mode in ("fb", "fr"):
@@ -106,7 +111,7 @@ def test_criterion_2_accounting_identity(population):
 
 
 def test_criterion_3_overhead_factors(population):
-    _, stats, _ = population
+    stats, _ = population
     published = {
         ("uni", "i32"): (0.0, 4.57),
         ("uni", "rtc"): (1.0 / 8.0, 0.82),

@@ -17,9 +17,13 @@ from pecstream.bench import (
     overhead_curve,
     overhead_factors,
     redundancy_experiment,
-    termination_experiment,
 )
-from pecstream.termination import joint_terminate, junction_bytes
+from pecstream.termination import (
+    TerminationStats,
+    joint_terminate,
+    junction_bytes,
+    terminate_single,
+)
 
 
 class TestLog2Normal:
@@ -152,14 +156,25 @@ class TestOverheadModel:
 
 
 class TestTerminationExperiment:
-    def test_lockstep_matches_exact_engine(self):
-        pairs, seed = 120, 2024
-        pop_fast = bench.simulate_termination_population(pairs, seed, 4, 500)
-        pop_exact, states = bench.exact_termination_population(pairs, seed, 4, 500)
-        assert np.array_equal(pop_fast.low, pop_exact.low)
-        assert np.array_equal(pop_fast.range_, pop_exact.range_)
-        assert np.array_equal(pop_fast.appended, pop_exact.appended)
+    @pytest.mark.parametrize("pairs, seed, min_symbols, max_symbols", [
+        (120, 2024, 4, 500),
+        (40, 9, 4, 500),
+        (40, 7, 0, 3),   # zero-length lanes
+        (40, 7, 5, 5),   # every lane ends on the same step
+    ])
+    def test_lockstep_matches_exact_engine(self, pairs, seed, min_symbols,
+                                           max_symbols):
+        shape = (pairs, seed, min_symbols, max_symbols)
+        pop_fast = bench.simulate_termination_population(*shape)
+        pop_exact, states = bench.exact_termination_population(*shape)
+        for field in ("low", "range_", "appended", "set_lo", "set_hi", "lengths"):
+            assert np.array_equal(getattr(pop_fast, field),
+                                  getattr(pop_exact, field)), field
         assert np.allclose(pop_fast.pending, pop_exact.pending, atol=1e-12)
+        exact = {mode: TerminationStats() for mode in ("uni", "fb", "fr")}
+        for state in states:
+            exact["uni"].add_single(terminate_single(state.copy()))
+        unshared = 0
         for mode in ("fb", "fr"):
             # the array junction is joint_terminate's stored junction byte
             junctions = junction_bytes(pop_exact.set_lo[0::2], pop_exact.set_hi[0::2],
@@ -168,21 +183,20 @@ class TestTerminationExperiment:
             scalar = []
             for j in range(0, len(states), 2):
                 term = joint_terminate(states[j].copy(), states[j + 1].copy(), mode)
+                exact[mode].add_pair(term)
                 scalar.append(term.fwd_data[-1] if term.shared else -1)
             assert junctions.tolist() == scalar
-            assert 0 < sum(z >= 0 for z in scalar) < pairs
-        for mode in ("uni", "fb", "fr"):
+            assert any(z >= 0 for z in scalar)
+            unshared += scalar.count(-1)
+        assert unshared  # in (0, 3), every fr pair shares
+        for mode, stats in exact.items():
             fast = bench.population_stats(pop_fast, mode)
-            exact = termination_experiment(mode, pairs, seed, exact=True,
-                                           min_symbols=4, max_symbols=500)
-            assert fast.share_ratio == exact.share_ratio
-            assert fast.mean_extra_bits == pytest.approx(exact.mean_extra_bits,
+            assert fast.share_ratio == stats.share_ratio
+            assert fast.mean_extra_bits == pytest.approx(stats.mean_extra_bits,
                                                          abs=1e-9)
 
     def test_seeded_reproducibility(self):
-        a = termination_experiment("fb", 300, 99)
-        b = termination_experiment("fb", 300, 99)
-        assert a == b
+        assert bench.termination_table(300, 99) == bench.termination_table(300, 99)
 
     def test_loose_table_agreement(self):
         pop = bench.simulate_termination_population(4000, 31337)

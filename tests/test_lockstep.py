@@ -202,7 +202,7 @@ def test_corrupted_containers_differential(monkeypatch):
 
 def test_importing_pipeline_loads_no_numpy():
     src = Path(pecstream.__file__).resolve().parent.parent
-    code = ("import sys; import pecstream, pecstream.pipeline; "
+    code = ("import sys; import pecstream, pecstream.pipeline, pecstream.cli; "
             "sys.exit('numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], cwd=src,
                             env={"PYTHONPATH": str(src)}, timeout=60)
