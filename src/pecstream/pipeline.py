@@ -6,18 +6,21 @@ a decoder may start all of them at once from the index.  In bidirectional
 modes shard 2j becomes the forward stream of segment j and shard 2j+1 the
 backward stream, jointly terminated.
 
-Decoding has two engines with the same output.  The scalar engine runs one
-`Decoder` per stream, one stream after the other; it is the reference.  The
-lockstep engine treats the streams as interleaved lanes (Giesen,
-"Interleaved entropy coders", arXiv:1402.3392): each numpy step decodes one
-symbol on every lane.  A step costs about c0 + c1 * lanes and the scalar
-engine about c_s * lanes per symbol, so which one is faster depends on the
-stream count and not on the stream length; `decode_parallel` uses the
-lockstep engine from `LOCKSTEP_MIN_STREAMS` streams on.
+Encoding and decoding each have two engines with the same output.  The
+scalar engines run one `Encoder` or `Decoder` per stream, one stream after
+the other; they are the reference.  The lockstep engines treat the streams
+as interleaved lanes (Giesen, "Interleaved entropy coders",
+arXiv:1402.3392): each numpy step codes one symbol on every lane, and the
+encoder terminates all lanes at once with the array forms of
+`termination`.  A step costs about c0 + c1 * lanes and the scalar engines
+about c_s * lanes per symbol, so which one is faster depends on the stream
+count and not on the stream length; `encode_parallel` and `decode_parallel`
+use the lockstep engines from `LOCKSTEP_MIN_STREAMS` streams on.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .bitio import REVERSED_BYTES
@@ -39,8 +42,16 @@ from .rangecoder import (
     CdfModel,
     Decoder,
     Encoder,
+    check_alphabet,
+    check_bits,
+    zero_width_error,
 )
-from .termination import joint_terminate, terminate_single
+from .termination import (
+    joint_terminate,
+    junction_bytes,
+    terminate_single,
+    valid_byte_sets,
+)
 
 
 def shard_ranges(n_symbols: int, n_streams: int) -> list[tuple[int, int]]:
@@ -51,16 +62,47 @@ def shard_ranges(n_symbols: int, n_streams: int) -> list[tuple[int, int]]:
             for k in range(n_streams)]
 
 
+#: stream count from which both coding directions use the lockstep engines.
+#: On a 2-vCPU VM decode broke even near 64 lanes (order0) and 128-256
+#: (bernoulli), encode near 128 lanes (bernoulli with 256 symbols per lane:
+#: between 256 and 512); at 512 lanes lockstep decoded 2.0-5.2x and encoded
+#: 1.1-3.0x faster than the scalar loops
+LOCKSTEP_MIN_STREAMS = 512
+#: the lockstep engines code at most this many lanes at a time: their arrays
+#: stay in cache, and the decode leaves less freed heap behind (all 65536
+#: lanes at once decoded 20% slower and kept ~4 MB more resident).  Even, so
+#: a forward/backward pair never straddles two blocks
+_LOCKSTEP_BLOCK = 8192
+
+
 def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
                     n_streams: int, mode: str = "uni",
                     index_codec: str = "rtc") -> bytes:
-    """Encode symbols into a container with n_streams independent streams."""
+    """Encode symbols into a container with n_streams independent streams.
+
+    From `LOCKSTEP_MIN_STREAMS` streams on, the numpy lockstep engine codes
+    one symbol on every stream per step and terminates all streams at once;
+    narrower inputs run one scalar `Encoder` per stream.  Both engines write
+    the same container bytes and raise the same `ValueError` for a symbol
+    the model cannot code.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     if not 1 <= n_streams <= MAX_STREAMS:
         raise ValueError(f"stream count must be in [1, {MAX_STREAMS}]")
     if mode != "uni" and n_streams % 2:
         raise ValueError("bidirectional modes need an even stream count")
+    if n_streams >= LOCKSTEP_MIN_STREAMS:
+        segments = _encode_lockstep(symbols, model, n_streams, mode)
+    else:
+        segments = _encode_scalar(symbols, model, n_streams, mode)
+    return write_container(mode, index_codec, model, n_streams,
+                           len(symbols), segments)
+
+
+def _encode_scalar(symbols: Sequence[int], model: BinaryModel | CdfModel,
+                   n_streams: int, mode: str) -> list[bytes]:
+    """One `Encoder` per shard, then one termination per stream or pair."""
     binary = isinstance(model, BinaryModel)
     encoders = []
     for start, stop in shard_ranges(len(symbols), n_streams):
@@ -87,9 +129,225 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
             if reversed_bits:
                 bwd = bwd.translate(REVERSED_BYTES)
             segments.append(term.fwd_data + bwd[::-1])
+    return segments
 
-    return write_container(mode, index_codec, model, n_streams,
-                           len(symbols), segments)
+
+def _lane_mask(n_symbols: int, n_lanes: int):
+    """Which (lane, step) cells of a lockstep matrix hold a symbol.
+
+    Lane k holds shard k of `shard_ranges`, one symbol per step, so a lane
+    is either as long as the longest or one symbol shorter.  None when
+    every lane is as long as the longest.
+    """
+    import numpy as np
+
+    short, extra = divmod(n_symbols, n_lanes)
+    if not extra:
+        return None
+    # shard_ranges' counts: floor((k+1)n/N) - floor(kn/N) is short plus the
+    # same difference taken over the remainder, which keeps int64 exact
+    counts = short + np.diff(np.arange(n_lanes + 1, dtype=np.int64) * extra
+                             // n_lanes)
+    return np.arange(short + 1) < counts[:, None]
+
+
+def _order0_tables(model: CdfModel):
+    """(c_lo, width, top) of a `CdfModel` as int64 arrays indexed by symbol.
+
+    top[s] is 1 for the symbol whose interval ends at 65536: besides
+    r * width it keeps the rounding remainder rng & 0xFFFF.
+    """
+    import numpy as np
+
+    cdf = np.asarray(model.cdf, dtype=np.int64)
+    c_lo = cdf[:-1]
+    return c_lo, cdf[1:] - c_lo, (cdf[1:] == PROB_ONE).astype(np.int64)
+
+
+def _symbol_array(symbols: Sequence[int], model: BinaryModel | CdfModel,
+                  n_streams: int):
+    """The symbols as a uint8 array, checked before any lane is coded.
+
+    Raises the `ValueError` the scalar shard loop raises first.  That loop
+    checks each shard's alphabet before coding it and stops at the first
+    zero-width symbol, so a zero-width symbol in an earlier shard than the
+    first symbol outside 0..255 wins.
+    """
+    import numpy as np
+
+    def as_array(valid):
+        if isinstance(valid, (bytes, bytearray)):
+            return np.frombuffer(valid, dtype=np.uint8)
+        # checked values: any integer sequence or array fits uint8
+        return np.asarray(valid).astype(np.uint8)
+
+    if isinstance(model, BinaryModel):
+        check_bits(symbols)
+        return as_array(symbols)
+    zero_width = np.asarray(model.widths()) == 0
+
+    def check_widths(valid):
+        arr = as_array(valid)
+        bad = zero_width[arr]
+        if bad.any():
+            raise zero_width_error(int(arr[bad.argmax()]))
+        return arr
+
+    try:
+        check_alphabet(symbols)
+    except ValueError:
+        first = next(i for i, s in enumerate(symbols) if s not in range(256))
+        n = len(symbols)
+        shard = ((first + 1) * n_streams - 1) // n
+        check_widths(symbols[:shard * n // n_streams])
+        raise
+    return check_widths(symbols)
+
+
+def _fold_carries(out, carries) -> None:
+    """Add each lane's recorded carries into its bytes, as `_carry` would have.
+
+    out is a (lanes, width) uint8 matrix of bytes as emitted; carries[k, p+1]
+    counts the carries lane k saw while byte p was its last one, and
+    carries[k, 0] those it saw before its first byte.  One right-to-left
+    column pass propagates 8-bit carries.  A carry that would run past a
+    lane's first byte raises `AssertionError`, as `_carry` does.
+    """
+    import numpy as np
+
+    c = np.zeros(len(out), dtype=np.uint16)
+    for j in range(out.shape[1] - 1, -1, -1):
+        v = c + out[:, j] + carries[:, j + 1]
+        out[:, j] = v & 0xFF
+        c = v >> 8
+    if (c + carries[:, 0]).any():
+        raise AssertionError("carry cannot ripple past the first byte")
+
+
+def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
+                     n_streams: int, mode: str) -> list[bytes]:
+    """Encode all shards at once, one symbol on every shard per step.
+
+    Each shard is a lane holding the `Encoder` state (low, range) as int64
+    and its bytes as one row of a (lanes, 2 * steps + 2) uint8 matrix with
+    a length per lane: a step renormalizes at most twice, and termination
+    adds a renormalization byte and the value byte.  A carry out of low is
+    counted at the lane's last byte and folded in once at the end.  Lanes
+    are coded in blocks of `_LOCKSTEP_BLOCK`, each block for all steps,
+    then terminated with `valid_byte_sets` and `junction_bytes` and
+    gathered into their segments.
+    """
+    # imported here: importing the pipeline must not load numpy (~0.2 s)
+    import numpy as np
+
+    arr = _symbol_array(symbols, model, n_streams)
+    mask = _lane_mask(len(arr), n_streams)
+    steps = -(-len(arr) // n_streams)
+    if mask is None:
+        lanes = arr.reshape(n_streams, steps)
+    else:
+        lanes = np.zeros(mask.shape, dtype=np.uint8)
+        lanes[mask] = arr
+    binary = isinstance(model, BinaryModel)
+    if binary:
+        p0 = model.p0
+    else:
+        c_lo, width, top = _order0_tables(model)
+    width_bytes = 2 * steps + 2
+    cols = np.arange(width_bytes)
+    reverse = np.frombuffer(REVERSED_BYTES, dtype=np.uint8)
+    perm = reverse if mode == "fr" else np.arange(256)
+    regions, sizes = [], []
+
+    for first in range(0, n_streams, _LOCKSTEP_BLOCK):
+        block = lanes[first:first + _LOCKSTEP_BLOCK]
+        n = len(block)
+        out = np.empty((n, width_bytes), dtype=np.uint8)
+        carries = np.zeros((n, width_bytes + 1), dtype=np.uint8)
+        flat = out.reshape(-1)
+        row = np.arange(n) * width_bytes
+        length = np.zeros(n, dtype=np.int64)
+        low = np.zeros(n, dtype=np.int64)
+        rng = np.full(n, MASK32, dtype=np.int64)
+
+        def emit(byte):
+            """Write byte at each lane's length; only a lane whose length
+            then grows keeps it, a later byte overwrites the rest."""
+            flat[row + length] = byte
+
+        def carry(lanes_hit):
+            carries[lanes_hit, length[lanes_hit]] += 1
+
+        # masks enter as 0/1 factors: np.where costs several multiplies
+        for i in range(steps):
+            if binary:
+                bit = block[:, i].astype(np.int64)
+                r0 = (rng >> 16) * p0
+                low += r0 * bit
+                new = r0 + (rng - r0 - r0) * bit
+            else:
+                # intp indices gather faster
+                s = block[:, i].astype(np.intp)
+                r = rng >> 16
+                low += r * c_lo[s]
+                new = r * width[s] + (rng & 0xFFFF) * top[s]
+            if mask is not None and i == steps - 1:
+                # a lane one symbol short codes nothing here; its padding
+                # symbol is 0, whose c_lo and bit add nothing to low
+                new = rng + (new - rng) * mask[first:first + n, i]
+            rng = new
+            hit = np.flatnonzero(low >> 32)
+            if len(hit):
+                carry(hit)
+                low &= MASK32
+            # every symbol leaves range >= 2**8, so two rounds restore 2**24
+            for _ in range(2):
+                need = rng < TOP
+                if not need.any():
+                    break
+                emit(low >> 24)
+                scale = 1 + 255 * need
+                low = (low * scale) & MASK32
+                rng *= scale
+                length += need
+
+        set_lo, set_hi, appended, _, _ = valid_byte_sets(low, rng)
+        emit(low >> 24)
+        length += appended - 1
+        value = set_lo
+        if mode != "uni":
+            # a pair's junction z gives each side U + ((its byte - U) mod
+            # 256); without one, z is U's own byte and the value U
+            z = junction_bytes(set_lo[0::2], set_hi[0::2],
+                               set_lo[1::2], set_hi[1::2], mode)
+            shared = z >= 0
+            byte = np.empty(n, dtype=np.int64)
+            byte[0::2] = np.where(shared, z, set_lo[0::2])
+            byte[1::2] = np.where(shared, perm[z], set_lo[1::2])
+            value = set_lo + ((byte - set_lo) & 0xFF)
+        carry(np.flatnonzero(value >> 8))
+        emit(value & 0xFF)
+        length += 1
+        _fold_carries(out, carries)
+
+        if mode == "uni":
+            regions.append(out[cols < length[:, None]])
+            sizes.append(length)
+            continue
+        # the junction is stored once, as the forward side's last byte
+        fwd_len, bwd_len = length[0::2], length[1::2] - shared
+        bwd = out[1::2]
+        if mode == "fr":
+            bwd = reverse[bwd]
+        pairs = np.concatenate((out[0::2], bwd[:, ::-1]), axis=1)
+        keep = np.concatenate((cols < fwd_len[:, None],
+                               cols[::-1] < bwd_len[:, None]), axis=1)
+        regions.append(pairs[keep])
+        sizes.append(fwd_len + bwd_len)
+
+    data = np.concatenate(regions).tobytes()
+    ends = np.cumsum(np.concatenate(sizes)).tolist()
+    return [data[start:stop] for start, stop in zip([0] + ends, ends)]
 
 
 def stream_layout(header: Header) -> list[tuple[int, str, bool]]:
@@ -105,19 +363,25 @@ def stream_layout(header: Header) -> list[tuple[int, str, bool]]:
     return out
 
 
-#: a symbol costs at least -log2(1 - 2**-16) bits, so one stream byte can
-#: never carry more than ~364k symbols; used to reject impossible headers
-_MAX_SYMBOLS_PER_BYTE = 364_000
+def _min_cost_bits(model: BinaryModel | CdfModel) -> float:
+    """A lower bound on the bits that coding any one symbol costs.
 
-
-#: stream count from which decode_parallel uses the lockstep engine; on a
-#: 2-vCPU VM order0 broke even near 64 lanes and bernoulli near 128-256,
-#: and at 512 lanes lockstep was 2.0-5.2x faster than the scalar loop
-LOCKSTEP_MIN_STREAMS = 512
-#: the lockstep engine decodes at most this many lanes at a time: their
-#: arrays stay in cache, and the decode leaves less freed heap behind (all
-#: 65536 lanes at once decoded 20% slower and kept ~4 MB more resident)
-_LOCKSTEP_BLOCK = 8192
+    A symbol of width w takes at most w/65536 of the range; the top symbol
+    also keeps rng & 0xFFFF of a range >= 2**24, so at most (w + 256)/65536.
+    0.0 when that bound reaches the whole range.
+    """
+    if isinstance(model, BinaryModel):
+        # bit 1 is the top symbol
+        widest = max(model.p0, PROB_ONE - model.p0 + 256)
+    else:
+        widths = model.widths()
+        top = max(s for s in range(256) if widths[s])
+        widths[top] += 256
+        widest = max(widths)
+    if widest >= PROB_ONE:
+        return 0.0
+    # rounded down, so float error cannot refuse a count the coder can reach
+    return math.log2(PROB_ONE / widest) * (1 - 2 ** -40)
 
 
 def decode_parallel(blob: bytes) -> bytes:
@@ -128,10 +392,15 @@ def decode_parallel(blob: bytes) -> bytes:
     step; narrower containers run one scalar `Decoder` per stream.  Both
     engines return the same bytes for every container `read_container`
     accepts.
+
+    A stream of b bytes holds symbols costing less than 8 * (b + 1) bits
+    (its range never falls below 2**24), so a symbol count that the data
+    region cannot hold at the model's cheapest symbol raises
+    `ContainerFormatError` before anything is decoded.
     """
     header, seg_map = read_container(blob)
-    budget = (header.data_size + 5 * header.n_streams) * _MAX_SYMBOLS_PER_BYTE
-    if header.n_symbols > budget:
+    budget_bits = 8 * (header.data_size + 5 * header.n_streams)
+    if header.n_symbols * _min_cost_bits(header.model) > budget_bits:
         raise ContainerFormatError(
             f"symbol count {header.n_symbols} impossible for {header.data_size} "
             f"data bytes")
@@ -183,14 +452,10 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
     if binary:
         p0 = model.p0
     else:
+        c_lo, width, top = _order0_tables(model)
         # lookup[t] is the symbol bisect_right(cdf, t) - 1 picks for target
         # t: the one whose nonempty [cdf[s], cdf[s + 1]) holds t
-        cdf = np.asarray(model.cdf, dtype=np.int64)
-        lookup = np.repeat(np.arange(256, dtype=np.uint8), np.diff(cdf))
-        c_lo = cdf[:-1]
-        width = cdf[1:] - c_lo
-        # the top symbol also keeps the rounding remainder rng & 0xFFFF
-        top = (cdf[1:] == PROB_ONE).astype(np.int64)
+        lookup = np.repeat(np.arange(256, dtype=np.uint8), width)
     out = np.empty((n_lanes, steps), dtype=np.uint8)
 
     for first in range(0, n_lanes, _LOCKSTEP_BLOCK):
@@ -243,11 +508,5 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
                 rng *= scale
                 pos += low
 
-    short, extra = divmod(n_symbols, n_lanes)
-    if not extra:
-        return out.tobytes()
-    # shard_ranges' counts: floor((k+1)n/N) - floor(kn/N) is short plus the
-    # same difference taken over the remainder, which keeps int64 exact
-    counts = short + np.diff(np.arange(n_lanes + 1, dtype=np.int64) * extra
-                             // n_lanes)
-    return out[np.arange(steps) < counts[:, None]].tobytes()
+    mask = _lane_mask(n_symbols, n_lanes)
+    return out.tobytes() if mask is None else out[mask].tobytes()

@@ -149,6 +149,32 @@ def _carry(out: bytearray) -> None:
     out[i] += 1
 
 
+def check_bits(bits: Sequence[int]) -> None:
+    """Raise the `ValueError` of `Encoder.encode_bits` unless bits are 0/1."""
+    # deleting the legal values checks bytes ~30x faster than a set does
+    if isinstance(bits, (bytes, bytearray)):
+        bad = bits.translate(None, b"\x00\x01")
+    else:
+        bad = set(bits).difference((0, 1))
+    if bad:
+        raise ValueError("binary models code 0/1 symbols only")
+
+
+def check_alphabet(symbols: Sequence[int]) -> None:
+    """Raise the `ValueError` of `Encoder.encode_symbols` for a symbol
+    outside 0..255."""
+    # bytes always fit the 0..255 alphabet; a negative symbol would index
+    # the cdf table from its end
+    if not isinstance(symbols, (bytes, bytearray)) \
+            and set(symbols).difference(range(256)):
+        raise ValueError("256-symbol models code 0..255 symbols only")
+
+
+def zero_width_error(symbol: int) -> ValueError:
+    """The error `Encoder.encode_symbols` raises for a zero-width symbol."""
+    return ValueError(f"symbol {symbol} has zero width in this model")
+
+
 class FinalCoderState:
     """Exact final interval [low, low+range) plus the emission continuation.
 
@@ -225,13 +251,7 @@ class Encoder:
         return int.from_bytes(self._out, "big"), len(self._out)
 
     def encode_bits(self, model: BinaryModel, bits: Sequence[int]) -> None:
-        # deleting the legal values checks bytes ~30x faster than a set does
-        if isinstance(bits, (bytes, bytearray)):
-            bad = bits.translate(None, b"\x00\x01")
-        else:
-            bad = set(bits).difference((0, 1))
-        if bad:
-            raise ValueError("binary models code 0/1 symbols only")
+        check_bits(bits)
         # hot path: the coder state lives in locals for the whole batch
         p0 = model.p0
         low = self._low
@@ -256,11 +276,7 @@ class Encoder:
         self._range = rng
 
     def encode_symbols(self, model: CdfModel, symbols: Sequence[int]) -> None:
-        # bytes always fit the 0..255 alphabet; a negative symbol would
-        # index the cdf table from its end
-        if not isinstance(symbols, (bytes, bytearray)) \
-                and set(symbols).difference(range(256)):
-            raise ValueError("256-symbol models code 0..255 symbols only")
+        check_alphabet(symbols)
         cdf = model.cdf
         low = self._low
         rng = self._range
@@ -273,7 +289,7 @@ class Encoder:
             if c_hi <= c_lo:
                 self._low = low
                 self._range = rng
-                raise ValueError(f"symbol {s} has zero width in this model")
+                raise zero_width_error(s)
             base = r * c_lo
             if c_hi == PROB_ONE:
                 rng -= base

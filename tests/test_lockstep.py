@@ -180,10 +180,9 @@ def test_corrupted_containers_differential(monkeypatch):
             rejected += 1
             continue
         if header.n_symbols > 1 << 16:
-            # decode_parallel must refuse a mutated symbol count above its
-            # budget; one below it (364k symbols per data byte, ROADMAP
-            # item 3) could take minutes to decode, so the engines are
-            # stubbed out and such a count is only counted
+            # decode_parallel must refuse a mutated symbol count the data
+            # region cannot hold; one it let through could take minutes to
+            # decode, so the engines are stubbed out and it is only counted
             with monkeypatch.context() as patch:
                 patch.setattr(pipeline, "_decode_lockstep", _refuse)
                 patch.setattr(pipeline, "_decode_scalar", _refuse)
@@ -197,12 +196,50 @@ def test_corrupted_containers_differential(monkeypatch):
         assert _decode_lockstep(blob, header, seg_map) == \
             _decode_scalar(blob, header, seg_map)
         accepted += 1
-    assert accepted > 250 and rejected > 200 and too_long < 5
+    assert accepted > 250 and rejected > 200 and too_long == 0
+
+
+def test_inflated_symbol_count_rejected():
+    # A 2 KB, 1500-symbol fb container whose count byte 14 was mutated to
+    # claim 6,096,348 symbols: its cheapest symbol costs 4.3 bits, so its
+    # data region holds at most ~3300 symbols
+    symbols, model = source("order0", 1500, seed=2)
+    blob = bytearray(encode_parallel(symbols, model, 64, "fb", "rtc"))
+    blob[14] = 0x5D
+    header, _ = read_container(bytes(blob))
+    assert header.n_symbols == 6_096_348 and header.data_size < 2048
+    with pytest.raises(ContainerFormatError, match="impossible"):
+        decode_parallel(bytes(blob))
+
+
+@pytest.mark.parametrize("model, symbol", [
+    # the most probable symbol's share just below the whole range ...
+    (CdfModel([0] + [257] * 255 + [PROB_ONE]), 255),
+    (CdfModel([0, PROB_ONE - 1] + [PROB_ONE] * 255), 0),
+    (BinaryModel(PROB_ONE - 1), 0),
+    # ... and at it, where no bound applies
+    (BinaryModel(1), 1),
+    (CdfModel([0, 256] + [PROB_ONE] * 255), 1),
+])
+def test_symbol_bound_admits_cheapest_symbols(model, symbol):
+    # A legal container of nothing but the cheapest symbol still decodes
+    symbols = bytes([symbol]) * 100_000
+    for n_streams in (1, 64, 1024):
+        blob = encode_parallel(symbols, model, n_streams, "fr" if n_streams > 1
+                               else "uni", "rtc")
+        assert decode_parallel(blob) == symbols
 
 
 def test_importing_pipeline_loads_no_numpy():
     src = Path(pecstream.__file__).resolve().parent.parent
-    code = ("import sys; import pecstream, pecstream.pipeline, pecstream.cli; "
+    # a narrow encode and decode run on the scalar engines, which need none
+    code = ("import sys; import pecstream, pecstream.pipeline, pecstream.cli\n"
+            "from pecstream import BinaryModel, CdfModel\n"
+            "from pecstream.pipeline import decode_parallel, encode_parallel\n"
+            "for model, data in ((CdfModel.from_counts([1] * 256), b'abc'),\n"
+            "                    (BinaryModel(30000), b'\\x01\\x00')):\n"
+            f"    blob = encode_parallel(data, model, {LOCKSTEP_MIN_STREAMS - 2}, 'fr')\n"
+            "    assert decode_parallel(blob) == data\n"
             "sys.exit('numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], cwd=src,
                             env={"PYTHONPATH": str(src)}, timeout=60)
