@@ -21,6 +21,7 @@ use the lockstep engines from `LOCKSTEP_MIN_STREAMS` streams on.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from .bitio import REVERSED_BYTES
@@ -73,6 +74,9 @@ LOCKSTEP_MIN_STREAMS = 512
 #: lanes at once decoded 20% slower and kept ~4 MB more resident).  Even, so
 #: a forward/backward pair never straddles two blocks
 _LOCKSTEP_BLOCK = 8192
+#: the lockstep encoder codes fewer lanes at a time where their byte matrix
+#: would pass this size; a block's matrices and gathers peak at a few times it
+_LOCKSTEP_BYTES = 32 << 20
 
 
 def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
@@ -164,44 +168,72 @@ def _order0_tables(model: CdfModel):
     return c_lo, cdf[1:] - c_lo, (cdf[1:] == PROB_ONE).astype(np.int64)
 
 
+def _widths(model: BinaryModel | CdfModel) -> list[int]:
+    """Each symbol's width out of `PROB_ONE`; bit 1 is a binary model's top."""
+    if isinstance(model, BinaryModel):
+        return [model.p0, PROB_ONE - model.p0]
+    return model.widths()
+
+
+def _lane_bytes(lanes, widths: list[int]) -> int:
+    """A bound on the bytes any lane emits, plus one: the lockstep width.
+
+    Coding a symbol of width w leaves more than (1 - 2**-8) * w / 65536 of
+    a range >= 2**24, which is at most log2(65536 / w) + 0.0057 bits lost.
+    Each byte emitted restores 8 bits and the range stays below 2**32, so a
+    lane whose symbols lose at most C bits emits at most C / 8 bytes;
+    termination adds two more, and `emit` writes one past a lane's length.
+    """
+    import numpy as np
+
+    w = np.asarray(widths, dtype=np.float64)
+    bits = np.log2(PROB_ONE / np.maximum(w, 1)) - math.log2(1 - 2 ** -8)
+    # in 1/256 bits, rounded up; a zero-width symbol only pads short lanes
+    cost = np.where(w > 0, np.floor(256 * bits) + 1, 0).astype(np.uint16)
+    total = np.zeros(len(lanes), dtype=np.int64)
+    cols = max(1, (1 << 20) // len(lanes))
+    for j in range(0, lanes.shape[1], cols):
+        total += cost[lanes[:, j:j + cols]].sum(axis=1, dtype=np.int64)
+    return int(total.max()) // 2048 + 3
+
+
 def _symbol_array(symbols: Sequence[int], model: BinaryModel | CdfModel,
                   n_streams: int):
     """The symbols as a uint8 array, checked before any lane is coded.
 
-    Raises the `ValueError` the scalar shard loop raises first.  That loop
-    checks each shard's alphabet before coding it and stops at the first
-    zero-width symbol, so a zero-width symbol in an earlier shard than the
-    first symbol outside 0..255 wins.
+    Raises the error the scalar shard loop raises first: for 256-symbol
+    models that loop checks each shard's alphabet, then codes it up to a
+    zero-width symbol or one the cdf table cannot be indexed with (a
+    float).  Inputs that pass the whole-input checks skip the loop.
     """
     import numpy as np
 
-    def as_array(valid):
-        if isinstance(valid, (bytes, bytearray)):
-            return np.frombuffer(valid, dtype=np.uint8)
-        # checked values: any integer sequence or array fits uint8
-        return np.asarray(valid).astype(np.uint8)
-
+    if isinstance(symbols, (bytes, bytearray)):
+        arr = np.frombuffer(symbols, dtype=np.uint8)
+    else:
+        arr = np.asarray(symbols)
     if isinstance(model, BinaryModel):
+        # the scalar coder tests each bit for truth, so 0.0 and 1.0 code too
         check_bits(symbols)
-        return as_array(symbols)
-    zero_width = np.asarray(model.widths()) == 0
-
-    def check_widths(valid):
-        arr = as_array(valid)
-        bad = zero_width[arr]
-        if bad.any():
-            raise zero_width_error(int(arr[bad.argmax()]))
-        return arr
-
+        return arr.astype(np.uint8, copy=False)
     try:
         check_alphabet(symbols)
     except ValueError:
-        first = next(i for i, s in enumerate(symbols) if s not in range(256))
-        n = len(symbols)
-        shard = ((first + 1) * n_streams - 1) // n
-        check_widths(symbols[:shard * n // n_streams])
-        raise
-    return check_widths(symbols)
+        pass
+    else:
+        if arr.dtype.kind in "iub":
+            arr = arr.astype(np.uint8, copy=False)
+            if not (np.asarray(model.widths()) == 0)[arr].any():
+                return arr
+    cdf = model.cdf
+    for start, stop in shard_ranges(len(symbols), n_streams):
+        check_alphabet(symbols[start:stop])
+        for s in symbols[start:stop]:
+            if cdf[s + 1] <= cdf[s]:
+                raise zero_width_error(s)
+    # every symbol indexed the table: an empty float array, or integers
+    # numpy holds as objects
+    return arr.astype(np.uint8)
 
 
 def _fold_carries(out, carries) -> None:
@@ -229,13 +261,13 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
     """Encode all shards at once, one symbol on every shard per step.
 
     Each shard is a lane holding the `Encoder` state (low, range) as int64
-    and its bytes as one row of a (lanes, 2 * steps + 2) uint8 matrix with
-    a length per lane: a step renormalizes at most twice, and termination
-    adds a renormalization byte and the value byte.  A carry out of low is
-    counted at the lane's last byte and folded in once at the end.  Lanes
-    are coded in blocks of `_LOCKSTEP_BLOCK`, each block for all steps,
-    then terminated with `valid_byte_sets` and `junction_bytes` and
-    gathered into their segments.
+    and its bytes as one row of a uint8 matrix with a length per lane; the
+    matrix is as wide as `_lane_bytes` bounds the longest lane from its
+    symbols' costs.  A carry out of low is counted at the lane's last byte
+    and folded in once at the end.  Lanes are coded in blocks of at most
+    `_LOCKSTEP_BLOCK` lanes and `_LOCKSTEP_BYTES` matrix bytes, each block
+    for all steps, then terminated with `valid_byte_sets` and
+    `junction_bytes` and gathered into their segments.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
@@ -253,14 +285,17 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
         p0 = model.p0
     else:
         c_lo, width, top = _order0_tables(model)
-    width_bytes = 2 * steps + 2
+    width_bytes = _lane_bytes(lanes, _widths(model))
+    # an even lane count, so a forward/backward pair shares its block
+    block_lanes = max(2, min(_LOCKSTEP_BLOCK, _LOCKSTEP_BYTES // width_bytes)
+                      // 2 * 2)
     cols = np.arange(width_bytes)
     reverse = np.frombuffer(REVERSED_BYTES, dtype=np.uint8)
     perm = reverse if mode == "fr" else np.arange(256)
-    regions, sizes = [], []
+    segments: list[bytes] = []
 
-    for first in range(0, n_streams, _LOCKSTEP_BLOCK):
-        block = lanes[first:first + _LOCKSTEP_BLOCK]
+    for first in range(0, n_streams, block_lanes):
+        block = lanes[first:first + block_lanes]
         n = len(block)
         out = np.empty((n, width_bytes), dtype=np.uint8)
         carries = np.zeros((n, width_bytes + 1), dtype=np.uint8)
@@ -328,26 +363,28 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
         carry(np.flatnonzero(value >> 8))
         emit(value & 0xFF)
         length += 1
+        if length.max() >= width_bytes:
+            raise AssertionError("a lane outgrew its byte bound")
         _fold_carries(out, carries)
 
         if mode == "uni":
-            regions.append(out[cols < length[:, None]])
-            sizes.append(length)
-            continue
-        # the junction is stored once, as the forward side's last byte
-        fwd_len, bwd_len = length[0::2], length[1::2] - shared
-        bwd = out[1::2]
-        if mode == "fr":
-            bwd = reverse[bwd]
-        pairs = np.concatenate((out[0::2], bwd[:, ::-1]), axis=1)
-        keep = np.concatenate((cols < fwd_len[:, None],
-                               cols[::-1] < bwd_len[:, None]), axis=1)
-        regions.append(pairs[keep])
-        sizes.append(fwd_len + bwd_len)
-
-    data = np.concatenate(regions).tobytes()
-    ends = np.cumsum(np.concatenate(sizes)).tolist()
-    return [data[start:stop] for start, stop in zip([0] + ends, ends)]
+            keep, sizes = cols < length[:, None], length
+        else:
+            # with each backward row reversed in place, a segment is its
+            # pair's two rows read as one; the junction is stored once, as
+            # the forward side's last byte
+            fwd_len, bwd_len = length[0::2], length[1::2] - shared
+            bwd = out[1::2, ::-1]
+            out[1::2] = reverse[bwd] if mode == "fr" else bwd
+            out = out.reshape(n // 2, 2 * width_bytes)
+            keep = np.empty(out.shape, dtype=bool)
+            np.less(cols, fwd_len[:, None], out=keep[:, :width_bytes])
+            np.less(cols[::-1], bwd_len[:, None], out=keep[:, width_bytes:])
+            sizes = fwd_len + bwd_len
+        data = out[keep].tobytes()
+        ends = np.cumsum(sizes).tolist()
+        segments += [data[start:stop] for start, stop in zip([0] + ends, ends)]
+    return segments
 
 
 def stream_layout(header: Header) -> list[tuple[int, str, bool]]:
@@ -364,24 +401,24 @@ def stream_layout(header: Header) -> list[tuple[int, str, bool]]:
 
 
 def _min_cost_bits(model: BinaryModel | CdfModel) -> float:
-    """A lower bound on the bits that coding any one symbol costs.
+    """A lower bound above 0 on the bits that coding any one symbol costs.
 
-    A symbol of width w takes at most w/65536 of the range; the top symbol
-    also keeps rng & 0xFFFF of a range >= 2**24, so at most (w + 256)/65536.
-    0.0 when that bound reaches the whole range.
+    A symbol of width w takes at most w/65536 of the range.  The top symbol
+    also keeps the remainder m = rng & 0xFFFF of a range 65536 * r + m with
+    r >= 2**8, so m < 256 * r and its share (w * r + m) / (65536 * r + m)
+    stays below (w + 256)/(65536 + 256).  Every width is below 65536, so
+    every share is below 1.
     """
-    if isinstance(model, BinaryModel):
-        # bit 1 is the top symbol
-        widest = max(model.p0, PROB_ONE - model.p0 + 256)
-    else:
-        widths = model.widths()
-        top = max(s for s in range(256) if widths[s])
-        widths[top] += 256
-        widest = max(widths)
-    if widest >= PROB_ONE:
-        return 0.0
-    # rounded down, so float error cannot refuse a count the coder can reach
-    return math.log2(PROB_ONE / widest) * (1 - 2 ** -40)
+    widths = _widths(model)
+    top = max(s for s, w in enumerate(widths) if w)
+    rest = max(w for s, w in enumerate(widths) if s != top)
+    share = max(Fraction(widths[top] + 256, PROB_ONE + 256),
+                Fraction(rest, PROB_ONE))
+    # -log2(share) as log1p of an exact ratio keeps its relative error near
+    # one ulp even for a share next to 1; rounded down, so that error cannot
+    # refuse a count the coder can reach
+    gap = share.denominator - share.numerator
+    return math.log1p(gap / share.numerator) / math.log(2) * (1 - 2 ** -40)
 
 
 def decode_parallel(blob: bytes) -> bytes:

@@ -33,6 +33,8 @@ from test_golden import CODECS, INPUTS, MODES, STREAMS, bernoulli_bits, mixed_by
 from test_pipeline import order0
 
 N_STREAMS = (2, 64, 1024, 4096)
+#: the fixed header is "<4sBBBBIQI"; the uint64 is the symbol count
+_N_SYMBOLS_OFFSET = struct.calcsize("<4sBBBBI")
 
 
 def source(model_name: str, n_symbols: int, seed: int = 1):
@@ -217,17 +219,24 @@ def test_inflated_symbol_count_rejected():
     (CdfModel([0] + [257] * 255 + [PROB_ONE]), 255),
     (CdfModel([0, PROB_ONE - 1] + [PROB_ONE] * 255), 0),
     (BinaryModel(PROB_ONE - 1), 0),
-    # ... and at it, where no bound applies
+    # ... and the top symbol's, whose w + 256 reaches 65536: it still costs
+    # more than log2(65792 / 65791) bits
     (BinaryModel(1), 1),
     (CdfModel([0, 256] + [PROB_ONE] * 255), 1),
 ])
 def test_symbol_bound_admits_cheapest_symbols(model, symbol):
-    # A legal container of nothing but the cheapest symbol still decodes
+    # A legal container of nothing but the cheapest symbol still decodes,
+    # and the same container claiming 2^60 symbols is refused
     symbols = bytes([symbol]) * 100_000
     for n_streams in (1, 64, 1024):
         blob = encode_parallel(symbols, model, n_streams, "fr" if n_streams > 1
                                else "uni", "rtc")
         assert decode_parallel(blob) == symbols
+        forged = bytearray(blob)
+        struct.pack_into("<Q", forged, _N_SYMBOLS_OFFSET, 2 ** 60)
+        assert read_container(bytes(forged))[0].n_symbols == 2 ** 60
+        with pytest.raises(ContainerFormatError, match="impossible"):
+            decode_parallel(bytes(forged))
 
 
 def test_importing_pipeline_loads_no_numpy():

@@ -24,7 +24,7 @@ from pecstream.pipeline import (
     decode_parallel,
     encode_parallel,
 )
-from pecstream.rangecoder import BinaryModel, CdfModel, Encoder
+from pecstream.rangecoder import PROB_ONE, BinaryModel, CdfModel, Encoder
 
 from test_golden import CODECS, INPUTS, MODES, STREAMS
 from test_lockstep import N_STREAMS, source
@@ -170,6 +170,29 @@ def test_lanes_split_into_blocks(mode, monkeypatch):
             both_encoders(symbols, model, n_streams, mode)
 
 
+@pytest.mark.parametrize("budget", (1, 100, 1000))
+def test_byte_budget_splits_blocks(budget, monkeypatch):
+    # lanes too wide for the budget are coded a few pairs at a time
+    monkeypatch.setattr(pipeline, "_LOCKSTEP_BYTES", budget)
+    for model_name in ("order0", "bernoulli"):
+        symbols, model = source(model_name, 7 * 66 + 3)
+        for mode in MODES:
+            both_encoders(symbols, model, 66, mode)
+
+
+@pytest.mark.parametrize("symbols, model", [
+    # 16 bits a symbol, two bytes a step: the byte bound's worst case ...
+    (bytes(4000), CdfModel([0, 1] + [PROB_ONE] * 255)),
+    (bytes(4000), BinaryModel(1)),
+    # ... and next to it, with carries
+    (bytes(range(256)) * 16, CdfModel([0] + [256 * s + 1 for s in range(255)]
+                                      + [PROB_ONE])),
+])
+def test_byte_bound_holds_for_costliest_symbols(symbols, model):
+    for mode in MODES:
+        both_encoders(symbols, model, 4, mode)
+
+
 def test_encode_parallel_dispatches_on_stream_count(monkeypatch):
     calls = []
 
@@ -208,18 +231,28 @@ def _zero_width_model():
     (b"\x00\x01" * 31 + b"\x02\x00", BinaryModel(100)),
     ([0, 1] * 31 + [-1, 0], BinaryModel(100)),
     ([0.5] + [0] * 63, BinaryModel(100)),
+    # floats index no cdf table: the scalar coder's TypeError, unless a
+    # zero-width symbol comes first ...
+    ([1.0, 2.0] * 32, _zero_width_model()),
+    (np.array([1, 2] * 32, dtype=np.float64), _zero_width_model()),
+    ([1] * 20 + [2.0] + [1] * 43, _zero_width_model()),
+    ([1] * 20 + [7, 2.0] + [1] * 42, _zero_width_model()),
+    # ... or a symbol outside 0..255 in its shard, not in a later one
+    ([1] * 20 + [2.0, 1, 256] + [1] * 41, _zero_width_model()),
+    ([1] * 3 + [2.0] + [1] * 40 + [300] + [1] * 19, _zero_width_model()),
 ])
 def test_same_errors_as_scalar(symbols, model, monkeypatch):
     n_streams = 8
-    with pytest.raises(ValueError) as scalar:
+    with pytest.raises((ValueError, TypeError)) as scalar:
         _encode_scalar(symbols, model, n_streams, "fb")
 
     def no_lanes(*args):
         raise AssertionError("lanes were built before the symbols were checked")
 
     monkeypatch.setattr(pipeline, "_lane_mask", no_lanes)
-    with pytest.raises(ValueError) as lockstep:
+    with pytest.raises((ValueError, TypeError)) as lockstep:
         _encode_lockstep(symbols, model, n_streams, "fb")
+    assert type(lockstep.value) is type(scalar.value)
     assert str(lockstep.value) == str(scalar.value)
 
 
