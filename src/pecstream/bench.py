@@ -118,13 +118,6 @@ class OverheadModel:
             raise ValueError("mean stream size must be >= 1 byte")
         return (self.alpha * math.log2(b) + self.beta) / b
 
-    def relative_overhead_for(self, data_bytes: float, n_streams: int) -> float:
-        """The (D, N_s) form; equals relative_overhead(D / N_s) exactly."""
-        if n_streams < 1 or data_bytes <= 0:
-            raise ValueError("need positive D and N_s")
-        return n_streams * (self.alpha * math.log2(data_bytes / n_streams)
-                            + self.beta) / data_bytes
-
 
 #: per-entry index rate model (a, c): ~ a*log2(segment mean) + c bits/entry
 _INDEX_RATE = {"i32": (0.0, 32.0), "rtc": (1.0, 2.0),
@@ -162,7 +155,7 @@ def overhead_grid(model: OverheadModel, data_bytes: Sequence[float],
         for n in n_streams:
             if d / n < 1.0:
                 continue
-            rows.append((d, n, model.relative_overhead_for(d, n)))
+            rows.append((d, n, model.relative_overhead(d / n)))
     return rows
 
 

@@ -119,11 +119,9 @@ def _parse_model(model_id: int, blob: bytes, offset: int):
     raise ContainerFormatError(f"unknown model id {model_id}")
 
 
-def write_container(mode: str, index_codec: str,
-                    model: BinaryModel | CdfModel,
-                    n_streams: int, n_symbols: int,
-                    segments: Sequence[bytes]) -> bytes:
-    """Serialize terminated segment buffers behind a coded size index."""
+def check_layout(mode: str, index_codec: str, n_streams: int) -> None:
+    """Raise `ValueError` unless a container can have this mode, index codec
+    and stream count."""
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     if index_codec not in INDEX_CODECS:
@@ -132,6 +130,14 @@ def write_container(mode: str, index_codec: str,
         raise ValueError(f"stream count must be in [1, {MAX_STREAMS}]")
     if mode != "uni" and n_streams % 2:
         raise ValueError("bidirectional modes need an even stream count")
+
+
+def write_container(mode: str, index_codec: str,
+                    model: BinaryModel | CdfModel,
+                    n_streams: int, n_symbols: int,
+                    segments: Sequence[bytes]) -> bytes:
+    """Serialize terminated segment buffers behind a coded size index."""
+    check_layout(mode, index_codec, n_streams)
     expected_entries = n_streams if mode == "uni" else n_streams // 2
     if len(segments) != expected_entries:
         raise ValueError(f"expected {expected_entries} segments, got {len(segments)}")

@@ -10,9 +10,11 @@ Encoding and decoding each have two engines with the same output.  The
 scalar engines run one `Encoder` or `Decoder` per stream, one stream after
 the other; they are the reference.  The lockstep engines treat the streams
 as interleaved lanes (Giesen, "Interleaved entropy coders",
-arXiv:1402.3392): each numpy step codes one symbol on every lane, and the
-encoder terminates all lanes at once with the array forms of
-`termination`.  A step costs about c0 + c1 * lanes and the scalar engines
+arXiv:1402.3392): each numpy step codes one symbol on every lane.  The
+encoder carries into a lane's bytes in place, as the scalar coder does, and
+terminates all lanes at once with the array forms of `termination`; the
+decoder reads fr backward streams from one bit-reversed copy of the
+container.  A step costs about c0 + c1 * lanes and the scalar engines
 about c_s * lanes per symbol, so which one is faster depends on the stream
 count and not on the stream length; `encode_parallel` and `decode_parallel`
 use the lockstep engines from `LOCKSTEP_MIN_STREAMS` streams on.
@@ -26,11 +28,10 @@ from typing import Sequence
 
 from .bitio import REVERSED_BYTES
 from .container import (
-    MAX_STREAMS,
-    MODES,
     ContainerFormatError,
     Header,
     SegmentMap,
+    check_layout,
     read_container,
     segment_source,
     write_container,
@@ -75,7 +76,7 @@ LOCKSTEP_MIN_STREAMS = 512
 #: a forward/backward pair never straddles two blocks
 _LOCKSTEP_BLOCK = 8192
 #: the lockstep encoder codes fewer lanes at a time where their byte matrix
-#: would pass this size; a block's matrices and gathers peak at a few times it
+#: would pass this size; a block's matrix and gathers peak at a few times it
 _LOCKSTEP_BYTES = 32 << 20
 
 
@@ -90,12 +91,7 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
     the same container bytes and raise the same `ValueError` for a symbol
     the model cannot code.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
-    if not 1 <= n_streams <= MAX_STREAMS:
-        raise ValueError(f"stream count must be in [1, {MAX_STREAMS}]")
-    if mode != "uni" and n_streams % 2:
-        raise ValueError("bidirectional modes need an even stream count")
+    check_layout(mode, index_codec, n_streams)
     if n_streams >= LOCKSTEP_MIN_STREAMS:
         segments = _encode_lockstep(symbols, model, n_streams, mode)
     else:
@@ -236,24 +232,20 @@ def _symbol_array(symbols: Sequence[int], model: BinaryModel | CdfModel,
     return arr.astype(np.uint8)
 
 
-def _fold_carries(out, carries) -> None:
-    """Add each lane's recorded carries into its bytes, as `_carry` would have.
+def _carry_lanes(flat, last, first) -> None:
+    """`_carry` on many lanes at once, in place.
 
-    out is a (lanes, width) uint8 matrix of bytes as emitted; carries[k, p+1]
-    counts the carries lane k saw while byte p was its last one, and
-    carries[k, 0] those it saw before its first byte.  One right-to-left
-    column pass propagates 8-bit carries.  A carry that would run past a
-    lane's first byte raises `AssertionError`, as `_carry` does.
+    flat is a flattened byte matrix and lane i's bytes run from flat[first[i]]
+    to flat[last[i]].  Each lane's trailing 0xFF run becomes zeros and the
+    byte before it absorbs the carry; a carry that would run past a lane's
+    first byte raises `AssertionError`, as `_carry` does.
     """
-    import numpy as np
-
-    c = np.zeros(len(out), dtype=np.uint16)
-    for j in range(out.shape[1] - 1, -1, -1):
-        v = c + out[:, j] + carries[:, j + 1]
-        out[:, j] = v & 0xFF
-        c = v >> 8
-    if (c + carries[:, 0]).any():
-        raise AssertionError("carry cannot ripple past the first byte")
+    while len(last):
+        if (last < first).any():
+            raise AssertionError("carry cannot ripple past the first byte")
+        ripple = flat[last] == 0xFF
+        flat[last] += 1
+        last, first = last[ripple] - 1, first[ripple]
 
 
 def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
@@ -263,11 +255,11 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
     Each shard is a lane holding the `Encoder` state (low, range) as int64
     and its bytes as one row of a uint8 matrix with a length per lane; the
     matrix is as wide as `_lane_bytes` bounds the longest lane from its
-    symbols' costs.  A carry out of low is counted at the lane's last byte
-    and folded in once at the end.  Lanes are coded in blocks of at most
-    `_LOCKSTEP_BLOCK` lanes and `_LOCKSTEP_BYTES` matrix bytes, each block
-    for all steps, then terminated with `valid_byte_sets` and
-    `junction_bytes` and gathered into their segments.
+    symbols' costs.  A carry out of low, or a termination value >= 256, goes
+    into the lane's bytes as it happens, through `_carry_lanes`.  Lanes are
+    coded in blocks of at most `_LOCKSTEP_BLOCK` lanes and `_LOCKSTEP_BYTES`
+    matrix bytes, each block for all steps, then terminated with
+    `valid_byte_sets` and `junction_bytes` and gathered into their segments.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
@@ -298,7 +290,6 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
         block = lanes[first:first + block_lanes]
         n = len(block)
         out = np.empty((n, width_bytes), dtype=np.uint8)
-        carries = np.zeros((n, width_bytes + 1), dtype=np.uint8)
         flat = out.reshape(-1)
         row = np.arange(n) * width_bytes
         length = np.zeros(n, dtype=np.int64)
@@ -309,9 +300,6 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
             """Write byte at each lane's length; only a lane whose length
             then grows keeps it, a later byte overwrites the rest."""
             flat[row + length] = byte
-
-        def carry(lanes_hit):
-            carries[lanes_hit, length[lanes_hit]] += 1
 
         # masks enter as 0/1 factors: np.where costs several multiplies
         for i in range(steps):
@@ -333,7 +321,7 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
             rng = new
             hit = np.flatnonzero(low >> 32)
             if len(hit):
-                carry(hit)
+                _carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
                 low &= MASK32
             # every symbol leaves range >= 2**8, so two rounds restore 2**24
             for _ in range(2):
@@ -360,12 +348,12 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
             byte[0::2] = np.where(shared, z, set_lo[0::2])
             byte[1::2] = np.where(shared, perm[z], set_lo[1::2])
             value = set_lo + ((byte - set_lo) & 0xFF)
-        carry(np.flatnonzero(value >> 8))
+        hit = np.flatnonzero(value >> 8)
+        _carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
         emit(value & 0xFF)
         length += 1
         if length.max() >= width_bytes:
             raise AssertionError("a lane outgrew its byte bound")
-        _fold_carries(out, carries)
 
         if mode == "uni":
             keep, sizes = cols < length[:, None], length
@@ -467,11 +455,11 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
 
     Each stream is a lane holding the `Decoder` state (val, range, read
     position) as int64.  A lane reads its segment straight from `blob`: from
-    the segment start upwards (forward) or from its end downwards (backward,
-    through the bit-reversal table in fr mode), and 0x00 at and past the
-    segment length.  Lanes whose shard is one symbol short of the longest
-    decode one symbol too many; the reassembly drops it.  Lanes are decoded
-    in blocks of `_LOCKSTEP_BLOCK`, each block for all steps.
+    the segment start upwards (forward) or from its end downwards (backward;
+    in fr mode from a bit-reversed copy of `blob` made once), and 0x00 at
+    and past the segment length.  Lanes whose shard is one symbol short of
+    the longest decode one symbol too many; the reassembly drops it.  Lanes
+    are decoded in blocks of `_LOCKSTEP_BLOCK`, each block for all steps.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
@@ -481,9 +469,11 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
     steps = -(-n_symbols // n_lanes)
     if steps == 0:
         return b""
-    data = np.frombuffer(blob, dtype=np.uint8)
+    fr = header.mode == "fr"
+    # fr backward lanes read a bit-reversed copy placed after the blob
+    data = np.frombuffer(blob + blob.translate(REVERSED_BYTES) if fr else blob,
+                         dtype=np.uint8)
     bounds = np.asarray(seg_map.boundaries, dtype=np.int64) + seg_map.data_offset
-    table = np.frombuffer(bytes(range(256)) + REVERSED_BYTES, dtype=np.uint8)
     model = header.model
     binary = isinstance(model, BinaryModel)
     if binary:
@@ -499,21 +489,21 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
         lane = np.arange(first, min(first + _LOCKSTEP_BLOCK, n_lanes))
         block = out[first:first + len(lane)]
         # byte fetch: lane k reads data[base[k] + step[k] * pos[k]] while
-        # pos[k] < length[k], mapped through table[offset[k]:offset[k] + 256];
-        # lanes are laid out as stream_layout lists the streams
+        # pos[k] < length[k]; lanes are laid out as stream_layout lists the
+        # streams
         if header.mode == "uni":
             seg, backward = lane, np.zeros(len(lane), dtype=bool)
         else:
             seg, backward = lane >> 1, (lane & 1).astype(bool)
         length = bounds[seg + 1] - bounds[seg]
-        base = np.where(backward, bounds[seg + 1] - 1, bounds[seg])
+        base = np.where(backward, bounds[seg + 1] - 1 + fr * len(blob),
+                        bounds[seg])
         step = np.where(backward, -1, 1)
-        offset = 256 * backward if header.mode == "fr" else np.zeros_like(lane)
 
         def fetch(pos, wanted):
             """Each wanted lane's byte at pos, 0x00 on every other lane."""
             inside = wanted & (pos < length)
-            return table[offset + data[(base + step * pos) * inside]] * inside
+            return data[(base + step * pos) * inside] * inside
 
         val = np.zeros(len(lane), dtype=np.int64)
         for pos in range(4):

@@ -393,8 +393,8 @@ def test_criterion_8_end_to_end():
             continue
         parallel = bench.overhead_factors(mode, codec, bench.TBAR_TABLE[mode])
         single = bench.overhead_factors("uni", codec, bench.TBAR_TABLE["uni"])
-        predicted = (parallel.relative_overhead_for(data_size, n_streams)
-                     - single.relative_overhead_for(data_size, 1)) * data_size
+        predicted = (parallel.relative_overhead(data_size / n_streams)
+                     - single.relative_overhead(data_size)) * data_size
         measured = statistics.mean(measured_list)
         # 20% relative with a one-byte floor: predictions below the format's
         # byte granularity (e.g. fb/2 vs uni/1 differ by ~0.1 byte) cannot be

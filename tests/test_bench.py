@@ -130,15 +130,6 @@ class TestOverheadModel:
         for b in (1.0, 10.0, 12345.0):
             assert model.relative_overhead(b) == pytest.approx(4.57 / b)
 
-    @given(st.floats(1.0, 2.0**20), st.integers(1, 4096))
-    @settings(max_examples=200)
-    def test_two_forms_agree(self, b_tilde, n_streams):
-        model = OverheadModel(1 / 16, 0.41)
-        data_bytes = b_tilde * n_streams
-        direct = model.relative_overhead(b_tilde)
-        via_grid = model.relative_overhead_for(data_bytes, n_streams)
-        assert via_grid == pytest.approx(direct, rel=1e-9)
-
     def test_curve_shape(self):
         model = overhead_factors("fr", "rtc", 1.78)
         points = [b for b, _ in overhead_curve(model, [95, 1200])]

@@ -18,9 +18,9 @@ from pecstream import pipeline, rangecoder, termination
 from pecstream.container import write_container
 from pecstream.pipeline import (
     LOCKSTEP_MIN_STREAMS,
+    _carry_lanes,
     _encode_lockstep,
     _encode_scalar,
-    _fold_carries,
     decode_parallel,
     encode_parallel,
 )
@@ -268,33 +268,52 @@ def _carry_histories(rnd, count):
         yield events
 
 
-def test_fold_carries_matches_carry():
-    # _fold_carries applied after the fact equals _carry applied as the
-    # carries happen, including a carry before any byte and one rippling
-    # past an all-0xFF lane, which both refuse
+def _carry_rows(histories, width=8):
+    """Each history's bytes, the histories run as rows of one matrix.
+
+    At step t every row takes its t-th event; the rows that carry at t do
+    so in one `_carry_lanes` call, whatever their ripple lengths.
+    """
+    out = np.full((len(histories), width), 0xFF, dtype=np.uint8)
+    flat = out.reshape(-1)
+    row = np.arange(len(histories)) * width
+    length = np.zeros(len(histories), dtype=np.int64)
+    for t in range(max(map(len, histories))):
+        kinds = [h[t] if t < len(h) else (None, None) for h in histories]
+        emit = np.array([kind == "emit" for kind, _ in kinds])
+        flat[row[emit] + length[emit]] = [b for kind, b in kinds
+                                          if kind == "emit"]
+        length += emit
+        hit = np.flatnonzero([kind == "carry" for kind, _ in kinds])
+        _carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
+    return [bytes(out[k, :n]) for k, n in enumerate(length)]
+
+
+def test_carry_lanes_matches_carry():
+    # _carry_lanes equals _carry applied lane by lane, including a carry
+    # before any byte and one rippling past an all-0xFF lane, which both
+    # refuse with the same error
     rnd = random.Random(3)
     histories = [[("carry", None)], [("emit", 0xFF), ("carry", None)],
                  [("emit", 0), ("emit", 0xFF), ("carry", None)]]
     histories += _carry_histories(rnd, 400)
+    kept, expected, refused = [], [], []
     for events in histories:
-        scalar, error = bytearray(), None
-        out = np.zeros((1, 8), dtype=np.uint8)
-        carries = np.zeros((1, 9), dtype=np.uint8)
-        for kind, byte in events:
-            if kind == "emit":
-                out[0, len(scalar)] = byte
-                scalar.append(byte)
-            else:
-                carries[0, len(scalar)] += 1
-                if error is None:
-                    try:
-                        rangecoder._carry(scalar)
-                    except AssertionError as exc:
-                        error = str(exc)
-        if error is not None:
-            with pytest.raises(AssertionError) as folded:
-                _fold_carries(out, carries)
-            assert str(folded.value) == error
+        scalar = bytearray()
+        try:
+            for kind, byte in events:
+                if kind == "emit":
+                    scalar.append(byte)
+                else:
+                    rangecoder._carry(scalar)
+        except AssertionError as exc:
+            refused.append((events, str(exc)))
         else:
-            _fold_carries(out, carries)
-            assert bytes(out[0, :len(scalar)]) == bytes(scalar), events
+            kept.append(events)
+            expected.append(bytes(scalar))
+    assert len(refused) >= 3 and len(kept) >= 200
+    assert _carry_rows(kept) == expected
+    for events, error in refused:
+        with pytest.raises(AssertionError) as lanes:
+            _carry_rows([events])
+        assert str(lanes.value) == error

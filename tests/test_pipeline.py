@@ -78,6 +78,18 @@ class TestEncodeDecode:
             with pytest.raises(ValueError, match="stream count"):
                 encode_parallel(b"\x00\x01", BinaryModel(30000), n_streams, mode)
 
+    def test_index_codec_checked_before_coding(self, monkeypatch):
+        def no_engine(*args):
+            raise AssertionError("an engine ran before the check")
+
+        monkeypatch.setattr(pipeline, "_encode_scalar", no_engine)
+        monkeypatch.setattr(pipeline, "_encode_lockstep", no_engine)
+        for n_streams in (8, pipeline.LOCKSTEP_MIN_STREAMS):
+            with pytest.raises(ValueError,
+                               match="unknown index codec: 'bogus'"):
+                encode_parallel(b"\x00\x01" * 8, order0(b"\x00\x01"),
+                                n_streams, "fr", "bogus")
+
     def test_binary_model_rejects_nonbit_symbols(self):
         with pytest.raises(ValueError, match="0/1"):
             encode_parallel(b"\x01\x07", BinaryModel(100), 1, "uni", "rtc")
