@@ -112,16 +112,13 @@ def _parse_model(model_id: int, blob: bytes, offset: int):
         widths = struct.unpack_from("<256H", blob, offset)
         if sum(widths) != PROB_ONE:
             raise ContainerFormatError("order0 widths must sum to 65536")
-        cdf = [0] * 257
-        for s in range(256):
-            cdf[s + 1] = cdf[s] + widths[s]
-        return CdfModel(cdf), offset + 512
+        return CdfModel(accumulate(widths, initial=0)), offset + 512
     raise ContainerFormatError(f"unknown model id {model_id}")
 
 
-def check_layout(mode: str, index_codec: str, n_streams: int) -> None:
+def check_layout(mode: str, index_codec: str, n_streams: int) -> int:
     """Raise `ValueError` unless a container can have this mode, index codec
-    and stream count."""
+    and stream count; return its index's entry count."""
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     if index_codec not in INDEX_CODECS:
@@ -130,6 +127,11 @@ def check_layout(mode: str, index_codec: str, n_streams: int) -> None:
         raise ValueError(f"stream count must be in [1, {MAX_STREAMS}]")
     if mode != "uni" and n_streams % 2:
         raise ValueError("bidirectional modes need an even stream count")
+    # i32 takes 4 bytes an entry, so at most 16383 entries fit the payload
+    entries = n_streams if mode == "uni" else n_streams // 2
+    if index_codec == "i32" and 4 * entries > 0xFFFF:
+        raise ValueError("index payload exceeds the u16 length field")
+    return entries
 
 
 def write_container(mode: str, index_codec: str,
@@ -137,8 +139,7 @@ def write_container(mode: str, index_codec: str,
                     n_streams: int, n_symbols: int,
                     segments: Sequence[bytes]) -> bytes:
     """Serialize terminated segment buffers behind a coded size index."""
-    check_layout(mode, index_codec, n_streams)
-    expected_entries = n_streams if mode == "uni" else n_streams // 2
+    expected_entries = check_layout(mode, index_codec, n_streams)
     if len(segments) != expected_entries:
         raise ValueError(f"expected {expected_entries} segments, got {len(segments)}")
 

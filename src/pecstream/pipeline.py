@@ -18,6 +18,8 @@ container.  A step costs about c0 + c1 * lanes and the scalar engines
 about c_s * lanes per symbol, so which one is faster depends on the stream
 count and not on the stream length; `encode_parallel` and `decode_parallel`
 use the lockstep engines from `LOCKSTEP_MIN_STREAMS` streams on.
+`encode_parallel` checks the whole input with `check_symbols` before either
+engine runs, so an input's error does not depend on the stream count.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ from .rangecoder import (
     CdfModel,
     Decoder,
     Encoder,
-    check_alphabet,
-    check_bits,
-    zero_width_error,
+    check_symbols,
 )
 from .termination import (
     joint_terminate,
@@ -88,10 +88,18 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
     From `LOCKSTEP_MIN_STREAMS` streams on, the numpy lockstep engine codes
     one symbol on every stream per step and terminates all streams at once;
     narrower inputs run one scalar `Encoder` per stream.  Both engines write
-    the same container bytes and raise the same `ValueError` for a symbol
-    the model cannot code.
+    the same container bytes.  The whole input is checked with
+    `check_symbols` before either engine runs, so an input the model cannot
+    code raises the same error at every stream count.
     """
     check_layout(mode, index_codec, n_streams)
+    dtype = getattr(symbols, "dtype", None)
+    if dtype is not None and dtype.kind in "iub" and (
+            not len(symbols) or 0 <= symbols.min() and symbols.max() <= 255):
+        # an integer array in the alphabet is checked and coded as bytes,
+        # not element by element, and no int8/uint8 element wraps at s + 1
+        symbols = symbols.astype("u1").tobytes()
+    check_symbols(model, symbols)
     if n_streams >= LOCKSTEP_MIN_STREAMS:
         segments = _encode_lockstep(symbols, model, n_streams, mode)
     else:
@@ -193,43 +201,14 @@ def _lane_bytes(lanes, widths: list[int]) -> int:
     return int(total.max()) // 2048 + 3
 
 
-def _symbol_array(symbols: Sequence[int], model: BinaryModel | CdfModel,
-                  n_streams: int):
-    """The symbols as a uint8 array, checked before any lane is coded.
-
-    Raises the error the scalar shard loop raises first: for 256-symbol
-    models that loop checks each shard's alphabet, then codes it up to a
-    zero-width symbol or one the cdf table cannot be indexed with (a
-    float).  Inputs that pass the whole-input checks skip the loop.
-    """
+def _symbol_array(symbols: Sequence[int]):
+    """Symbols that passed `check_symbols` as a uint8 array."""
     import numpy as np
 
     if isinstance(symbols, (bytes, bytearray)):
-        arr = np.frombuffer(symbols, dtype=np.uint8)
-    else:
-        arr = np.asarray(symbols)
-    if isinstance(model, BinaryModel):
-        # the scalar coder tests each bit for truth, so 0.0 and 1.0 code too
-        check_bits(symbols)
-        return arr.astype(np.uint8, copy=False)
-    try:
-        check_alphabet(symbols)
-    except ValueError:
-        pass
-    else:
-        if arr.dtype.kind in "iub":
-            arr = arr.astype(np.uint8, copy=False)
-            if not (np.asarray(model.widths()) == 0)[arr].any():
-                return arr
-    cdf = model.cdf
-    for start, stop in shard_ranges(len(symbols), n_streams):
-        check_alphabet(symbols[start:stop])
-        for s in symbols[start:stop]:
-            if cdf[s + 1] <= cdf[s]:
-                raise zero_width_error(s)
-    # every symbol indexed the table: an empty float array, or integers
-    # numpy holds as objects
-    return arr.astype(np.uint8)
+        return np.frombuffer(symbols, dtype=np.uint8)
+    # a binary model also codes 0.0 and 1.0
+    return np.asarray(symbols).astype(np.uint8)
 
 
 def _carry_lanes(flat, last, first) -> None:
@@ -252,19 +231,21 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
                      n_streams: int, mode: str) -> list[bytes]:
     """Encode all shards at once, one symbol on every shard per step.
 
-    Each shard is a lane holding the `Encoder` state (low, range) as int64
-    and its bytes as one row of a uint8 matrix with a length per lane; the
-    matrix is as wide as `_lane_bytes` bounds the longest lane from its
-    symbols' costs.  A carry out of low, or a termination value >= 256, goes
-    into the lane's bytes as it happens, through `_carry_lanes`.  Lanes are
-    coded in blocks of at most `_LOCKSTEP_BLOCK` lanes and `_LOCKSTEP_BYTES`
-    matrix bytes, each block for all steps, then terminated with
-    `valid_byte_sets` and `junction_bytes` and gathered into their segments.
+    The symbols must have passed `check_symbols`, as `encode_parallel`
+    checks them.  Each shard is a lane holding the `Encoder` state (low,
+    range) as int64 and its bytes as one row of a uint8 matrix with a length
+    per lane; the matrix is as wide as `_lane_bytes` bounds the longest lane
+    from its symbols' costs.  A carry out of low, or a termination value
+    >= 256, goes into the lane's bytes as it happens, through
+    `_carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
+    lanes and `_LOCKSTEP_BYTES` matrix bytes, each block for all steps, then
+    terminated with `valid_byte_sets` and `junction_bytes` and gathered into
+    their segments.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
 
-    arr = _symbol_array(symbols, model, n_streams)
+    arr = _symbol_array(symbols)
     mask = _lane_mask(len(arr), n_streams)
     steps = -(-len(arr) // n_streams)
     if mask is None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Sequence
 
 PROB_BITS = 16
@@ -53,10 +54,11 @@ class CdfModel:
     codable iff its width cdf[s+1] - cdf[s] is nonzero.  A table giving the
     whole scale to one symbol is rejected: every other symbol would have zero
     width and the model could never have been built from real frequencies
-    plus an escape.
+    plus an escape.  `codable` lists the symbols of nonzero width as bytes,
+    found once per model for `check_symbols`.
     """
 
-    __slots__ = ("cdf",)
+    __slots__ = ("cdf", "codable")
 
     def __init__(self, cdf: Sequence[int]) -> None:
         cdf = tuple(cdf)
@@ -70,6 +72,7 @@ class CdfModel:
             if cdf[i + 1] - cdf[i] >= PROB_ONE:
                 raise ValueError("single-symbol model with full width rejected")
         self.cdf = cdf
+        self.codable = bytes(s for s in range(256) if cdf[s + 1] > cdf[s])
 
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "CdfModel":
@@ -124,10 +127,7 @@ class CdfModel:
             widths[s] -= 1
             widths[(s + 1) % 256] += 1
 
-        cdf = [0] * 257
-        for s in range(256):
-            cdf[s + 1] = cdf[s] + widths[s]
-        return cls(cdf)
+        return cls(accumulate(widths, initial=0))
 
     def widths(self) -> list[int]:
         return [self.cdf[s + 1] - self.cdf[s] for s in range(256)]
@@ -149,30 +149,40 @@ def _carry(out: bytearray) -> None:
     out[i] += 1
 
 
-def check_bits(bits: Sequence[int]) -> None:
-    """Raise the `ValueError` of `Encoder.encode_bits` unless bits are 0/1."""
-    # deleting the legal values checks bytes ~30x faster than a set does
-    if isinstance(bits, (bytes, bytearray)):
-        bad = bits.translate(None, b"\x00\x01")
-    else:
-        bad = set(bits).difference((0, 1))
-    if bad:
-        raise ValueError("binary models code 0/1 symbols only")
+def check_symbols(model: BinaryModel | CdfModel,
+                  symbols: Sequence[int]) -> None:
+    """Raise the error coding `symbols` under `model` raises, before any
+    symbol is coded.
 
-
-def check_alphabet(symbols: Sequence[int]) -> None:
-    """Raise the `ValueError` of `Encoder.encode_symbols` for a symbol
-    outside 0..255."""
-    # bytes always fit the 0..255 alphabet; a negative symbol would index
-    # the cdf table from its end
-    if not isinstance(symbols, (bytes, bytearray)) \
-            and set(symbols).difference(range(256)):
+    A value outside the model's alphabet anywhere in the input raises
+    first.  Then, under a `CdfModel`, the first symbol in input order that
+    has zero width raises (coding it would renormalize forever), or the
+    `TypeError` of one that cannot index the cdf table (a float).
+    """
+    if isinstance(model, BinaryModel):
+        # deleting the legal values checks bytes ~30x faster than a set does
+        if isinstance(symbols, (bytes, bytearray)):
+            bad = symbols.translate(None, b"\x00\x01")
+        else:
+            # the coder tests each bit for truth, so 0.0 and 1.0 code too
+            bad = set(symbols).difference((0, 1))
+        if bad:
+            raise ValueError("binary models code 0/1 symbols only")
+        return
+    if isinstance(symbols, (bytes, bytearray)):
+        # bytes fit the alphabet; keep only the zero-width ones, in order.
+        # Without any, skip the translate: on 16-byte shards it costs 5% of
+        # the coding
+        if len(model.codable) == 256:
+            return
+        symbols = symbols.translate(None, model.codable)
+    elif set(symbols).difference(range(256)):
+        # a negative symbol would index the cdf table from its end
         raise ValueError("256-symbol models code 0..255 symbols only")
-
-
-def zero_width_error(symbol: int) -> ValueError:
-    """The error `Encoder.encode_symbols` raises for a zero-width symbol."""
-    return ValueError(f"symbol {symbol} has zero width in this model")
+    cdf = model.cdf
+    for s in symbols:
+        if cdf[s + 1] <= cdf[s]:
+            raise ValueError(f"symbol {s} has zero width in this model")
 
 
 class FinalCoderState:
@@ -231,7 +241,12 @@ class FinalCoderState:
 
 
 class Encoder:
-    """Range encoder producing bytes in decode order into a bytearray."""
+    """Range encoder producing bytes in decode order into a bytearray.
+
+    `encode_bits` and `encode_symbols` pass each batch to `check_symbols`
+    first, so a batch the model cannot code raises before any of it is
+    coded and leaves the encoder as it was.
+    """
 
     __slots__ = ("_low", "_range", "_out")
 
@@ -251,7 +266,7 @@ class Encoder:
         return int.from_bytes(self._out, "big"), len(self._out)
 
     def encode_bits(self, model: BinaryModel, bits: Sequence[int]) -> None:
-        check_bits(bits)
+        check_symbols(model, bits)
         # hot path: the coder state lives in locals for the whole batch
         p0 = model.p0
         low = self._low
@@ -276,7 +291,7 @@ class Encoder:
         self._range = rng
 
     def encode_symbols(self, model: CdfModel, symbols: Sequence[int]) -> None:
-        check_alphabet(symbols)
+        check_symbols(model, symbols)
         cdf = model.cdf
         low = self._low
         rng = self._range
@@ -286,10 +301,6 @@ class Encoder:
             r = rng >> 16
             c_lo = cdf[s]
             c_hi = cdf[s + 1]
-            if c_hi <= c_lo:
-                self._low = low
-                self._range = rng
-                raise zero_width_error(s)
             base = r * c_lo
             if c_hi == PROB_ONE:
                 rng -= base

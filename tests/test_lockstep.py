@@ -158,7 +158,23 @@ def _refuse(*args):
     raise _WouldDecode
 
 
+#: accepted and rejected floors of the corruption test per index codec, a
+#: little below its counts (i32 172/428, rtc 300/300, bic 368/232, gamma
+#: 283/317 of 600)
+_CORRUPTION_FLOORS = {"i32": (150, 400), "rtc": (250, 200),
+                      "bic": (340, 200), "gamma": (250, 290)}
+
+
 def test_corrupted_containers_differential(monkeypatch):
+    _check_corrupted_containers("rtc", monkeypatch)
+
+
+@pytest.mark.parametrize("codec", ("i32", "bic", "gamma"))
+def test_corrupted_containers_other_codecs(codec, monkeypatch):
+    _check_corrupted_containers(codec, monkeypatch)
+
+
+def _check_corrupted_containers(codec, monkeypatch):
     # Seeded 1-3 byte mutations of valid containers.  An accepted container
     # decodes to the same bytes on both engines; a rejected one raises only
     # the two format errors.
@@ -167,7 +183,7 @@ def test_corrupted_containers_differential(monkeypatch):
     for mode in MODES:
         for model_name in ("order0", "bernoulli"):
             symbols, model = source(model_name, 1500, seed=len(originals))
-            originals.append(encode_parallel(symbols, model, 64, mode, "rtc"))
+            originals.append(encode_parallel(symbols, model, 64, mode, codec))
     accepted = rejected = too_long = 0
     for trial in range(600):
         blob = bytearray(originals[trial % len(originals)])
@@ -198,7 +214,10 @@ def test_corrupted_containers_differential(monkeypatch):
         assert _decode_lockstep(blob, header, seg_map) == \
             _decode_scalar(blob, header, seg_map)
         accepted += 1
-    assert accepted > 250 and rejected > 200 and too_long == 0
+    min_accepted, min_rejected = _CORRUPTION_FLOORS[codec]
+    assert accepted > min_accepted and rejected > min_rejected, \
+        (accepted, rejected)
+    assert too_long == 0
 
 
 def test_inflated_symbol_count_rejected():

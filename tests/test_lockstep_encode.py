@@ -2,9 +2,11 @@
 
 `encode_parallel` picks an engine by stream count alone; these tests call
 both engines directly, whatever the threshold, and require the same
-segment bytes, or the same error.  Carries and terminations are where a
-vectorized coder can go wrong, so the inputs are chosen to reach them, and
-the scalar run counts each event to show that they were reached.
+segment bytes.  Both engines take input that `check_symbols` passed, so
+the errors for other input are tested through `encode_parallel`.  Carries
+and terminations are where a vectorized coder can go wrong, so the inputs
+are chosen to reach them, and the scalar run counts each event to show
+that they were reached.
 """
 
 import random
@@ -28,6 +30,7 @@ from pecstream.rangecoder import PROB_ONE, BinaryModel, CdfModel, Encoder
 
 from test_golden import CODECS, INPUTS, MODES, STREAMS
 from test_lockstep import N_STREAMS, source
+from test_pipeline import order0
 
 
 def both_encoders(symbols, model, n_streams, mode):
@@ -217,11 +220,10 @@ def _zero_width_model():
 
 
 @pytest.mark.parametrize("symbols, model", [
-    # 64 symbols, 8 per shard: a symbol outside 0..255 ...
+    # 64 symbols: a symbol outside 0..255 ...
     ([1] * 40 + [256] + [2] * 23, _zero_width_model()),
-    # ... after a zero-width one in its shard (the alphabet is checked first)
+    # ... raises before a zero-width one, wherever each of them is
     ([1] * 40 + [7, -1] + [2] * 22, _zero_width_model()),
-    # ... after a zero-width one in an earlier shard, which wins
     ([1] * 3 + [9] + [1] * 40 + [300] + [2] * 19, _zero_width_model()),
     ([1] * 40 + [7] + [2] * 10 + [-1] + [2] * 12, _zero_width_model()),
     # the first zero-width symbol in input order is named
@@ -231,29 +233,54 @@ def _zero_width_model():
     (b"\x00\x01" * 31 + b"\x02\x00", BinaryModel(100)),
     ([0, 1] * 31 + [-1, 0], BinaryModel(100)),
     ([0.5] + [0] * 63, BinaryModel(100)),
-    # floats index no cdf table: the scalar coder's TypeError, unless a
-    # zero-width symbol comes first ...
+    # floats index no cdf table: the coder's TypeError, unless a zero-width
+    # symbol comes first ...
     ([1.0, 2.0] * 32, _zero_width_model()),
     (np.array([1, 2] * 32, dtype=np.float64), _zero_width_model()),
     ([1] * 20 + [2.0] + [1] * 43, _zero_width_model()),
     ([1] * 20 + [7, 2.0] + [1] * 42, _zero_width_model()),
-    # ... or a symbol outside 0..255 in its shard, not in a later one
+    # ... or a symbol outside 0..255 anywhere in the input
     ([1] * 20 + [2.0, 1, 256] + [1] * 41, _zero_width_model()),
     ([1] * 3 + [2.0] + [1] * 40 + [300] + [1] * 19, _zero_width_model()),
 ])
 def test_same_errors_as_scalar(symbols, model, monkeypatch):
-    n_streams = 8
-    with pytest.raises((ValueError, TypeError)) as scalar:
-        _encode_scalar(symbols, model, n_streams, "fb")
+    # encode_parallel checks the whole input before either engine runs, so
+    # every stream count raises the error of coding it as one batch
+    enc = Encoder()
+    code = enc.encode_bits if isinstance(model, BinaryModel) \
+        else enc.encode_symbols
+    with pytest.raises((ValueError, TypeError)) as batch:
+        code(model, symbols)
 
-    def no_lanes(*args):
-        raise AssertionError("lanes were built before the symbols were checked")
+    def no_engine(*args):
+        raise AssertionError("an engine ran before the symbols were checked")
 
-    monkeypatch.setattr(pipeline, "_lane_mask", no_lanes)
-    with pytest.raises((ValueError, TypeError)) as lockstep:
-        _encode_lockstep(symbols, model, n_streams, "fb")
-    assert type(lockstep.value) is type(scalar.value)
-    assert str(lockstep.value) == str(scalar.value)
+    monkeypatch.setattr(pipeline, "_encode_scalar", no_engine)
+    monkeypatch.setattr(pipeline, "_encode_lockstep", no_engine)
+    for n_streams in (1, 2, 8, 64, 512, 1024):
+        with pytest.raises((ValueError, TypeError)) as parallel:
+            encode_parallel(symbols, model, n_streams)
+        assert type(parallel.value) is type(batch.value), n_streams
+        assert str(parallel.value) == str(batch.value), n_streams
+
+
+@pytest.mark.parametrize("n_streams", (8, 1024))
+def test_integer_arrays_code_as_bytes(n_streams):
+    # an integer or bool array in the alphabet writes the container its
+    # bytes write; one holding a value outside it raises as a list does
+    data, _ = source("order0", 3000)
+    low = bytes(b & 0x7F for b in data)
+    bits, bit_model = source("bernoulli", 3000)
+    for symbols, model, dtype in ((data, order0(data), np.int64),
+                                  (low, order0(low), np.int8),
+                                  (bits, bit_model, np.bool_)):
+        array = np.frombuffer(symbols, dtype=np.uint8).astype(dtype)
+        assert encode_parallel(array, model, n_streams, "fr") == \
+            encode_parallel(symbols, model, n_streams, "fr")
+    for array in (np.array([1, 256, 2], dtype=np.int64),
+                  np.array([1, -1, 2], dtype=np.int8)):
+        with pytest.raises(ValueError, match="0..255"):
+            encode_parallel(array, order0(data), n_streams)
 
 
 def _carry_histories(rnd, count):

@@ -90,6 +90,24 @@ class TestEncodeDecode:
                 encode_parallel(b"\x00\x01" * 8, order0(b"\x00\x01"),
                                 n_streams, "fr", "bogus")
 
+    def test_i32_index_size_checked_before_coding(self, monkeypatch):
+        # 4 bytes an entry: the u16 payload length holds 16383 entries, the
+        # index of 32766 fr streams
+        model = BinaryModel(30000)
+        assert decode_parallel(encode_parallel(b"\x01", model, 32766, "fr",
+                                               "i32")) == b"\x01"
+
+        def no_engine(*args):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(pipeline, "_encode_scalar", no_engine)
+        monkeypatch.setattr(pipeline, "_encode_lockstep", no_engine)
+        with pytest.raises(AssertionError, match="an engine ran"):
+            encode_parallel(b"\x01", model, 32766, "fr", "i32")
+        for mode, n_streams in (("fr", 32770), ("fr", 32768), ("uni", 16384)):
+            with pytest.raises(ValueError, match="u16 length field"):
+                encode_parallel(b"\x01", model, n_streams, mode, "i32")
+
     def test_binary_model_rejects_nonbit_symbols(self):
         with pytest.raises(ValueError, match="0/1"):
             encode_parallel(b"\x01\x07", BinaryModel(100), 1, "uni", "rtc")
