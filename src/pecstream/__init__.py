@@ -29,7 +29,6 @@ from .rangecoder import (
 from .sizeindex import (
     bic_decode,
     bic_encode,
-    entry_points,
     gamma_decode_sizes,
     gamma_encode_sizes,
     i32_decode_sizes,
@@ -53,7 +52,7 @@ __all__ = [
     "ContainerFormatError", "Header", "SegmentMap", "read_container",
     "segment_source", "write_container", "decode_parallel", "encode_parallel",
     "shard_ranges", "BinaryModel", "CdfModel", "Decoder", "Encoder",
-    "FinalCoderState", "bic_decode", "bic_encode", "entry_points",
+    "FinalCoderState", "bic_decode", "bic_encode",
     "gamma_decode_sizes", "gamma_encode_sizes", "i32_decode_sizes",
     "i32_encode_sizes", "rtc_decode", "rtc_encode", "JointTermination",
     "SingleTermination", "TerminationStats", "ValidByteSet", "joint_terminate",

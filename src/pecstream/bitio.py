@@ -11,6 +11,10 @@ class TruncatedStreamError(EOFError):
     """A read ran past the end of the available bits."""
 
 
+#: width of a `BitReader.window`, in bits (whole bytes)
+WINDOW_BITS = 40
+
+
 #: reverse_byte lookup, REVERSED_BYTES[n] has bit i equal to bit 7-i of n.
 REVERSED_BYTES = bytes(
     ((n << 7) & 0x80)
@@ -63,11 +67,14 @@ class BitWriter:
             raise ValueError("bit count must be >= 0")
         acc = (self._acc << count) | (value & ((1 << count) - 1))
         nbits = self._nbits + count
-        buf = self._buf
-        while nbits >= 8:
-            nbits -= 8
-            buf.append((acc >> nbits) & 0xFF)
-        self._acc = acc & ((1 << nbits) - 1)
+        if nbits >= 8:
+            # one conversion for every whole byte, so a long run of bits
+            # costs time linear in its length
+            rest = nbits & 7
+            self._buf += (acc >> rest).to_bytes(nbits >> 3, "big")
+            acc &= (1 << rest) - 1
+            nbits = rest
+        self._acc = acc
         self._nbits = nbits
 
     def getvalue(self) -> bytes:
@@ -91,6 +98,22 @@ class BitReader:
     @property
     def bits_remaining(self) -> int:
         return self._nbits - self._pos
+
+    def window(self, skip: int = 0) -> tuple[int, int]:
+        """Advance `skip` bits, then return (bits, offset): the
+        `WINDOW_BITS` bits from the byte holding the new position on, zeros
+        past the data, and the position's offset into them (0-7).
+
+        Raises `TruncatedStreamError` when the advance passes the end.
+        """
+        pos = self._pos + skip
+        if pos > self._nbits:
+            raise TruncatedStreamError("bit source exhausted")
+        self._pos = pos
+        width = WINDOW_BITS >> 3
+        chunk = self._data[pos >> 3:(pos >> 3) + width]
+        return (int.from_bytes(chunk, "big") << 8 * (width - len(chunk)),
+                pos & 7)
 
     def read_bit(self) -> int:
         pos = self._pos
@@ -121,11 +144,12 @@ class BitReader:
         return value
 
 
-def pack_bounded(value: int, bound: int, sink: BitWriter) -> int:
-    """Bisection-code `value` in [0, bound) and return the bit count.
+def bounded_code(value: int, bound: int) -> tuple[int, int]:
+    """The bisection codeword of `value` in [0, bound) as (bits, bit count).
 
     Codeword lengths are floor(log2 bound) or ceil(log2 bound) and the
-    codeword set for a given bound is prefix-free.
+    codeword set for a given bound is prefix-free and complete: every bit
+    string starts with exactly one codeword.
     """
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
@@ -143,7 +167,13 @@ def pack_bounded(value: int, bound: int, sink: BitWriter) -> int:
             a = m
         m = (a + b) >> 1
         nbits += 1
-    sink.write_bits(acc, nbits)
+    return acc, nbits
+
+
+def pack_bounded(value: int, bound: int, sink: BitWriter) -> int:
+    """Write the `bounded_code` of `value` in [0, bound); return its length."""
+    code, nbits = bounded_code(value, bound)
+    sink.write_bits(code, nbits)
     return nbits
 
 

@@ -139,12 +139,23 @@ def write_container(mode: str, index_codec: str,
                     n_streams: int, n_symbols: int,
                     segments: Sequence[bytes]) -> bytes:
     """Serialize terminated segment buffers behind a coded size index."""
-    expected_entries = check_layout(mode, index_codec, n_streams)
-    if len(segments) != expected_entries:
-        raise ValueError(f"expected {expected_entries} segments, got {len(segments)}")
+    return assemble_container(mode, index_codec, model, n_streams, n_symbols,
+                              [len(seg) for seg in segments],
+                              b"".join(segments))
 
-    sizes = [len(seg) for seg in segments]
-    data_size = sum(sizes)
+
+def assemble_container(mode: str, index_codec: str,
+                       model: BinaryModel | CdfModel,
+                       n_streams: int, n_symbols: int,
+                       sizes: Sequence[int], region: bytes) -> bytes:
+    """Serialize a data region, whose segments have the given sizes in
+    order, behind its coded size index."""
+    expected_entries = check_layout(mode, index_codec, n_streams)
+    if len(sizes) != expected_entries:
+        raise ValueError(f"expected {expected_entries} segments, got {len(sizes)}")
+    data_size = len(region)
+    if sum(sizes) != data_size:
+        raise ValueError(f"segment sizes sum to {sum(sizes)}, region holds {data_size}")
     if data_size >= 1 << 32:
         raise ValueError("data region exceeds the u32 size field")
     if index_codec == "rtc" and sizes and max(sizes) >= (1 << 24):
@@ -156,16 +167,15 @@ def write_container(mode: str, index_codec: str,
     if len(index_payload) > 0xFFFF:
         raise ValueError("index payload exceeds the u16 length field")
 
-    parts = [
+    return b"".join((
         _FIXED_HEADER.pack(MAGIC, VERSION,
                            MODES.index(mode) | (INDEX_CODECS.index(index_codec) << 2),
                            _model_id(model), 0, n_streams, n_symbols, data_size),
         _model_params(model),
         struct.pack("<H", len(index_payload)),
         index_payload,
-    ]
-    parts.extend(bytes(seg) for seg in segments)
-    return b"".join(parts)
+        region,
+    ))
 
 
 def read_header(blob: bytes) -> Header:

@@ -33,6 +33,7 @@ from .container import (
     ContainerFormatError,
     Header,
     SegmentMap,
+    assemble_container,
     check_layout,
     read_container,
     segment_source,
@@ -90,20 +91,28 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
     narrower inputs run one scalar `Encoder` per stream.  Both engines write
     the same container bytes.  The whole input is checked with
     `check_symbols` before either engine runs, so an input the model cannot
-    code raises the same error at every stream count.
+    code raises the same error at every stream count, and both engines get
+    it as bytes.
     """
     check_layout(mode, index_codec, n_streams)
     dtype = getattr(symbols, "dtype", None)
     if dtype is not None and dtype.kind in "iub" and (
             not len(symbols) or 0 <= symbols.min() and symbols.max() <= 255):
-        # an integer array in the alphabet is checked and coded as bytes,
-        # not element by element, and no int8/uint8 element wraps at s + 1
+        # an integer array in the alphabet is checked as bytes, not
+        # element by element
         symbols = symbols.astype("u1").tobytes()
     check_symbols(model, symbols)
+    if not isinstance(symbols, (bytes, bytearray)):
+        # checked once: as bytes, no shard is checked again.  A binary
+        # model codes each symbol's truth value, so 0.0 and 1.0 code too;
+        # through a list, as bytes() of a buffer copies memory, not values
+        symbols = (bytes(map(bool, symbols)) if isinstance(model, BinaryModel)
+                   else bytes(list(symbols)))
     if n_streams >= LOCKSTEP_MIN_STREAMS:
-        segments = _encode_lockstep(symbols, model, n_streams, mode)
-    else:
-        segments = _encode_scalar(symbols, model, n_streams, mode)
+        sizes, region = _encode_lockstep(symbols, model, n_streams, mode)
+        return assemble_container(mode, index_codec, model, n_streams,
+                                  len(symbols), sizes, region)
+    segments = _encode_scalar(symbols, model, n_streams, mode)
     return write_container(mode, index_codec, model, n_streams,
                            len(symbols), segments)
 
@@ -228,7 +237,7 @@ def _carry_lanes(flat, last, first) -> None:
 
 
 def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
-                     n_streams: int, mode: str) -> list[bytes]:
+                     n_streams: int, mode: str) -> tuple[list[int], bytes]:
     """Encode all shards at once, one symbol on every shard per step.
 
     The symbols must have passed `check_symbols`, as `encode_parallel`
@@ -240,7 +249,8 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
     `_carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
     lanes and `_LOCKSTEP_BYTES` matrix bytes, each block for all steps, then
     terminated with `valid_byte_sets` and `junction_bytes` and gathered into
-    their segments.
+    their segments.  Returns the segment sizes and the data region, the
+    segments in order.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
@@ -265,7 +275,8 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
     cols = np.arange(width_bytes)
     reverse = np.frombuffer(REVERSED_BYTES, dtype=np.uint8)
     perm = reverse if mode == "fr" else np.arange(256)
-    segments: list[bytes] = []
+    sizes: list[int] = []
+    region: list[bytes] = []
 
     for first in range(0, n_streams, block_lanes):
         block = lanes[first:first + block_lanes]
@@ -337,7 +348,7 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
             raise AssertionError("a lane outgrew its byte bound")
 
         if mode == "uni":
-            keep, sizes = cols < length[:, None], length
+            keep, block_sizes = cols < length[:, None], length
         else:
             # with each backward row reversed in place, a segment is its
             # pair's two rows read as one; the junction is stored once, as
@@ -349,11 +360,10 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
             keep = np.empty(out.shape, dtype=bool)
             np.less(cols, fwd_len[:, None], out=keep[:, :width_bytes])
             np.less(cols[::-1], bwd_len[:, None], out=keep[:, width_bytes:])
-            sizes = fwd_len + bwd_len
-        data = out[keep].tobytes()
-        ends = np.cumsum(sizes).tolist()
-        segments += [data[start:stop] for start, stop in zip([0] + ends, ends)]
-    return segments
+            block_sizes = fwd_len + bwd_len
+        region.append(out[keep].tobytes())
+        sizes += block_sizes.tolist()
+    return sizes, b"".join(region)
 
 
 def stream_layout(header: Header) -> list[tuple[int, str, bool]]:

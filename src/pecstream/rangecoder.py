@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
+from operator import index
 from typing import Sequence
 
 PROB_BITS = 16
@@ -157,7 +158,7 @@ def check_symbols(model: BinaryModel | CdfModel,
     A value outside the model's alphabet anywhere in the input raises
     first.  Then, under a `CdfModel`, the first symbol in input order that
     has zero width raises (coding it would renormalize forever), or the
-    `TypeError` of one that cannot index the cdf table (a float).
+    `TypeError` of one that is not an integer (a float).
     """
     if isinstance(model, BinaryModel):
         # deleting the legal values checks bytes ~30x faster than a set does
@@ -180,7 +181,8 @@ def check_symbols(model: BinaryModel | CdfModel,
         # a negative symbol would index the cdf table from its end
         raise ValueError("256-symbol models code 0..255 symbols only")
     cdf = model.cdf
-    for s in symbols:
+    # as Python ints: a numpy int8/uint8 symbol would wrap at s + 1
+    for s in map(index, symbols):
         if cdf[s + 1] <= cdf[s]:
             raise ValueError(f"symbol {s} has zero width in this model")
 
@@ -292,6 +294,11 @@ class Encoder:
 
     def encode_symbols(self, model: CdfModel, symbols: Sequence[int]) -> None:
         check_symbols(model, symbols)
+        if not isinstance(symbols, (bytes, bytearray)):
+            # checked symbols are integers in 0..255; as bytes they are
+            # Python ints, so a numpy int8/uint8 symbol cannot wrap at s + 1.
+            # Through a list: bytes() of a buffer copies memory, not values
+            symbols = bytes(list(symbols))
         cdf = model.cdf
         low = self._low
         rng = self._range

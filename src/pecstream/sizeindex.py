@@ -8,12 +8,15 @@ interpolative codec, the known total) on the decode side.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import chain
+from operator import ge
 from typing import Sequence
 
 from .bitio import (
+    WINDOW_BITS,
     BitReader,
     BitWriter,
+    bounded_code,
     elias_gamma_decode,
     elias_gamma_encode,
     pack_bounded,
@@ -29,11 +32,6 @@ class CorruptIndexError(ValueError):
     """Decoded index data is internally impossible."""
 
 
-def entry_points(sizes: Sequence[int]) -> list[int]:
-    """Cumulative sums h_1..h_N of the segment sizes."""
-    return list(accumulate(sizes))
-
-
 def build_range_tree(values: Sequence[int]) -> tuple[list[int], list[int]]:
     """Running-maxima tree over a power-of-two value array.
 
@@ -41,23 +39,66 @@ def build_range_tree(values: Sequence[int]) -> tuple[list[int], list[int]]:
     internal nodes 1..N-1 (leaves at N..2N-1), selection[i] = 1 when the
     left child attains the maximum (ties select left).
     """
+    maxima = _tree_maxima(values)
+    selection = [0, *map(int, map(ge, maxima[2::2], maxima[3::2]))]
+    return maxima, selection
+
+
+def _tree_maxima(values: Sequence[int]) -> list[int]:
+    """`build_range_tree`'s maxima: slot 0 unused, then the nodes in heap
+    order, which is level order, so each level is built from the one below."""
     n = len(values)
     if n < 1 or n & (n - 1):
         raise ValueError("tree size must be a power of two")
-    maxima = [0] * (2 * n)
-    maxima[n:] = values
-    selection = [0] * n
-    for i in range(n - 1, 0, -1):
-        if maxima[2 * i] >= maxima[2 * i + 1]:
-            selection[i] = 1
-            maxima[i] = maxima[2 * i]
-        else:
-            maxima[i] = maxima[2 * i + 1]
-    return maxima, selection
+    levels = [list(values)]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append([a if a >= b else b
+                       for a, b in zip(below[0::2], below[1::2])])
+    maxima = [0]
+    for level in reversed(levels):
+        maxima += level
+    return maxima
 
 
 def _padded_length(count: int) -> int:
     return 1 << (count - 1).bit_length() if count > 1 else 1
+
+
+#: `rtc_encode` joins and writes the codewords of this many nodes at a time
+_CHUNK_NODES = 1 << 12
+#: `_NodeCodes` keeps at most this many codewords: on sizes that differ
+#: widely nearly every pair is new, and keeping them all would cost ~200
+#: bytes an entry
+_NODE_CODES_KEPT = 1 << 12
+
+
+class _NodeCodes(dict):
+    """An internal node's codeword as a '0'/'1' string, keyed by the maxima
+    of its (left, right) children; a new pair runs `bounded_code` once."""
+
+    __slots__ = ("smallest",)
+
+    def __init__(self, smallest: int) -> None:
+        super().__init__()
+        self.smallest = smallest
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        left, right = pair
+        # the selection bit y is 1 when the left child attains the maximum
+        # (ties select left); the other child is coded below the maximum
+        if left >= right:
+            top, y, offset = left, 1, left - right
+        else:
+            top, y, offset = right, 0, right - left - 1
+        if top == self.smallest:
+            word = ""
+        else:
+            code, nbits = bounded_code(offset, top - self.smallest + y)
+            word = bin((2 | y) << nbits | code)[3:]
+        if len(self) < _NODE_CODES_KEPT:
+            self[pair] = word
+        return word
 
 
 def rtc_encode(sizes: Sequence[int], bound: int, sink: BitWriter) -> int:
@@ -65,9 +106,11 @@ def rtc_encode(sizes: Sequence[int], bound: int, sink: BitWriter) -> int:
 
     The array is padded to the next power of two with its minimum.  The root
     is coded against `bound`, the minimum against root+1 (root+1 keeps the
-    all-equal case codable), then each internal node costs one selection bit
-    plus a bounded offset for the non-maximal child; subtrees whose maximum
-    equals the minimum cost nothing.
+    all-equal case codable), then each internal node in heap order costs one
+    selection bit plus the `bounded_code` of the non-maximal child's offset
+    below the maximum; subtrees whose maximum equals the minimum cost
+    nothing.  Equal child pairs share their codeword, so each distinct pair
+    is coded once.
     """
     count = len(sizes)
     if count < 1:
@@ -78,23 +121,62 @@ def rtc_encode(sizes: Sequence[int], bound: int, sink: BitWriter) -> int:
     if max(sizes) >= bound:
         raise ValueError(f"size {max(sizes)} >= bound {bound}")
     n = _padded_length(count)
-    values = list(sizes) + [smallest] * (n - count)
-    maxima, selection = build_range_tree(values)
+    maxima = _tree_maxima(list(sizes) + [smallest] * (n - count))
 
     start = sink.bit_length
     pack_bounded(maxima[1], bound, sink)
     pack_bounded(smallest, maxima[1] + 1, sink)
-    for i in range(1, n):
-        if maxima[i] != smallest:
-            y = selection[i]
-            sink.write_bit(y)
-            pack_bounded(maxima[i] - maxima[2 * i + y] + y - 1,
-                         maxima[i] - smallest + y, sink)
+    codes = _NodeCodes(smallest)
+    for first in range(1, n, _CHUNK_NODES):
+        stop = 2 * min(first + _CHUNK_NODES, n)
+        pairs = zip(maxima[2 * first:stop:2], maxima[2 * first + 1:stop:2])
+        bits = "".join(map(codes.__getitem__, pairs))
+        if bits:
+            sink.write_bits(int(bits, 2), len(bits))
     return sink.bit_length - start
 
 
+#: nodes whose span (maximum minus the minimum) is at least this are decoded
+#: bit by bit; below it a span's table has at most 4 * span entries
+RTC_TABLE_SPAN_CAP = 1 << 12
+#: table entries one `rtc_decode` call may build, besides one per payload
+#: bit, so a hostile index cannot make the decoder build unbounded tables
+RTC_TABLE_ENTRIES = 1 << 12
+#: the widest table index: a selection bit plus the longest offset code
+_TABLE_BITS = 1 + (RTC_TABLE_SPAN_CAP - 1).bit_length()
+#: take a new window once the read offset passes this
+_REFILL = WINDOW_BITS - _TABLE_BITS
+
+
+def _span_table(span: int) -> list[tuple[int, int, int]]:
+    """Decode table of a node whose maximum is `span` above the minimum.
+
+    Indexed by the node's next 1 + bitlen(span) bits, the selection bit y
+    first; each entry is (left decrement, right decrement, code length),
+    from the `bounded_code` of every offset against span + y.
+    """
+    k = 1 + span.bit_length()
+    table: list = [None] * (1 << k)
+    for y in (0, 1):
+        bound = span + y
+        for offset in range(bound):
+            code, nbits = bounded_code(offset, bound)
+            entry = (0, offset, nbits + 1) if y else (offset + 1, 0, nbits + 1)
+            first = ((y << nbits) | code) << (k - 1 - nbits)
+            run = 1 << (k - 1 - nbits)
+            table[first:first + run] = [entry] * run
+    return table
+
+
 def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
-    """Inverse of rtc_encode; returns the first `count` sizes."""
+    """Inverse of rtc_encode; returns the first `count` sizes.
+
+    A node whose span is below `RTC_TABLE_SPAN_CAP` is decoded with one
+    lookup in its span's `_span_table`, built on first use, over
+    `BitReader.window`s of the payload.  Other nodes, and those whose table
+    would take the entries built past `RTC_TABLE_ENTRIES` plus one per
+    payload bit, read their bits one at a time with `unpack_bounded`.
+    """
     if count < 1:
         raise ValueError("need at least one size")
     n = _padded_length(count)
@@ -102,15 +184,54 @@ def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
     smallest = unpack_bounded(root + 1, source)
     if n == 1:
         return [root]
-    # in-place array decoding: tree slots are reused for decoded leaves
+    budget = RTC_TABLE_ENTRIES + source.bits_remaining
+    # per node maximum below the cap: (table, shift, mask), or None to
+    # read bit by bit
+    tables: dict[int, tuple | None] = {}
+    # in-place array decoding: tree slots are reused for decoded leaves;
+    # node i's children go to 2i (upper levels) or 2i - n (leaves)
     values = [0] * n
     values[1] = root
-    for i in range(1, n):
-        j = 2 * i if 2 * i < n else 2 * i - n
-        values[j] = values[j + 1] = values[i]
-        if values[i] != smallest:
-            y = source.read_bit()
-            values[j + y] -= unpack_bounded(values[i] - smallest + y, source) - y + 1
+    window, pos = source.window()
+    start = pos
+    for i, j in zip(range(1, n), chain(range(2, n, 2), range(0, n, 2))):
+        v = values[i]
+        if v == smallest:
+            values[j] = values[j + 1] = v
+            continue
+        try:
+            lookup = tables[v]
+        except KeyError:
+            span = v - smallest
+            lookup = None
+            if span < RTC_TABLE_SPAN_CAP:
+                k = 1 + span.bit_length()
+                if 1 << k <= budget:
+                    budget -= 1 << k
+                    lookup = (_span_table(span), WINDOW_BITS - k,
+                              (1 << k) - 1)
+                tables[v] = lookup
+        if lookup is None:
+            if pos != start:
+                source.window(pos - start)
+            left = right = v
+            if source.read_bit():
+                right -= unpack_bounded(v - smallest + 1, source)
+            else:
+                left -= unpack_bounded(v - smallest, source) + 1
+            # past _REFILL: the next table lookup takes a new window
+            pos = start = WINDOW_BITS
+        else:
+            if pos > _REFILL:
+                window, pos = source.window(pos - start)
+                start = pos
+            table, shift, mask = lookup
+            dl, dr, nbits = table[(window >> (shift - pos)) & mask]
+            left, right = v - dl, v - dr
+            pos += nbits
+        values[j] = left
+        values[j + 1] = right
+    source.window(pos - start)
     return values[:count]
 
 

@@ -61,6 +61,19 @@ class TestBitStreams:
         with pytest.raises(TruncatedStreamError):
             r.read_bit()
 
+    def test_window(self):
+        r = BitReader(bytes([0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC]), 43)
+        assert r.window() == (0x123456789A, 0)
+        # advancing 11 bits starts the window at byte 1, 3 bits in
+        assert r.window(11) == (0x3456789ABC, 3)
+        assert r.read_bits(5) == 0x14
+        # past the data the window reads zeros
+        assert r.window(24) == (0xBC00000000, 0)
+        assert r.bits_remaining == 3
+        with pytest.raises(TruncatedStreamError):
+            r.window(4)
+        assert r.window(3) == (0xBC00000000, 3)
+
     def test_bits_bytes_helpers(self):
         data = bytes(range(256))
         bits = bytes_to_bits(data)

@@ -34,9 +34,14 @@ from test_pipeline import order0
 
 
 def both_encoders(symbols, model, n_streams, mode):
-    """The common segments of both engines; fails if they differ."""
+    """The common segments of both engines; fails if they differ.
+
+    The lockstep engine returns the segment sizes and the joined region.
+    """
     scalar = _encode_scalar(symbols, model, n_streams, mode)
-    assert _encode_lockstep(symbols, model, n_streams, mode) == scalar
+    sizes, region = _encode_lockstep(symbols, model, n_streams, mode)
+    assert sizes == [len(seg) for seg in scalar]
+    assert region == b"".join(scalar)
     return scalar
 
 
@@ -199,14 +204,16 @@ def test_byte_bound_holds_for_costliest_symbols(symbols, model):
 def test_encode_parallel_dispatches_on_stream_count(monkeypatch):
     calls = []
 
-    def engine(name):
+    def engine(name, output):
         def run(symbols, model, n_streams, mode):
             calls.append(name)
-            return [b""] * (n_streams // 2)
+            return output(n_streams // 2)
         return run
 
-    monkeypatch.setattr(pipeline, "_encode_lockstep", engine("lockstep"))
-    monkeypatch.setattr(pipeline, "_encode_scalar", engine("scalar"))
+    monkeypatch.setattr(pipeline, "_encode_lockstep", engine(
+        "lockstep", lambda entries: ([0] * entries, b"")))
+    monkeypatch.setattr(pipeline, "_encode_scalar", engine(
+        "scalar", lambda entries: [b""] * entries))
     model = BinaryModel(30000)
     for n_streams in (LOCKSTEP_MIN_STREAMS - 2, LOCKSTEP_MIN_STREAMS):
         encode_parallel(b"\x01\x00", model, n_streams, "fr")

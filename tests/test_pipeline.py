@@ -1,9 +1,10 @@
 import random
+from array import array
 from collections import Counter
 
 import pytest
 
-from pecstream import pipeline
+from pecstream import pipeline, rangecoder
 from pecstream.container import MAX_STREAMS, read_container, write_container
 from pecstream.pipeline import decode_parallel, encode_parallel, shard_ranges
 from pecstream.rangecoder import BinaryModel, CdfModel, Encoder
@@ -107,6 +108,33 @@ class TestEncodeDecode:
         for mode, n_streams in (("fr", 32770), ("fr", 32768), ("uni", 16384)):
             with pytest.raises(ValueError, match="u16 length field"):
                 encode_parallel(b"\x01", model, n_streams, mode, "i32")
+
+    @pytest.mark.parametrize("n_streams", (2, 64, 512))
+    def test_list_input_is_checked_once(self, n_streams, monkeypatch):
+        # a list, or an array of wider integers, writes the container its
+        # bytes write, and after the one check of the whole input every
+        # shard reaches the coder as bytes
+        rnd = random.Random(5)
+        data = bytes(rnd.choice(b"abcdefgh") for _ in range(4000))
+        bits = bytes(rnd.randrange(2) for _ in range(4000))
+        check = rangecoder.check_symbols
+        checked = []
+
+        def counted(model, symbols):
+            checked.append(isinstance(symbols, (bytes, bytearray)))
+            check(model, symbols)
+
+        monkeypatch.setattr(rangecoder, "check_symbols", counted)
+        monkeypatch.setattr(pipeline, "check_symbols", counted)
+        for symbols, model, as_list in (
+                (data, order0(data), list(data)),
+                (data, order0(data), array("H", list(data))),
+                (bits, BinaryModel(30000), list(bits)),
+                (bits, BinaryModel(30000), [float(b) for b in bits])):
+            expected = encode_parallel(symbols, model, n_streams, "fr")
+            checked.clear()
+            assert encode_parallel(as_list, model, n_streams, "fr") == expected
+            assert checked.count(False) == 1
 
     def test_binary_model_rejects_nonbit_symbols(self):
         with pytest.raises(ValueError, match="0/1"):

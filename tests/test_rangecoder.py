@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,6 +199,26 @@ class TestSymbolCoding:
         for symbols in ([-2], [256]):
             with pytest.raises(ValueError, match="0..255"):
                 Encoder().encode_symbols(CdfModel.from_counts([1] * 256), symbols)
+
+    def test_numpy_integer_symbols_do_not_wrap(self):
+        # 255 + 1 and 127 + 1 overflow uint8 and int8; the coder must read
+        # the cdf at the symbol's value plus one all the same
+        model = CdfModel.from_counts([1] * 256)
+
+        def coded(symbols):
+            enc = Encoder()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                enc.encode_symbols(model, symbols)
+            return terminate_single(enc.finalize()).data
+
+        for values, dtype in (([255, 127], np.uint8), ([127, 126], np.int8)):
+            expected = coded(values)
+            assert coded(np.array(values, dtype=dtype)) == expected
+            assert coded([dtype(v) for v in values]) == expected
+        # a negative int8 still names no symbol
+        with pytest.raises(ValueError, match="0..255"):
+            coded(np.array([3, -1], dtype=np.int8))
 
     def test_roundtrip_random_blocks(self, rnd):
         for _ in range(25):

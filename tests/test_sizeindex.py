@@ -1,14 +1,28 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pecstream.bitio import BitReader, BitWriter, TruncatedStreamError
+from pecstream import sizeindex
+from pecstream.bitio import (
+    BitReader,
+    BitWriter,
+    TruncatedStreamError,
+    pack_bounded,
+    unpack_bounded,
+)
+from pecstream.pipeline import encode_parallel
+from pecstream.container import read_header
+from pecstream.rangecoder import CdfModel
 from pecstream.sizeindex import (
+    RTC_CONTAINER_BOUND,
+    RTC_TABLE_ENTRIES,
+    RTC_TABLE_SPAN_CAP,
     CorruptIndexError,
     bic_decode,
     bic_encode,
     build_range_tree,
-    entry_points,
     gamma_decode_sizes,
     gamma_encode_sizes,
     i32_decode_sizes,
@@ -38,12 +52,6 @@ def roundtrip(encode, decode, sizes, *, total=None, bound=None):
     encode(sizes, sink)
     source = BitReader(sink.getvalue(), sink.bit_length)
     return decode(len(sizes), source)
-
-
-class TestEntryPoints:
-    def test_cumulative_sums(self):
-        assert entry_points([3, 5, 2]) == [3, 8, 10]
-        assert entry_points([]) == []
 
 
 class TestRangeTree:
@@ -110,6 +118,145 @@ class TestRtc:
     def test_truncation(self):
         with pytest.raises(TruncatedStreamError):
             rtc_decode(2, 8, BitReader(b"", 0))
+
+
+def reference_rtc_encode(sizes, bound, sink):
+    """The range-tree code node by node: the reference for `rtc_encode`."""
+    smallest = min(sizes)
+    n = 1 << (len(sizes) - 1).bit_length()
+    maxima, selection = build_range_tree(list(sizes) + [smallest] * (n - len(sizes)))
+    start = sink.bit_length
+    pack_bounded(maxima[1], bound, sink)
+    pack_bounded(smallest, maxima[1] + 1, sink)
+    for i in range(1, n):
+        if maxima[i] != smallest:
+            y = selection[i]
+            sink.write_bit(y)
+            pack_bounded(maxima[i] - maxima[2 * i + y] + y - 1,
+                         maxima[i] - smallest + y, sink)
+    return sink.bit_length - start
+
+
+def reference_rtc_decode(count, bound, source):
+    """Inverse of `reference_rtc_encode`, reading one bit at a time."""
+    n = 1 << (count - 1).bit_length()
+    root = unpack_bounded(bound, source)
+    smallest = unpack_bounded(root + 1, source)
+    if n == 1:
+        return [root]
+    values = [0] * n
+    values[1] = root
+    for i in range(1, n):
+        j = 2 * i if 2 * i < n else 2 * i - n
+        values[j] = values[j + 1] = values[i]
+        if values[i] != smallest:
+            y = source.read_bit()
+            values[j + y] -= unpack_bounded(values[i] - smallest + y, source) - y + 1
+    return values[:count]
+
+
+def decode_outcome(decode, count, bound, payload, nbits=None):
+    """The sizes a decoder returns, or the type of the error it raises."""
+    try:
+        return decode(count, bound, BitReader(payload, nbits))
+    except (TruncatedStreamError, ValueError) as exc:
+        return type(exc)
+
+
+class TestRtcTables:
+    """The table-driven rtc coders against the node-by-node reference."""
+
+    def test_matches_reference_on_seeded_sizes(self):
+        rnd = random.Random(11)
+        widths = (1, 2, 1 << 16, (1 << 24) - 1)
+        for case in range(480):
+            count = case % 300 + 1
+            width = widths[case % 4] if case % 5 else 1
+            low = rnd.randrange(RTC_CONTAINER_BOUND - width + 1)
+            sizes = [low + rnd.randrange(width) for _ in range(count)]
+            ref, sink = BitWriter(), BitWriter()
+            ref_bits = reference_rtc_encode(sizes, RTC_CONTAINER_BOUND, ref)
+            assert rtc_encode(sizes, RTC_CONTAINER_BOUND, sink) == ref_bits
+            assert sink.getvalue() == ref.getvalue()
+            source = BitReader(sink.getvalue(), ref_bits)
+            assert rtc_decode(count, RTC_CONTAINER_BOUND, source) == sizes
+            assert source.bits_remaining == 0
+
+    def test_tables_up_to_the_span_cap(self, monkeypatch):
+        # few distinct sizes below the cap: the widest tables are built and
+        # read at every offset in the window
+        built = []
+        span_table = sizeindex._span_table
+        monkeypatch.setattr(sizeindex, "_span_table",
+                            lambda span: built.append(span) or span_table(span))
+        rnd = random.Random(15)
+        for case in range(20):
+            pool = [0] + rnd.sample(range(1, RTC_TABLE_SPAN_CAP), 5)
+            sizes = [rnd.choice(pool) for _ in range(2048)]
+            ref, sink = BitWriter(), BitWriter()
+            nbits = reference_rtc_encode(sizes, RTC_CONTAINER_BOUND, ref)
+            assert rtc_encode(sizes, RTC_CONTAINER_BOUND, sink) == nbits
+            assert sink.getvalue() == ref.getvalue()
+            source = BitReader(sink.getvalue(), nbits)
+            assert rtc_decode(len(sizes), RTC_CONTAINER_BOUND, source) == sizes
+        assert max(built).bit_length() == (RTC_TABLE_SPAN_CAP - 1).bit_length()
+
+    def test_random_payloads_decode_as_reference(self):
+        # garbage and short payloads: the same sizes or the same error
+        rnd = random.Random(12)
+        for case in range(400):
+            bound = rnd.choice((2, 5, 40, 300, 5000, 1 << 24))
+            count = rnd.randrange(1, 200)
+            payload = rnd.randbytes(rnd.randrange(40))
+            assert (decode_outcome(rtc_decode, count, bound, payload)
+                    == decode_outcome(reference_rtc_decode, count, bound, payload))
+
+    def test_every_prefix_of_a_real_index_is_truncated(self):
+        data = random.Random(13).randbytes(20000)
+        model = CdfModel.from_counts([data.count(s) for s in range(256)])
+        blob = encode_parallel(data, model, 512, "fr")
+        header = read_header(blob)
+        payload = blob[header.index_offset:header.index_offset + header.index_nbytes]
+        count = header.entry_count
+        sink = BitWriter()
+        nbits = rtc_encode(rtc_decode(count, RTC_CONTAINER_BOUND, BitReader(payload)),
+                           RTC_CONTAINER_BOUND, sink)
+        assert sink.getvalue() == payload
+        for cut in range(nbits):
+            for source in (BitReader(payload, cut),
+                           BitReader(payload[:(cut + 7) // 8], cut)):
+                with pytest.raises(TruncatedStreamError):
+                    rtc_decode(count, RTC_CONTAINER_BOUND, source)
+
+    def test_hostile_spans_stay_inside_the_table_budget(self, monkeypatch):
+        # every node maximum differs, up to 4095: tables of up to 2**13
+        # entries each would take ~20M entries without the budget
+        sizes = list(range(4096))
+        random.Random(14).shuffle(sizes)
+        sink = BitWriter()
+        nbits = rtc_encode(sizes, RTC_CONTAINER_BOUND, sink)
+        maxima, _ = build_range_tree(sizes)
+        assert len(set(maxima[1:4096])) > 2000
+        built = []
+        fallback = []
+        span_table = sizeindex._span_table
+
+        def counted_table(span):
+            table = span_table(span)
+            built.append(len(table))
+            return table
+
+        def counted_unpack(bound, source):
+            fallback.append(bound)
+            return unpack_bounded(bound, source)
+
+        monkeypatch.setattr(sizeindex, "_span_table", counted_table)
+        monkeypatch.setattr(sizeindex, "unpack_bounded", counted_unpack)
+        source = BitReader(sink.getvalue(), nbits)
+        assert rtc_decode(len(sizes), RTC_CONTAINER_BOUND, source) == sizes
+        assert sum(built) <= RTC_TABLE_ENTRIES + nbits
+        # root, minimum, then well over a thousand nodes read bit by bit
+        assert len(fallback) > 1000
 
 
 class TestBic:
