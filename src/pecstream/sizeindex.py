@@ -185,8 +185,9 @@ def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
     if n == 1:
         return [root]
     budget = RTC_TABLE_ENTRIES + source.bits_remaining
-    # per node maximum below the cap: (table, shift, mask), or None to
-    # read bit by bit
+    # per node maximum below cap: (table, shift, mask), or None to read
+    # bit by bit
+    cap = smallest + RTC_TABLE_SPAN_CAP
     tables: dict[int, tuple | None] = {}
     # in-place array decoding: tree slots are reused for decoded leaves;
     # node i's children go to 2i (upper levels) or 2i - n (leaves)
@@ -199,16 +200,15 @@ def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
         if v == smallest:
             values[j] = values[j + 1] = v
             continue
-        try:
-            lookup = tables[v]
-        except KeyError:
-            span = v - smallest
-            lookup = None
-            if span < RTC_TABLE_SPAN_CAP:
-                k = 1 + span.bit_length()
+        lookup = None
+        if v < cap:
+            try:
+                lookup = tables[v]
+            except KeyError:
+                k = 1 + (v - smallest).bit_length()
                 if 1 << k <= budget:
                     budget -= 1 << k
-                    lookup = (_span_table(span), WINDOW_BITS - k,
+                    lookup = (_span_table(v - smallest), WINDOW_BITS - k,
                               (1 << k) - 1)
                 tables[v] = lookup
         if lookup is None:
