@@ -225,8 +225,9 @@ def read_container(blob: bytes) -> tuple[Header, SegmentMap]:
         raise TruncatedStreamError("truncated index payload") from None
     except ValueError as exc:
         raise ContainerFormatError(f"corrupt index payload: {exc}") from None
-    if any(s < 0 for s in sizes):
-        raise ContainerFormatError("index decoded a negative segment size")
+    # no decoder returns a negative size: rtc sizes are at least the decoded
+    # minimum, bic checks each point against its interval, a gamma code is
+    # at least 1 and i32 sizes are unsigned
     if sum(sizes) != header.data_size:
         raise ContainerFormatError(
             f"index sums to {sum(sizes)}, header says {header.data_size}")

@@ -196,7 +196,7 @@ class FinalCoderState:
     """
 
     __slots__ = ("low", "range", "direction", "bit_reversed", "chain",
-                 "pending_info", "payload_len")
+                 "pending_info")
 
     def __init__(self, low: int, range_: int, chain: bytearray | None = None,
                  direction: str = "forward", bit_reversed: bool = False) -> None:
@@ -212,7 +212,6 @@ class FinalCoderState:
         self.direction = direction
         self.bit_reversed = bit_reversed
         self.pending_info = 32.0 - math.log2(range_)
-        self.payload_len = len(self.chain)
 
     def push_renorm_byte(self) -> None:
         """Emit the top byte of low and rescale the interval by 2**8.

@@ -1,4 +1,7 @@
+import hashlib
+import os
 import random
+import signal
 from array import array
 from collections import Counter
 
@@ -9,6 +12,8 @@ from pecstream.container import MAX_STREAMS, read_container, write_container
 from pecstream.pipeline import decode_parallel, encode_parallel, shard_ranges
 from pecstream.rangecoder import BinaryModel, CdfModel, Encoder
 from pecstream.termination import terminate_single
+
+from test_golden import GOLDEN, INPUTS, mixed_bytes
 
 
 def order0(data: bytes) -> CdfModel:
@@ -223,3 +228,216 @@ class TestDeterminism:
         model = BinaryModel(20000)
         blobs = {encode_parallel(bits, model, 4, "fb", "rtc") for _ in range(3)}
         assert len(blobs) == 1
+
+
+class ChildError(Exception):
+    pass
+
+
+class UnpicklableError(Exception):
+    def __init__(self, code, text):
+        super().__init__(f"{text} ({code})")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks during the test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def split(monkeypatch, processes):
+    """Code every scalar input in `processes` processes, whatever its size."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: processes)
+    monkeypatch.setattr(pipeline, "_FORK_MIN_SYMBOLS", 0)
+
+
+def fork_allowed():
+    """False where forking would warn (Python 3.12 or later, threads)."""
+    return not (pipeline._FORK_WARNS and pipeline._thread_count() > 1)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_child(monkeypatch, name, error):
+    """Make pipeline.<name> raise `error` in a forked child only."""
+    parent = os.getpid()
+    real = getattr(pipeline, name)
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, name, failing)
+
+
+class TestProcessSplit:
+    """The scalar engines code contiguous blocks in forked children; the
+    output must be the bytes one process writes."""
+
+    @pytest.mark.parametrize("mode, n_streams", [
+        (mode, n) for mode in ("uni", "fb", "fr") for n in (1, 2, 6, 8, 64)
+        if n > 1 or mode == "uni"])
+    def test_same_bytes_at_one_and_two_processes(self, mode, n_streams,
+                                                 monkeypatch, forks):
+        data = mixed_bytes(11, 900)
+        bits = bytes(b & 1 for b in mixed_bytes(12, 900))
+        units = n_streams if mode == "uni" else n_streams // 2
+        for symbols, model in ((data, order0(data)), (bits, BinaryModel(40000))):
+            for codec in ("i32", "rtc", "bic", "gamma"):
+                split(monkeypatch, 1)
+                before = len(forks)
+                blob = encode_parallel(symbols, model, n_streams, mode, codec)
+                assert decode_parallel(blob) == symbols
+                assert len(forks) == before
+                split(monkeypatch, 2)
+                assert encode_parallel(symbols, model, n_streams, mode,
+                                       codec) == blob, (mode, codec)
+                assert decode_parallel(blob) == symbols, (mode, codec)
+        # one child per encode with two blocks of pairs, one per decode
+        # with two streams
+        expected = 8 * ((units > 1) + (n_streams > 1))
+        assert len(forks) == (expected if fork_allowed() else 0)
+        assert_no_children()
+
+    @pytest.mark.parametrize("processes", (1, 2))
+    def test_golden_digests(self, processes, monkeypatch):
+        split(monkeypatch, processes)
+        for case, digest in GOLDEN.items():
+            model_name, mode, codec, n = case.split("-")
+            symbols, model = INPUTS[model_name]
+            blob = encode_parallel(symbols, model, int(n), mode, codec)
+            assert hashlib.sha256(blob).hexdigest() == digest, case
+        assert_no_children()
+
+    def test_uneven_blocks(self, monkeypatch, forks):
+        # 3 pairs in 2 processes, and 7 streams in 3
+        data = mixed_bytes(13, 2000)
+        model = order0(data)
+        for n_streams, mode, processes in ((6, "fb", 2), (7, "uni", 3)):
+            split(monkeypatch, 1)
+            blob = encode_parallel(data, model, n_streams, mode)
+            split(monkeypatch, processes)
+            assert encode_parallel(data, model, n_streams, mode) == blob
+            assert decode_parallel(blob) == data
+        assert len(forks) == (2 + 4 if fork_allowed() else 0)
+        assert_no_children()
+
+    @pytest.mark.parametrize("name, error", (
+        ("_encode_shards", ChildError("shard 3 failed")),
+        ("_decode_streams", ChildError("shard 3 failed")),
+        ("_encode_shards", UnpicklableError(7, "shard 3 failed")),
+    ))
+    def test_child_exception_reaches_caller(self, name, error, monkeypatch,
+                                            forks):
+        if not fork_allowed():
+            pytest.skip("forking would warn in this process")
+        data = mixed_bytes(14, 1000)
+        model = order0(data)
+        blob = encode_parallel(data, model, 8, "fr")
+        split(monkeypatch, 2)
+        fail_in_child(monkeypatch, name, error)
+        if isinstance(error, UnpicklableError):
+            # an exception that cannot be rebuilt arrives as its type name
+            # and message
+            expected = RuntimeError, "UnpicklableError: shard 3 failed \\(7\\)"
+        else:
+            expected = ChildError, "^shard 3 failed$"
+        with pytest.raises(expected[0], match=expected[1]):
+            if name == "_decode_streams":
+                decode_parallel(blob)
+            else:
+                encode_parallel(data, model, 8, "fr")
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_dead_child_is_reported(self, monkeypatch, forks):
+        if not fork_allowed():
+            pytest.skip("forking would warn in this process")
+        data = mixed_bytes(15, 1000)
+        split(monkeypatch, 2)
+        parent = os.getpid()
+        real = pipeline._encode_shards
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "_encode_shards", killed)
+        with pytest.raises(ChildProcessError, match="died"):
+            encode_parallel(data, order0(data), 8, "fr")
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_parent_block_failure_reaps_children(self, monkeypatch, forks):
+        if not fork_allowed():
+            pytest.skip("forking would warn in this process")
+        data = mixed_bytes(16, 1000)
+        model = order0(data)
+        blob = encode_parallel(data, model, 8, "fr")
+        split(monkeypatch, 2)
+        parent = os.getpid()
+        real = pipeline._decode_streams
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise ChildError("parent block failed")
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "_decode_streams", failing)
+        with pytest.raises(ChildError, match="parent block failed"):
+            decode_parallel(blob)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_one_cpu_forks_nothing(self, monkeypatch, forks):
+        data = mixed_bytes(17, 1000)
+        monkeypatch.setattr(pipeline, "_FORK_MIN_SYMBOLS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert decode_parallel(encode_parallel(data, order0(data), 8,
+                                               "fr")) == data
+        assert not forks
+
+    def test_below_floor_forks_nothing(self, monkeypatch, forks):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        floor = pipeline._FORK_MIN_SYMBOLS
+        bits = bytes(b & 1 for b in mixed_bytes(18, 2 * floor))
+        model = BinaryModel(40000)
+        # each of two processes needs the floor's symbols
+        blob = encode_parallel(bits[:-1], model, 8, "fb")
+        assert decode_parallel(blob) == bits[:-1]
+        assert not forks
+        blob = encode_parallel(bits, model, 8, "fb")
+        assert decode_parallel(blob) == bits
+        assert len(forks) == (2 if fork_allowed() else 0)
+        assert_no_children()
+
+    def test_no_fork_where_it_is_missing_or_would_warn(self, monkeypatch,
+                                                      forks):
+        data = mixed_bytes(19, 1000)
+        model = order0(data)
+        blob = encode_parallel(data, model, 8, "fr")
+        split(monkeypatch, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_FORK_WARNS", True)
+            patch.setattr(pipeline, "_thread_count", lambda: 2)
+            assert encode_parallel(data, model, 8, "fr") == blob
+            assert decode_parallel(blob) == data
+        monkeypatch.delattr(os, "fork")
+        assert encode_parallel(data, model, 8, "fr") == blob
+        assert decode_parallel(blob) == data
+        assert not forks

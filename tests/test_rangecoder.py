@@ -90,7 +90,7 @@ class TestBinaryCoding:
         enc = Encoder()
         enc.encode_bits(model, bits)
         state = enc.finalize()
-        assert 8 * state.payload_len + state.pending_info == pytest.approx(16.0)
+        assert 8 * len(state.chain) + state.pending_info == pytest.approx(16.0)
         term = terminate_single(state)
         got = Decoder(forward_source(term.data)).decode_bits(model, 16)
         assert got == bits
@@ -100,14 +100,14 @@ class TestBinaryCoding:
         enc = Encoder()
         enc.encode_bits(model, b"\x01" * 1000)
         state = enc.finalize()
-        assert state.payload_len < 4
+        assert len(state.chain) < 4
 
     def test_eight_zero_bits_one_payload_byte(self):
         model = BinaryModel(PROB_ONE // 2)
         enc = Encoder()
         enc.encode_bits(model, b"\x00" * 8)
         state = enc.finalize()
-        assert state.payload_len == 1
+        assert len(state.chain) == 1
         assert TOP <= state.range <= MASK32
 
     def test_fresh_state(self):
@@ -156,7 +156,7 @@ class TestBinaryCoding:
             for b in bits:
                 ideal -= math.log2(1.0 - p_zero) if b else math.log2(p_zero)
             state = encode_bit_stream(model, bits)
-            assert state.payload_len <= ideal / 8.0 + 2.0
+            assert len(state.chain) <= ideal / 8.0 + 2.0
 
     def test_deferred_carry_value_is_monotone(self, rnd):
         # the chain||low fraction only grows, and renormalization never
@@ -185,7 +185,7 @@ class TestSymbolCoding:
         enc = Encoder()
         enc.encode_symbols(model, bytes(range(256)))
         state = enc.finalize()
-        assert abs(state.payload_len - 256) <= 1
+        assert abs(len(state.chain) - 256) <= 1
 
     def test_zero_width_symbol_rejected(self):
         counts = [0] * 256
