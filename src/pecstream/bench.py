@@ -1,9 +1,9 @@
 """Benchmark reproductions: termination overhead, index redundancy, W curves.
 
 `termination_table` codes pseudo-random binary streams and accounts the share
-ratio and mean extra bits per stream for each mode.  Its engine is a numpy
-lockstep replay of the coder's (low, range) transitions on the streams still
-coding, bit-identical to driving the real encoder (the tests compare it with
+ratio and mean extra bits per stream for each mode.  Its replay runs
+`rangecoder`'s array forms on the streams still coding and keeps no bytes:
+bit-identical to driving the real encoder (the tests compare it with
 `exact_termination_population`) and fast enough for 10**5 stream pairs.
 """
 
@@ -18,7 +18,14 @@ import numpy as np
 
 from .bitio import BitWriter
 from .container import MODES
-from .rangecoder import MASK32, PROB_ONE, TOP, BinaryModel, Encoder
+from .rangecoder import (
+    MASK32,
+    PROB_ONE,
+    BinaryModel,
+    Encoder,
+    renormalize,
+    split_bits,
+)
 from .sizeindex import encode_index, rtc_encode
 from .termination import (
     TerminationStats,
@@ -222,25 +229,13 @@ def simulate_termination_population(pairs: int, seed: int,
 
     low = np.zeros(n, dtype=np.int64)
     rng_ = np.full(n, MASK32, dtype=np.int64)
-    # masks enter as 0/1 factors, as in the lockstep decoder
     for k in live:
         one = rng.random(n)[order[:k]] >= threshold[:k]
         lo, r = low[:k], rng_[:k]  # views of the live lanes
-        r0 = (r >> 16) * p0[:k]
-        lo += r0 * one
+        lo += split_bits(r, p0[:k], one)
         lo &= MASK32  # the carry goes into the bytes already produced
-        r -= r0 + r0  # r0 + (r - 2*r0)*one: r - r0 on a one, r0 on a zero
-        r *= one
-        r += r0
-        # every symbol leaves range >= 2**8, so two rounds restore 2**24
-        for _ in range(2):
-            need = r < TOP
-            if not need.any():
-                break
-            scale = 1 + 255 * need
-            lo *= scale
-            lo &= MASK32
-            r *= scale
+        for _ in renormalize(lo, r):
+            pass  # the bytes are not kept
     back = np.argsort(order)
     return _population(low[back], rng_[back], lengths)
 

@@ -10,14 +10,14 @@ Encoding and decoding each have two engines with the same output.  The
 scalar engines run one `Encoder` or `Decoder` per stream, one stream after
 the other in each process; they are the reference.  The lockstep engines
 treat the streams as interleaved lanes (Giesen, "Interleaved entropy
-coders", arXiv:1402.3392): each numpy step codes one symbol on every lane.  The
-encoder carries into a lane's bytes in place, as the scalar coder does, and
-terminates all lanes at once with the array forms of `termination`; the
-decoder reads fr backward streams from one bit-reversed copy of the
-container.  A step costs about c0 + c1 * lanes and the scalar engines
-about c_s * lanes per symbol, so which one is faster depends on the stream
-count and not on the stream length; `encode_parallel` and `decode_parallel`
-use the lockstep engines from `LOCKSTEP_MIN_STREAMS` streams on.
+coders", arXiv:1402.3392): each numpy step codes one symbol on every lane
+with the array forms of `rangecoder`.  The encoder carries into a lane's
+bytes in place and terminates all lanes at once with the array forms of
+`termination`; the decoder reads fr backward streams from one bit-reversed
+copy of the container.  A step costs about c0 + c1 * lanes and the scalar
+engines about c_s * lanes per symbol, so which one is faster depends on the
+stream count and not on the stream length; `encode_parallel` and
+`decode_parallel` use the lockstep engines from `LOCKSTEP_MIN_STREAMS` on.
 `encode_parallel` checks the whole input with `check_symbols` before either
 engine runs, so an input's error does not depend on the stream count.
 
@@ -67,7 +67,12 @@ from .rangecoder import (
     CdfModel,
     Decoder,
     Encoder,
+    carry_lanes,
+    cdf_tables,
     check_symbols,
+    renormalize,
+    split_bits,
+    split_symbols,
 )
 from .termination import (
     joint_terminate,
@@ -251,7 +256,7 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
                            len(symbols), segments)
 
 
-def _encode_scalar(symbols: Sequence[int], model: BinaryModel | CdfModel,
+def _encode_scalar(symbols: bytes, model: BinaryModel | CdfModel,
                    n_streams: int, mode: str) -> list[bytes]:
     """One `Encoder` per shard, then one termination per stream or pair.
 
@@ -268,7 +273,7 @@ def _encode_scalar(symbols: Sequence[int], model: BinaryModel | CdfModel,
     return [segment for part in parts for segment in part]
 
 
-def _encode_shards(symbols: Sequence[int], model: BinaryModel | CdfModel,
+def _encode_shards(symbols: bytes, model: BinaryModel | CdfModel,
                    ranges: list[tuple[int, int]], mode: str) -> list[bytes]:
     """The segments of a run of whole streams or pairs, one per range or
     pair of ranges."""
@@ -320,26 +325,6 @@ def _lane_mask(n_symbols: int, n_lanes: int):
     return np.arange(short + 1) < counts[:, None]
 
 
-def _order0_tables(model: CdfModel):
-    """(c_lo, width, top) of a `CdfModel` as int64 arrays indexed by symbol.
-
-    top[s] is 1 for the symbol whose interval ends at 65536: besides
-    r * width it keeps the rounding remainder rng & 0xFFFF.
-    """
-    import numpy as np
-
-    cdf = np.asarray(model.cdf, dtype=np.int64)
-    c_lo = cdf[:-1]
-    return c_lo, cdf[1:] - c_lo, (cdf[1:] == PROB_ONE).astype(np.int64)
-
-
-def _widths(model: BinaryModel | CdfModel) -> list[int]:
-    """Each symbol's width out of `PROB_ONE`; bit 1 is a binary model's top."""
-    if isinstance(model, BinaryModel):
-        return [model.p0, PROB_ONE - model.p0]
-    return model.widths()
-
-
 def _lane_bytes(lanes, widths: list[int]) -> int:
     """A bound on the bytes any lane emits, plus one: the lockstep width.
 
@@ -362,33 +347,7 @@ def _lane_bytes(lanes, widths: list[int]) -> int:
     return int(total.max()) // 2048 + 3
 
 
-def _symbol_array(symbols: Sequence[int]):
-    """Symbols that passed `check_symbols` as a uint8 array."""
-    import numpy as np
-
-    if isinstance(symbols, (bytes, bytearray)):
-        return np.frombuffer(symbols, dtype=np.uint8)
-    # a binary model also codes 0.0 and 1.0
-    return np.asarray(symbols).astype(np.uint8)
-
-
-def _carry_lanes(flat, last, first) -> None:
-    """`_carry` on many lanes at once, in place.
-
-    flat is a flattened byte matrix and lane i's bytes run from flat[first[i]]
-    to flat[last[i]].  Each lane's trailing 0xFF run becomes zeros and the
-    byte before it absorbs the carry; a carry that would run past a lane's
-    first byte raises `AssertionError`, as `_carry` does.
-    """
-    while len(last):
-        if (last < first).any():
-            raise AssertionError("carry cannot ripple past the first byte")
-        ripple = flat[last] == 0xFF
-        flat[last] += 1
-        last, first = last[ripple] - 1, first[ripple]
-
-
-def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
+def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
                      n_streams: int, mode: str) -> tuple[list[int], bytes]:
     """Encode all shards at once, one symbol on every shard per step.
 
@@ -398,7 +357,7 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
     per lane; the matrix is as wide as `_lane_bytes` bounds the longest lane
     from its symbols' costs.  A carry out of low, or a termination value
     >= 256, goes into the lane's bytes as it happens, through
-    `_carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
+    `carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
     lanes and `_LOCKSTEP_BYTES` matrix bytes, each block for all steps, then
     terminated with `valid_byte_sets` and `junction_bytes` and gathered into
     their segments.  Returns the segment sizes and the data region, the
@@ -407,7 +366,7 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
 
-    arr = _symbol_array(symbols)
+    arr = np.frombuffer(symbols, dtype=np.uint8)
     mask = _lane_mask(len(arr), n_streams)
     steps = -(-len(arr) // n_streams)
     if mask is None:
@@ -415,12 +374,9 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
     else:
         lanes = np.zeros(mask.shape, dtype=np.uint8)
         lanes[mask] = arr
-    binary = isinstance(model, BinaryModel)
-    if binary:
-        p0 = model.p0
-    else:
-        c_lo, width, top = _order0_tables(model)
-    width_bytes = _lane_bytes(lanes, _widths(model))
+    split, probs = ((split_bits, model.p0) if isinstance(model, BinaryModel)
+                    else (split_symbols, cdf_tables(model)))
+    width_bytes = _lane_bytes(lanes, model.widths())
     # an even lane count, so a forward/backward pair shares its block
     block_lanes = max(2, min(_LOCKSTEP_BLOCK, _LOCKSTEP_BYTES // width_bytes)
                       // 2 * 2)
@@ -445,37 +401,22 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
             then grows keeps it, a later byte overwrites the rest."""
             flat[row + length] = byte
 
-        # masks enter as 0/1 factors: np.where costs several multiplies
         for i in range(steps):
-            if binary:
-                bit = block[:, i].astype(np.int64)
-                r0 = (rng >> 16) * p0
-                low += r0 * bit
-                new = r0 + (rng - r0 - r0) * bit
-            else:
-                # intp indices gather faster
-                s = block[:, i].astype(np.intp)
-                r = rng >> 16
-                low += r * c_lo[s]
-                new = r * width[s] + (rng & 0xFFFF) * top[s]
-            if mask is not None and i == steps - 1:
-                # a lane one symbol short codes nothing here; its padding
-                # symbol is 0, whose c_lo and bit add nothing to low
-                new = rng + (new - rng) * mask[first:first + n, i]
-            rng = new
+            # intp indices gather faster
+            s = block[:, i].astype(np.intp)
+            # a lane one symbol short codes nothing at the last step: its
+            # padding symbol 0 adds nothing to low, and it keeps its range
+            padded = mask is not None and i == steps - 1
+            coded = rng.copy() if padded else rng
+            low += split(coded, probs, s)
+            if padded:
+                rng += (coded - rng) * mask[first:first + n, i]
             hit = np.flatnonzero(low >> 32)
             if len(hit):
-                _carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
+                carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
                 low &= MASK32
-            # every symbol leaves range >= 2**8, so two rounds restore 2**24
-            for _ in range(2):
-                need = rng < TOP
-                if not need.any():
-                    break
+            for need in renormalize(low, rng):
                 emit(low >> 24)
-                scale = 1 + 255 * need
-                low = (low * scale) & MASK32
-                rng *= scale
                 length += need
 
         set_lo, set_hi, appended, _, _ = valid_byte_sets(low, rng)
@@ -493,7 +434,7 @@ def _encode_lockstep(symbols: Sequence[int], model: BinaryModel | CdfModel,
             byte[1::2] = np.where(shared, perm[z], set_lo[1::2])
             value = set_lo + ((byte - set_lo) & 0xFF)
         hit = np.flatnonzero(value >> 8)
-        _carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
+        carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
         emit(value & 0xFF)
         length += 1
         if length.max() >= width_bytes:
@@ -540,7 +481,7 @@ def _min_cost_bits(model: BinaryModel | CdfModel) -> float:
     stays below (w + 256)/(65536 + 256).  Every width is below 65536, so
     every share is below 1.
     """
-    widths = _widths(model)
+    widths = model.widths()
     top = max(s for s, w in enumerate(widths) if w)
     rest = max(w for s, w in enumerate(widths) if s != top)
     share = max(Fraction(widths[top] + 256, PROB_ONE + 256),
@@ -632,12 +573,12 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
     model = header.model
     binary = isinstance(model, BinaryModel)
     if binary:
-        p0 = model.p0
+        split, probs = split_bits, model.p0
     else:
-        c_lo, width, top = _order0_tables(model)
+        split, probs = split_symbols, cdf_tables(model)
         # lookup[t] is the symbol bisect_right(cdf, t) - 1 picks for target
         # t: the one whose nonempty [cdf[s], cdf[s + 1]) holds t
-        lookup = np.repeat(np.arange(256, dtype=np.uint8), width)
+        lookup = np.repeat(np.arange(256, dtype=np.uint8), probs[1])
     out = np.empty((n_lanes, steps), dtype=np.uint8)
 
     for first in range(0, n_lanes, _LOCKSTEP_BLOCK):
@@ -665,22 +606,16 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
             val = (val << 8) | fetch(np.full(len(lane), pos), True)
         rng = np.full(len(lane), MASK32, dtype=np.int64)
         pos = np.full(len(lane), 4, dtype=np.int64)
-        # masks enter as 0/1 factors: np.where costs several multiplies
         for i in range(steps):
             if binary:
-                r0 = (rng >> 16) * p0
-                one = val >= r0
-                val -= r0 * one
-                rng = r0 + (rng - r0 - r0) * one
-                block[:, i] = one
+                s = val >= (rng >> 16) * probs
             else:
-                r = rng >> 16
                 # a uint8 table is 8x smaller; intp indices gather faster
-                s = lookup[np.minimum(val // r, PROB_ONE - 1)].astype(np.intp)
-                val -= r * c_lo[s]
-                rng = r * width[s] + (rng & 0xFFFF) * top[s]
-                block[:, i] = s
-            # every symbol leaves range >= 2**8, so two rounds restore 2**24
+                s = lookup[np.minimum(val // (rng >> 16), PROB_ONE - 1)
+                           ].astype(np.intp)
+            val -= split(rng, probs, s)
+            block[:, i] = s
+            # `renormalize`, each round reading one byte into val
             for _ in range(2):
                 low = rng < TOP
                 if not low.any():

@@ -14,6 +14,16 @@ carry; an output of nothing but 0xFF bytes would have carried to 1.0.
 Probabilities use a 16-bit scale.  The interval split gives the top symbol
 the rounding remainder, so both branches of any legal model are nonzero and
 range never collapses.
+
+The scalar `Encoder` and `Decoder` are the reference.  The lockstep engines
+of `pipeline` and `bench`'s replay code int64 (low, range) arrays, one lane
+per stream, with array forms of the rules; only `cdf_tables` loads numpy.
+
+1. Split: `split_bits` (p0 shared or one per lane) and `split_symbols` (over
+   `cdf_tables`) narrow each range in place and return the offset that the
+   encoder adds to low and the decoder subtracts from its value.
+2. Renormalization: `renormalize`.
+3. Carry: `carry_lanes`, `_carry` on many lanes at once.
 """
 
 from __future__ import annotations
@@ -46,6 +56,9 @@ class BinaryModel:
 
     def __repr__(self) -> str:
         return f"BinaryModel(p0={self.p0})"
+
+    def widths(self) -> list[int]:
+        return [self.p0, PROB_ONE - self.p0]
 
 
 class CdfModel:
@@ -148,6 +161,63 @@ def _carry(out: bytearray) -> None:
     if i < 0:
         raise AssertionError("carry cannot ripple past the first byte")
     out[i] += 1
+
+
+def carry_lanes(flat, last, first) -> None:
+    """`_carry` on many lanes at once, in place, raising as it does: lane i's
+    bytes run from flat[first[i]] to flat[last[i]] of the flat byte matrix."""
+    while len(last):
+        if (last < first).any():
+            raise AssertionError("carry cannot ripple past the first byte")
+        ripple = flat[last] == 0xFF
+        flat[last] += 1
+        last, first = last[ripple] - 1, first[ripple]
+
+
+def cdf_tables(model: CdfModel):
+    """(c_lo, width, top) of a `CdfModel` as int64 arrays indexed by symbol;
+    top[s] is 1 for the symbol ending at 65536, which keeps rng & 0xFFFF."""
+    import numpy as np
+
+    cdf = np.asarray(model.cdf, dtype=np.int64)
+    c_lo = cdf[:-1]
+    return c_lo, cdf[1:] - c_lo, (cdf[1:] == PROB_ONE).astype(np.int64)
+
+
+def split_bits(rng, p0, bits):
+    """Narrow each lane's range to its bit's subinterval and return the
+    subinterval's offset; p0 is one for all lanes or one per lane."""
+    r0 = (rng >> 16) * p0
+    rng -= r0 + r0  # r0 + (rng - 2*r0)*bit: rng - r0 on a one, r0 on a zero
+    rng *= bits
+    rng += r0
+    return r0 * bits
+
+
+def split_symbols(rng, tables, symbols):
+    """Narrow each lane's range to its symbol's subinterval under the
+    `cdf_tables` tables; return its offset."""
+    c_lo, width, top = tables
+    r = rng >> 16
+    rng &= 0xFFFF
+    rng *= top[symbols]
+    rng += r * width[symbols]
+    return r * c_lo[symbols]
+
+
+def renormalize(low, rng):
+    """Scale low and range by 2**8, in place, where range is below 2**24, in
+    the two rounds a symbol may need; before each round, yield the lanes it
+    scales, so that an encoder can append their low's top byte."""
+    for _ in range(2):
+        need = rng < TOP
+        if not need.any():
+            return
+        yield need
+        scale = 1 + 255 * need
+        low *= scale
+        low &= MASK32
+        rng *= scale
 
 
 def check_symbols(model: BinaryModel | CdfModel,

@@ -2,8 +2,8 @@
 
 `encode_parallel` picks an engine by stream count alone; these tests call
 both engines directly, whatever the threshold, and require the same
-segment bytes.  Both engines take input that `check_symbols` passed, so
-the errors for other input are tested through `encode_parallel`.  Carries
+segment bytes.  Both engines take bytes that `check_symbols` passed, so
+other input and its errors are tested through `encode_parallel`.  Carries
 and terminations are where a vectorized coder can go wrong, so the inputs
 are chosen to reach them, and the scalar run counts each event to show
 that they were reached.
@@ -20,13 +20,18 @@ from pecstream import pipeline, rangecoder, termination
 from pecstream.container import write_container
 from pecstream.pipeline import (
     LOCKSTEP_MIN_STREAMS,
-    _carry_lanes,
     _encode_lockstep,
     _encode_scalar,
     decode_parallel,
     encode_parallel,
 )
-from pecstream.rangecoder import PROB_ONE, BinaryModel, CdfModel, Encoder
+from pecstream.rangecoder import (
+    PROB_ONE,
+    BinaryModel,
+    CdfModel,
+    Encoder,
+    carry_lanes,
+)
 
 from test_golden import CODECS, INPUTS, MODES, STREAMS
 from test_lockstep import N_STREAMS, source
@@ -62,14 +67,10 @@ def test_engines_agree_on_matrix(model_name, mode, codec, n_streams):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("model_name", ("order0", "bernoulli"))
 def test_engines_agree_on_shapes(model_name, mode, n_streams):
-    # empty, one symbol, fewer symbols than streams, not divisible, and a
-    # list or an int64 array rather than bytes
+    # empty, one symbol, fewer symbols than streams, not divisible
     for n_symbols in (0, 1, n_streams - 1, 7 * n_streams + 3):
         symbols, model = source(model_name, n_symbols, seed=n_symbols)
         both_encoders(symbols, model, n_streams, mode)
-    both_encoders(list(symbols), model, n_streams, mode)
-    both_encoders(np.array(list(symbols), dtype=np.int64), model, n_streams,
-                  mode)
 
 
 def test_golden_inputs_encode_through_both_engines():
@@ -306,7 +307,7 @@ def _carry_rows(histories, width=8):
     """Each history's bytes, the histories run as rows of one matrix.
 
     At step t every row takes its t-th event; the rows that carry at t do
-    so in one `_carry_lanes` call, whatever their ripple lengths.
+    so in one `carry_lanes` call, whatever their ripple lengths.
     """
     out = np.full((len(histories), width), 0xFF, dtype=np.uint8)
     flat = out.reshape(-1)
@@ -319,12 +320,12 @@ def _carry_rows(histories, width=8):
                                           if kind == "emit"]
         length += emit
         hit = np.flatnonzero([kind == "carry" for kind, _ in kinds])
-        _carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
+        carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
     return [bytes(out[k, :n]) for k, n in enumerate(length)]
 
 
 def test_carry_lanes_matches_carry():
-    # _carry_lanes equals _carry applied lane by lane, including a carry
+    # carry_lanes equals _carry applied lane by lane, including a carry
     # before any byte and one rippling past an all-0xFF lane, which both
     # refuse with the same error
     rnd = random.Random(3)
