@@ -223,21 +223,22 @@ def simulate_termination_population(pairs: int, seed: int,
     rng = np.random.default_rng(seed)
     p0, lengths = _draw_stream_params(rng, n, min_symbols, max_symbols)
     order = np.argsort(-lengths, kind="stable")
-    p0 = p0[order]
+    p0 = p0[order].astype(np.uint32)
     threshold = p0 / PROB_ONE
     live = np.searchsorted(-lengths[order], -np.arange(lengths.max()))
 
-    low = np.zeros(n, dtype=np.int64)
-    rng_ = np.full(n, MASK32, dtype=np.int64)
+    low = np.zeros(n, dtype=np.uint32)
+    rng_ = np.full(n, MASK32, dtype=np.uint32)
     for k in live:
         one = rng.random(n)[order[:k]] >= threshold[:k]
         lo, r = low[:k], rng_[:k]  # views of the live lanes
+        # the carry out of uint32 low goes into the bytes already produced,
+        # and renormalization shifts out bytes: neither is kept
         lo += split_bits(r, p0[:k], one)
-        lo &= MASK32  # the carry goes into the bytes already produced
-        for _ in renormalize(lo, r):
-            pass  # the bytes are not kept
+        renormalize(lo, r)
     back = np.argsort(order)
-    return _population(low[back], rng_[back], lengths)
+    return _population(low[back].astype(np.int64),
+                       rng_[back].astype(np.int64), lengths)
 
 
 def exact_termination_population(pairs: int, seed: int,

@@ -227,14 +227,13 @@ def read_container(blob: bytes) -> tuple[Header, SegmentMap]:
         raise ContainerFormatError(f"corrupt index payload: {exc}") from None
     # no decoder returns a negative size: rtc sizes are at least the decoded
     # minimum, bic checks each point against its interval, a gamma code is
-    # at least 1 and i32 sizes are unsigned
-    if sum(sizes) != header.data_size:
+    # at least 1 and i32 sizes are unsigned.  The last boundary is the sum
+    boundaries = tuple(accumulate(sizes, initial=0))
+    if boundaries[-1] != header.data_size:
         raise ContainerFormatError(
-            f"index sums to {sum(sizes)}, header says {header.data_size}")
+            f"index sums to {boundaries[-1]}, header says {header.data_size}")
     if offset + header.data_size > len(blob):
         raise TruncatedStreamError("truncated data region")
-
-    boundaries = tuple(accumulate(sizes, initial=0))
     return header, SegmentMap(boundaries=boundaries, data_offset=offset)
 
 

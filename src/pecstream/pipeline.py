@@ -11,13 +11,15 @@ scalar engines run one `Encoder` or `Decoder` per stream, one stream after
 the other in each process; they are the reference.  The lockstep engines
 treat the streams as interleaved lanes (Giesen, "Interleaved entropy
 coders", arXiv:1402.3392): each numpy step codes one symbol on every lane
-with the array forms of `rangecoder`.  The encoder carries into a lane's
-bytes in place and terminates all lanes at once with the array forms of
-`termination`; the decoder reads fr backward streams from one bit-reversed
-copy of the container.  A step costs about c0 + c1 * lanes and the scalar
-engines about c_s * lanes per symbol, so which one is faster depends on the
-stream count and not on the stream length; `encode_parallel` and
-`decode_parallel` use the lockstep engines from `LOCKSTEP_MIN_STREAMS` on.
+with the array forms of `rangecoder` on uint32 lane state, which moves each
+lane's 0-2 bytes in one renormalization step.  The encoder carries into a
+lane's bytes in place and terminates all lanes at once with the array forms
+of `termination`; the decoder's backward lanes read upward through one
+reversed copy of the container (bit-reversed in fr).  A step costs about
+c0 + c1 * lanes and the scalar engines about c_s * lanes per symbol, so
+which one is faster depends on the stream count and not on the stream
+length; `encode_parallel` and `decode_parallel` use the lockstep engines
+from `LOCKSTEP_MIN_STREAMS` on.
 `encode_parallel` checks the whole input with `check_symbols` before either
 engine runs, so an input's error does not depend on the stream count.
 
@@ -62,7 +64,6 @@ from .container import (
 from .rangecoder import (
     MASK32,
     PROB_ONE,
-    TOP,
     BinaryModel,
     CdfModel,
     Decoder,
@@ -70,6 +71,8 @@ from .rangecoder import (
     carry_lanes,
     cdf_tables,
     check_symbols,
+    pick_bits,
+    pick_symbols,
     renormalize,
     split_bits,
     split_symbols,
@@ -331,8 +334,10 @@ def _lane_bytes(lanes, widths: list[int]) -> int:
     Coding a symbol of width w leaves more than (1 - 2**-8) * w / 65536 of
     a range >= 2**24, which is at most log2(65536 / w) + 0.0057 bits lost.
     Each byte emitted restores 8 bits and the range stays below 2**32, so a
-    lane whose symbols lose at most C bits emits at most C / 8 bytes;
-    termination adds two more, and `emit` writes one past a lane's length.
+    lane whose symbols lose at most C bits emits at most C / 8 bytes, and
+    termination adds two more.  A step writes low's top two bytes from the
+    lane's length, at most C / 8 before the step, so no write passes the
+    width either.
     """
     import numpy as np
 
@@ -353,8 +358,8 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
 
     The symbols must have passed `check_symbols`, as `encode_parallel`
     checks them.  Each shard is a lane holding the `Encoder` state (low,
-    range) as int64 and its bytes as one row of a uint8 matrix with a length
-    per lane; the matrix is as wide as `_lane_bytes` bounds the longest lane
+    range) as uint32 and its bytes as one row of a uint8 matrix with a
+    length per lane; the matrix is as wide as `_lane_bytes` bounds the longest lane
     from its symbols' costs.  A carry out of low, or a termination value
     >= 256, goes into the lane's bytes as it happens, through
     `carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
@@ -374,7 +379,8 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     else:
         lanes = np.zeros(mask.shape, dtype=np.uint8)
         lanes[mask] = arr
-    split, probs = ((split_bits, model.p0) if isinstance(model, BinaryModel)
+    binary = isinstance(model, BinaryModel)
+    split, probs = ((split_bits, model.p0) if binary
                     else (split_symbols, cdf_tables(model)))
     width_bytes = _lane_bytes(lanes, model.widths())
     # an even lane count, so a forward/backward pair shares its block
@@ -391,37 +397,41 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
         n = len(block)
         out = np.empty((n, width_bytes), dtype=np.uint8)
         flat = out.reshape(-1)
+        # flat_next[j] is flat[j + 1]: the second byte scatters at the same
+        # index
+        flat_next = flat[1:]
         row = np.arange(n) * width_bytes
-        length = np.zeros(n, dtype=np.int64)
-        low = np.zeros(n, dtype=np.int64)
-        rng = np.full(n, MASK32, dtype=np.int64)
-
-        def emit(byte):
-            """Write byte at each lane's length; only a lane whose length
-            then grows keeps it, a later byte overwrites the rest."""
-            flat[row + length] = byte
+        # lane k's next byte goes to flat[at[k]]; its length is at - row
+        at = row.copy()
+        low = np.zeros(n, dtype=np.uint32)
+        rng = np.full(n, MASK32, dtype=np.uint32)
 
         for i in range(steps):
-            # intp indices gather faster
-            s = block[:, i].astype(np.intp)
+            # bits multiply in place into the uint32 range; intp indices
+            # gather faster
+            s = block[:, i] if binary else block[:, i].astype(np.intp)
             # a lane one symbol short codes nothing at the last step: its
             # padding symbol 0 adds nothing to low, and it keeps its range
             padded = mask is not None and i == steps - 1
             coded = rng.copy() if padded else rng
-            low += split(coded, probs, s)
+            offset = split(coded, probs, s)
+            low += offset
             if padded:
-                rng += (coded - rng) * mask[first:first + n, i]
-            hit = np.flatnonzero(low >> 32)
+                np.copyto(rng, coded, where=mask[first:first + n, i])
+            # low wrapped past 2**32 where the sum came out below the offset
+            hit = np.flatnonzero(low < offset)
             if len(hit):
-                carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
-                low &= MASK32
-            for need in renormalize(low, rng):
-                emit(low >> 24)
-                length += need
+                carry_lanes(flat, at[hit] - 1, row[hit])
+            # low's top two bytes go to the lane's next two; it keeps the k
+            # that `renormalize` moves, and later bytes overwrite the rest
+            flat[at] = low >> 24
+            flat_next[at] = low >> 16
+            at += renormalize(low, rng) >> 3
 
-        set_lo, set_hi, appended, _, _ = valid_byte_sets(low, rng)
-        emit(low >> 24)
-        length += appended - 1
+        set_lo, set_hi, appended, _, _ = valid_byte_sets(
+            low.astype(np.int64), rng.astype(np.int64))
+        flat[at] = low >> 24
+        at += appended - 1
         value = set_lo
         if mode != "uni":
             # a pair's junction z gives each side U + ((its byte - U) mod
@@ -434,9 +444,9 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
             byte[1::2] = np.where(shared, perm[z], set_lo[1::2])
             value = set_lo + ((byte - set_lo) & 0xFF)
         hit = np.flatnonzero(value >> 8)
-        carry_lanes(flat, row[hit] + length[hit] - 1, row[hit])
-        emit(value & 0xFF)
-        length += 1
+        carry_lanes(flat, at[hit] - 1, row[hit])
+        flat[at] = value & 0xFF
+        length = at + 1 - row
         if length.max() >= width_bytes:
             raise AssertionError("a lane outgrew its byte bound")
 
@@ -549,13 +559,14 @@ def _decode_streams(blob: bytes, seg_map: SegmentMap,
 def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
     """Decode all streams at once, one symbol on every stream per step.
 
-    Each stream is a lane holding the `Decoder` state (val, range, read
-    position) as int64.  A lane reads its segment straight from `blob`: from
-    the segment start upwards (forward) or from its end downwards (backward;
-    in fr mode from a bit-reversed copy of `blob` made once), and 0x00 at
-    and past the segment length.  Lanes whose shard is one symbol short of
-    the longest decode one symbol too many; the reassembly drops it.  Lanes
-    are decoded in blocks of `_LOCKSTEP_BLOCK`, each block for all steps.
+    Each stream is a lane holding the `Decoder` state (val, range) as
+    uint32 and the index of its next byte.  Every lane reads upward: a
+    forward lane from its segment's start in `blob`, a backward lane from
+    its segment's end in a reversed copy of `blob` placed after it
+    (bit-reversed in fr), and 0x00 at and past the segment length.  Lanes
+    whose shard is one symbol short of the longest decode one symbol too
+    many; the reassembly drops it.  Lanes are decoded in blocks of
+    `_LOCKSTEP_BLOCK`, each block for all steps.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
@@ -565,65 +576,64 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
     steps = -(-n_symbols // n_lanes)
     if steps == 0:
         return b""
-    fr = header.mode == "fr"
-    # fr backward lanes read a bit-reversed copy placed after the blob
-    data = np.frombuffer(blob + blob.translate(REVERSED_BYTES) if fr else blob,
-                         dtype=np.uint8)
-    bounds = np.asarray(seg_map.boundaries, dtype=np.int64) + seg_map.data_offset
-    model = header.model
-    binary = isinstance(model, BinaryModel)
-    if binary:
-        split, probs = split_bits, model.p0
+    size = len(blob)
+    if header.mode == "uni":
+        data = np.frombuffer(blob, dtype=np.uint8)
     else:
-        split, probs = split_symbols, cdf_tables(model)
-        # lookup[t] is the symbol bisect_right(cdf, t) - 1 picks for target
-        # t: the one whose nonempty [cdf[s], cdf[s + 1]) holds t
-        lookup = np.repeat(np.arange(256, dtype=np.uint8), probs[1])
+        data = np.empty(2 * size, dtype=np.uint8)
+        data[:size] = np.frombuffer(blob, dtype=np.uint8)
+        data[size:] = np.frombuffer(
+            blob.translate(REVERSED_BYTES) if header.mode == "fr" else blob,
+            dtype=np.uint8)[::-1]
+    # data_next[j] is data[j + 1]: the second byte gathers at the same index
+    data_next = data[1:]
+    bounds = np.fromiter(seg_map.boundaries, dtype=np.int64,
+                         count=len(seg_map.boundaries))
+    bounds += seg_map.data_offset
+    model = header.model
+    if isinstance(model, BinaryModel):
+        pick, probs = pick_bits, model.p0
+    else:
+        pick, probs = pick_symbols, cdf_tables(model)
     out = np.empty((n_lanes, steps), dtype=np.uint8)
 
     for first in range(0, n_lanes, _LOCKSTEP_BLOCK):
         lane = np.arange(first, min(first + _LOCKSTEP_BLOCK, n_lanes))
         block = out[first:first + len(lane)]
-        # byte fetch: lane k reads data[base[k] + step[k] * pos[k]] while
-        # pos[k] < length[k]; lanes are laid out as stream_layout lists the
-        # streams
+        # lanes are laid out as stream_layout lists the streams
         if header.mode == "uni":
-            seg, backward = lane, np.zeros(len(lane), dtype=bool)
+            seg, backward = lane, False
         else:
             seg, backward = lane >> 1, (lane & 1).astype(bool)
-        length = bounds[seg + 1] - bounds[seg]
-        base = np.where(backward, bounds[seg + 1] - 1 + fr * len(blob),
-                        bounds[seg])
-        step = np.where(backward, -1, 1)
+        start, stop = bounds[seg], bounds[seg + 1]
+        # lane k's next byte is data[at[k]] while at[k] < end[k]
+        at = np.where(backward, 2 * size - stop, start)
+        end = at + (stop - start)
+        end_next = end - 1
 
-        def fetch(pos, wanted):
-            """Each wanted lane's byte at pos, 0x00 on every other lane."""
-            inside = wanted & (pos < length)
-            return data[(base + step * pos) * inside] * inside
+        def fetch():
+            """Each lane's next two bytes as (b0 << 8) | b1, 0x00 at and
+            past its segment's end; every index is clipped into data, and a
+            clipped read is past the end"""
+            b0 = data.take(at, mode="clip")
+            b0 *= at < end
+            b1 = data_next.take(at, mode="clip")
+            b1 *= at < end_next
+            word = b0.astype(np.uint32)
+            word <<= 8
+            word |= b1
+            return word
 
-        val = np.zeros(len(lane), dtype=np.int64)
-        for pos in range(4):
-            val = (val << 8) | fetch(np.full(len(lane), pos), True)
-        rng = np.full(len(lane), MASK32, dtype=np.int64)
-        pos = np.full(len(lane), 4, dtype=np.int64)
+        val = fetch() << 16
+        at += 2
+        val |= fetch()
+        at += 2
+        rng = np.full(len(lane), MASK32, dtype=np.uint32)
         for i in range(steps):
-            if binary:
-                s = val >= (rng >> 16) * probs
-            else:
-                # a uint8 table is 8x smaller; intp indices gather faster
-                s = lookup[np.minimum(val // (rng >> 16), PROB_ONE - 1)
-                           ].astype(np.intp)
-            val -= split(rng, probs, s)
-            block[:, i] = s
-            # `renormalize`, each round reading one byte into val
-            for _ in range(2):
-                low = rng < TOP
-                if not low.any():
-                    break
-                scale = 1 + 255 * low
-                val = (val * scale + fetch(pos, low)) & MASK32
-                rng *= scale
-                pos += low
+            block[:, i] = pick(val, rng, probs)
+            shift = renormalize(val, rng)
+            val |= fetch() >> (16 - shift)
+            at += shift >> 3
 
     mask = _lane_mask(n_symbols, n_lanes)
     return out.tobytes() if mask is None else out[mask].tobytes()

@@ -16,13 +16,19 @@ the rounding remainder, so both branches of any legal model are nonzero and
 range never collapses.
 
 The scalar `Encoder` and `Decoder` are the reference.  The lockstep engines
-of `pipeline` and `bench`'s replay code int64 (low, range) arrays, one lane
-per stream, with array forms of the rules; only `cdf_tables` loads numpy.
+of `pipeline` and `bench`'s replay code uint32 arrays of (low or value,
+range), one lane per stream, with array forms of the rules: a sum past
+2**32 wraps as the scalar coder masks it, and a Python int operand is
+always a nonnegative value that fits, so old and new numpy promotion rules
+(NEP 50) keep every lane uint32.  Only `cdf_tables` loads numpy.
 
 1. Split: `split_bits` (p0 shared or one per lane) and `split_symbols` (over
    `cdf_tables`) narrow each range in place and return the offset that the
-   encoder adds to low and the decoder subtracts from its value.
-2. Renormalization: `renormalize`.
+   encoder adds to low.  The decoder's `pick_bits` and `pick_symbols` find
+   each lane's symbol from its value, narrow the same way and take the
+   offset from the value, with one r0 = (range >> 16) * p0, or one
+   range >> 16, for both.
+2. Renormalization: `renormalize`, one step of 0-2 bytes a lane.
 3. Carry: `carry_lanes`, `_carry` on many lanes at once.
 """
 
@@ -175,49 +181,92 @@ def carry_lanes(flat, last, first) -> None:
 
 
 def cdf_tables(model: CdfModel):
-    """(c_lo, width, top) of a `CdfModel` as int64 arrays indexed by symbol;
-    top[s] is 1 for the symbol ending at 65536, which keeps rng & 0xFFFF."""
+    """(c_lo, width, keep, lookup) of a `CdfModel` for the array forms.
+
+    c_lo, width and keep are uint32 arrays indexed by symbol; keep[s] is
+    0xFFFF for the symbol ending at 65536, which keeps rng & 0xFFFF, and 0
+    for the others.  lookup[t] is the uint8 symbol `Decoder` picks for
+    target t: the one whose nonempty [cdf[s], cdf[s + 1]) holds t.
+    """
     import numpy as np
 
-    cdf = np.asarray(model.cdf, dtype=np.int64)
+    cdf = np.asarray(model.cdf, dtype=np.uint32)
     c_lo = cdf[:-1]
-    return c_lo, cdf[1:] - c_lo, (cdf[1:] == PROB_ONE).astype(np.int64)
+    width = cdf[1:] - c_lo
+    keep = np.where(cdf[1:] == PROB_ONE, np.uint32(0xFFFF), np.uint32(0))
+    lookup = np.repeat(np.arange(256, dtype=np.uint8), width)
+    return c_lo, width, keep, lookup
 
 
-def split_bits(rng, p0, bits):
-    """Narrow each lane's range to its bit's subinterval and return the
-    subinterval's offset; p0 is one for all lanes or one per lane."""
-    r0 = (rng >> 16) * p0
+def _narrow_bits(rng, r0, bits):
+    """Narrow each range to its bit's subinterval, r0 being the zero's
+    width; return the subinterval's offset."""
     rng -= r0 + r0  # r0 + (rng - 2*r0)*bit: rng - r0 on a one, r0 on a zero
     rng *= bits
     rng += r0
     return r0 * bits
 
 
+def _narrow_symbols(rng, r, tables, symbols):
+    """Narrow each range to its symbol's subinterval, r being rng >> 16;
+    return the subinterval's offset."""
+    c_lo, width, keep, _ = tables
+    rng &= keep.take(symbols)
+    rng += r * width.take(symbols)
+    return r * c_lo.take(symbols)
+
+
+def split_bits(rng, p0, bits):
+    """Narrow each lane's range to its bit's subinterval and return the
+    subinterval's offset; p0 is one for all lanes or one per lane."""
+    return _narrow_bits(rng, (rng >> 16) * p0, bits)
+
+
 def split_symbols(rng, tables, symbols):
     """Narrow each lane's range to its symbol's subinterval under the
     `cdf_tables` tables; return its offset."""
-    c_lo, width, top = tables
+    return _narrow_symbols(rng, rng >> 16, tables, symbols)
+
+
+def pick_bits(val, rng, p0):
+    """The bit each lane's value val lies in, as bools; narrow range to it
+    and take its offset from val, in place, with one r0 for both."""
+    r0 = (rng >> 16) * p0
+    bits = val >= r0
+    val -= _narrow_bits(rng, r0, bits)
+    return bits
+
+
+def pick_symbols(val, rng, tables):
+    """The symbol each lane's value val lies in, as intp; narrow range to
+    it and take its offset from val, in place, with one rng >> 16 for
+    both."""
     r = rng >> 16
-    rng &= 0xFFFF
-    rng *= top[symbols]
-    rng += r * width[symbols]
-    return r * c_lo[symbols]
+    # a target past 65535 (a value in the top symbol's remainder
+    # rng & 0xFFFF, or a corrupted stream's value at or past its range)
+    # clips to the top symbol, as `Decoder` clamps it.  The lookup table is
+    # uint8 to stay small, the symbols intp to gather fast
+    symbols = tables[3].take(val // r, mode="clip").astype("intp")
+    val -= _narrow_symbols(rng, r, tables, symbols)
+    return symbols
 
 
-def renormalize(low, rng):
-    """Scale low and range by 2**8, in place, where range is below 2**24, in
-    the two rounds a symbol may need; before each round, yield the lanes it
-    scales, so that an encoder can append their low's top byte."""
-    for _ in range(2):
-        need = rng < TOP
-        if not need.any():
-            return
-        yield need
-        scale = 1 + 255 * need
-        low *= scale
-        low &= MASK32
-        rng *= scale
+def renormalize(state, rng):
+    """Scale each lane's range back to at least 2**24 in one step, in place.
+
+    A split leaves range at least 2**8, so lane i moves k = (rng < 2**24)
+    + (rng < 2**16) bytes: its state (the encoder's low or the decoder's
+    value) and range shift left by 8k bits, and the bytes shifted out of
+    a uint32 state drop.  Returns 8k per lane as uint8, for an encoder to
+    advance past the k top bytes of low it wrote first and a decoder to
+    shift in k bytes.
+    """
+    shift = (rng < TOP).view("u1")
+    shift += (rng < 1 << 16).view("u1")
+    shift <<= 3
+    state <<= shift
+    rng <<= shift
+    return shift
 
 
 def check_symbols(model: BinaryModel | CdfModel,

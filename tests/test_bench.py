@@ -189,6 +189,20 @@ class TestTerminationExperiment:
     def test_seeded_reproducibility(self):
         assert bench.termination_table(300, 99) == bench.termination_table(300, 99)
 
+    def test_pinned_table(self):
+        # the rows `bench-term --pairs 400 --seed 5` writes: a change to the
+        # replay's coder steps that moves any lane's final state shows here
+        rows = [stats.csv_row(mode)
+                for mode, stats in bench.termination_table(400, 5).items()]
+        assert rows == [
+            {"mode": "uni", "streams": 800, "share_ratio": "",
+             "mean_extra_bits": "4.563535"},
+            {"mode": "fb", "streams": 800, "share_ratio": "0.405000",
+             "mean_extra_bits": "2.943535"},
+            {"mode": "fr", "streams": 800, "share_ratio": "0.662500",
+             "mean_extra_bits": "1.913535"},
+        ]
+
     def test_loose_table_agreement(self):
         pop = bench.simulate_termination_population(4000, 31337)
         uni = bench.population_stats(pop, "uni")

@@ -121,6 +121,57 @@ def test_lanes_split_into_blocks(mode, monkeypatch):
             assert both_engines(blob) == symbols
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("symbols, model, min_bytes", [
+    # 16 bits a symbol: every step moves two bytes ...
+    pytest.param(bytes(7 * 512 + 5), CdfModel([0, 1] + [PROB_ONE] * 255), 2,
+                 id="cdf-width-1"),
+    pytest.param(bytes(7 * 512 + 5), BinaryModel(1), 2, id="bit-width-1"),
+    # ... and widths 1, 256 and 511: steps of zero, one and two bytes side
+    # by side
+    pytest.param(bytes(random.Random(16).choices(range(256), k=7 * 512 + 5)),
+                 CdfModel([0] + [256 * s + 1 for s in range(255)]
+                          + [PROB_ONE]), 0.9, id="cdf-widths-1-256-511"),
+])
+def test_two_byte_steps(symbols, model, min_bytes, mode):
+    blob = encode_parallel(symbols, model, 512, mode, "rtc")
+    assert read_container(blob)[0].data_size >= min_bytes * len(symbols)
+    assert both_engines(blob) == symbols
+
+
+@pytest.mark.parametrize("model_name", ("order0", "bernoulli"))
+def test_corrupted_data_in_two_blocks(model_name):
+    # 8194 lanes are a block of 8192 and one of 2, and 6.5 symbols a lane
+    # pad the last step.  A lane's value stays below its range whatever
+    # bytes it reads, unless its first four are 0xFF: it then starts at its
+    # range, decodes the top symbol from there on and drops bits as it
+    # shifts, the uint32 lanes by wrapping and the scalar decoder by
+    # masking.  So some segments of four bytes or more become all 0xFF,
+    # and other data bytes are replaced at random
+    rnd = random.Random(8194)
+    n_symbols = 13 * 8194 // 2 + 1
+    if model_name == "order0":
+        symbols, model = source("order0", n_symbols)
+    else:
+        # mostly the rarer bit, for segments long enough to fill
+        symbols = bernoulli_bits(1, n_symbols, 60000)
+        model = BinaryModel(PROB_ONE - 2000)
+    for mode in MODES:
+        blob = encode_parallel(symbols, model, 8194, mode, "rtc")
+        _, seg_map = read_container(blob)
+        offset = seg_map.data_offset
+        spans = [(offset + start, offset + stop) for start, stop in
+                 zip(seg_map.boundaries, seg_map.boundaries[1:])
+                 if stop - start >= 4]
+        for _ in range(4):
+            bad = bytearray(blob)
+            for start, stop in rnd.sample(spans, 32):
+                bad[start:stop] = b"\xff" * (stop - start)
+            for _ in range(rnd.randrange(1, 400)):
+                bad[rnd.randrange(offset, len(bad))] = rnd.randrange(256)
+            assert both_engines(bytes(bad)) != symbols
+
+
 def test_golden_inputs_decode_through_both_engines():
     # The index codec only moves the data region, and a lockstep step over
     # one or two lanes costs 15-50 us, so the codecs take turns: every
