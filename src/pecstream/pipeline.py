@@ -331,6 +331,11 @@ def _lane_mask(n_symbols: int, n_lanes: int):
 def _lane_bytes(lanes, widths: list[int]) -> int:
     """A bound on the bytes any lane emits, plus one: the lockstep width.
 
+    lanes is the encoder's step-major (steps, lanes) symbol array, a short
+    lane's padding symbol 0 included.  Each lane's symbol costs are summed
+    down its column, a chunk of rows at a time, and the costliest lane
+    sets the bound.
+
     Coding a symbol of width w leaves more than (1 - 2**-8) * w / 65536 of
     a range >= 2**24, which is at most log2(65536 / w) + 0.0057 bits lost.
     Each byte emitted restores 8 bits and the range stays below 2**32, so a
@@ -345,10 +350,14 @@ def _lane_bytes(lanes, widths: list[int]) -> int:
     bits = np.log2(PROB_ONE / np.maximum(w, 1)) - math.log2(1 - 2 ** -8)
     # in 1/256 bits, rounded up; a zero-width symbol only pads short lanes
     cost = np.where(w > 0, np.floor(256 * bits) + 1, 0).astype(np.uint16)
-    total = np.zeros(len(lanes), dtype=np.int64)
-    cols = max(1, (1 << 20) // len(lanes))
-    for j in range(0, lanes.shape[1], cols):
-        total += cost[lanes[:, j:j + cols]].sum(axis=1, dtype=np.int64)
+    total = np.zeros(lanes.shape[1], dtype=np.int64)
+    # an intp index gathers about twice as fast as the uint8 symbols, which
+    # a fancy index casts as it gathers; at about 2**16 symbols a chunk its
+    # copy takes 512 KiB
+    rows = max(1, (1 << 16) // lanes.shape[1])
+    for j in range(0, len(lanes), rows):
+        total += cost[lanes[j:j + rows].astype(np.intp)].sum(axis=0,
+                                                             dtype=np.int64)
     return int(total.max()) // 2048 + 3
 
 
@@ -359,14 +368,17 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     The symbols must have passed `check_symbols`, as `encode_parallel`
     checks them.  Each shard is a lane holding the `Encoder` state (low,
     range) as uint32 and its bytes as one row of a uint8 matrix with a
-    length per lane; the matrix is as wide as `_lane_bytes` bounds the longest lane
-    from its symbols' costs.  A carry out of low, or a termination value
+    length per lane; the matrix is as wide as `_lane_bytes` bounds the
+    longest lane from its symbols' costs.  The symbols are held step-major,
+    one (steps, lanes) array built with one copy of the input, so each step
+    reads one contiguous row.  A carry out of low, or a termination value
     >= 256, goes into the lane's bytes as it happens, through
     `carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
     lanes and `_LOCKSTEP_BYTES` matrix bytes, each block for all steps, then
-    terminated with `valid_byte_sets` and `junction_bytes` and gathered into
-    their segments.  Returns the segment sizes and the data region, the
-    segments in order.
+    terminated with `valid_byte_sets` and `junction_bytes`.  A block's
+    segments are gathered with one boolean mask, after its backward rows
+    are reversed (and bit-reversed in fr, through one `bytes.translate`).
+    Returns the segment sizes and the data region, the segments in order.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
@@ -374,11 +386,12 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     arr = np.frombuffer(symbols, dtype=np.uint8)
     mask = _lane_mask(len(arr), n_streams)
     steps = -(-len(arr) // n_streams)
+    # step-major, so that each step reads one contiguous row
     if mask is None:
-        lanes = arr.reshape(n_streams, steps)
+        lanes = np.ascontiguousarray(arr.reshape(n_streams, steps).T)
     else:
-        lanes = np.zeros(mask.shape, dtype=np.uint8)
-        lanes[mask] = arr
+        lanes = np.zeros((steps, n_streams), dtype=np.uint8)
+        lanes.T[mask] = arr
     binary = isinstance(model, BinaryModel)
     split, probs = ((split_bits, model.p0) if binary
                     else (split_symbols, cdf_tables(model)))
@@ -386,15 +399,20 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     # an even lane count, so a forward/backward pair shares its block
     block_lanes = max(2, min(_LOCKSTEP_BLOCK, _LOCKSTEP_BYTES // width_bytes)
                       // 2 * 2)
-    cols = np.arange(width_bytes)
-    reverse = np.frombuffer(REVERSED_BYTES, dtype=np.uint8)
-    perm = reverse if mode == "fr" else np.arange(256)
+    # in the smallest dtype that holds the width, a keep mask compares
+    # about twice as fast as in int64
+    cols = np.arange(width_bytes, dtype=np.min_scalar_type(width_bytes))
+    # a pair's row holds its forward bytes from the left and its reversed
+    # backward bytes from the right
+    pair_cols = np.stack((cols, cols[::-1]))
+    perm = (np.frombuffer(REVERSED_BYTES, dtype=np.uint8) if mode == "fr"
+            else np.arange(256))
     sizes: list[int] = []
     region: list[bytes] = []
 
     for first in range(0, n_streams, block_lanes):
-        block = lanes[first:first + block_lanes]
-        n = len(block)
+        block = lanes[:, first:first + block_lanes]
+        n = block.shape[1]
         out = np.empty((n, width_bytes), dtype=np.uint8)
         flat = out.reshape(-1)
         # flat_next[j] is flat[j + 1]: the second byte scatters at the same
@@ -409,7 +427,7 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
         for i in range(steps):
             # bits multiply in place into the uint32 range; intp indices
             # gather faster
-            s = block[:, i] if binary else block[:, i].astype(np.intp)
+            s = block[i] if binary else block[i].astype(np.intp)
             # a lane one symbol short codes nothing at the last step: its
             # padding symbol 0 adds nothing to low, and it keeps its range
             padded = mask is not None and i == steps - 1
@@ -424,13 +442,13 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
                 carry_lanes(flat, at[hit] - 1, row[hit])
             # low's top two bytes go to the lane's next two; it keeps the k
             # that `renormalize` moves, and later bytes overwrite the rest
-            flat[at] = low >> 24
-            flat_next[at] = low >> 16
+            flat[at] = (low >> 24).astype(np.uint8)
+            flat_next[at] = (low >> 16).astype(np.uint8)
             at += renormalize(low, rng) >> 3
 
         set_lo, set_hi, appended, _, _ = valid_byte_sets(
             low.astype(np.int64), rng.astype(np.int64))
-        flat[at] = low >> 24
+        flat[at] = (low >> 24).astype(np.uint8)
         at += appended - 1
         value = set_lo
         if mode != "uni":
@@ -445,24 +463,27 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
             value = set_lo + ((byte - set_lo) & 0xFF)
         hit = np.flatnonzero(value >> 8)
         carry_lanes(flat, at[hit] - 1, row[hit])
-        flat[at] = value & 0xFF
+        flat[at] = (value & 0xFF).astype(np.uint8)
         length = at + 1 - row
         if length.max() >= width_bytes:
             raise AssertionError("a lane outgrew its byte bound")
 
         if mode == "uni":
-            keep, block_sizes = cols < length[:, None], length
+            keep = cols < length.astype(cols.dtype)[:, None]
+            block_sizes = length
         else:
             # with each backward row reversed in place, a segment is its
             # pair's two rows read as one; the junction is stored once, as
             # the forward side's last byte
             fwd_len, bwd_len = length[0::2], length[1::2] - shared
             bwd = out[1::2, ::-1]
-            out[1::2] = reverse[bwd] if mode == "fr" else bwd
+            if mode == "fr":
+                bwd = np.frombuffer(bwd.tobytes().translate(REVERSED_BYTES),
+                                    dtype=np.uint8).reshape(bwd.shape)
+            out[1::2] = bwd
             out = out.reshape(n // 2, 2 * width_bytes)
-            keep = np.empty(out.shape, dtype=bool)
-            np.less(cols, fwd_len[:, None], out=keep[:, :width_bytes])
-            np.less(cols[::-1], bwd_len[:, None], out=keep[:, width_bytes:])
+            lens = np.stack((fwd_len, bwd_len), axis=1).astype(cols.dtype)
+            keep = (pair_cols < lens[:, :, None]).reshape(out.shape)
             block_sizes = fwd_len + bwd_len
         region.append(out[keep].tobytes())
         sizes += block_sizes.tolist()

@@ -15,7 +15,10 @@ inside, so importing this module loads none.
    V_b - U_b, perm being the bit reversal in `fr` (backward bytes are
    stored bit-reversed) and the identity in `fb`.  Each side's value is
    then U + ((its byte - U) mod 256), unique because every set is
-   narrower than 256.  Forms: `joint_terminate`, `junction_bytes`.
+   narrower than 256.  Forms: `joint_terminate`, which scans the forward
+   set's bytes in order, and `junction_bytes`, which ANDs the two sides'
+   256-bit masks of the bytes they can end on (built from per-mode prefix
+   masks) and takes the lowest bit set.
 3. Accounting: a stream's termination costs 8 * appended - pending bits
    beyond its pending information (`single_extra_bits`); a pair's costs
    the sum of its two streams' less 8 bits for a shared junction
@@ -25,6 +28,7 @@ inside, so importing this module loads none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 from .bitio import REVERSED_BYTES
@@ -32,9 +36,6 @@ from .rangecoder import MASK32, TOP, FinalCoderState
 
 #: the backward side's value byte for each stored junction byte, per mode
 _PERM = {"fb": bytes(range(256)), "fr": REVERSED_BYTES}
-
-#: pairs per membership matrix in `junction_bytes` (256 bytes per pair)
-_JUNCTION_CHUNK = 8192
 
 
 @dataclass
@@ -188,30 +189,54 @@ def joint_terminate(fwd: FinalCoderState, bwd: FinalCoderState,
 def junction_bytes(fwd_lo, fwd_hi, bwd_lo, bwd_hi, mode: str):
     """Array form of the junction: per pair its stored byte, -1 if none.
 
-    Takes each pair's forward and backward valid sets [U, V].  A pair's
-    stored-byte memberships are one row of a (pairs, 256) boolean matrix,
-    and `argmax` finds the row's first shared byte.
+    Takes each pair's forward and backward valid sets [U, V].  Each side's
+    stored bytes are a 256-bit mask, bit z set when that side can end on
+    byte z, built from `_prefix_masks`; the junction is the lowest bit set
+    in both masks.
     """
     import numpy as np
 
-    perm = np.frombuffer(_perm(mode), dtype=np.uint8)
     fwd_span, bwd_span = fwd_hi - fwd_lo, bwd_hi - bwd_lo
     if max(fwd_span.max(), bwd_span.max()) > 254:
         raise AssertionError("termination set wider than one byte period")
-    # as uint8 columns, differences wrap: that is the rule's mod 256
-    fwd_lo, fwd_span, bwd_lo, bwd_span = (
-        (a & 0xFF).astype(np.uint8)[:, None]
-        for a in (fwd_lo, fwd_span, bwd_lo, bwd_span))
-    stored = np.arange(256, dtype=np.uint8)
-    out = np.empty(len(fwd_lo), dtype=np.int64)
-    for start in range(0, len(out), _JUNCTION_CHUNK):
-        rows = slice(start, start + _JUNCTION_CHUNK)
-        member = (stored - fwd_lo[rows]) <= fwd_span[rows]
-        member &= (perm - bwd_lo[rows]) <= bwd_span[rows]
-        first = member.argmax(axis=1)
-        found = member[np.arange(len(first)), first]
-        out[rows] = np.where(found, first, -1)
-    return out
+    both = _stored_masks(_prefix_masks("fb"), fwd_lo, fwd_span)
+    both &= _stored_masks(_prefix_masks(mode), bwd_lo, bwd_span)
+    both &= ~both + np.uint64(1)  # each word's lowest set bit
+    _, bit = np.frexp(both)       # its position plus one; 0 in an empty word
+    word = (bit != 0).argmax(axis=1)
+    bit = np.take_along_axis(bit, word[:, None], axis=1)[:, 0]
+    return np.where(bit > 0, 64 * word + bit - 1, -1)
+
+
+@cache
+def _prefix_masks(mode: str):
+    """P[k] for k in 0..256: the 256-bit mask of the z with perm[z] < k, as
+    one 32-byte row (four little-endian uint64 words, bit z in word z // 64)."""
+    import numpy as np
+
+    perm = np.frombuffer(_perm(mode), dtype=np.uint8)
+    below = perm < np.arange(257)[:, None]
+    masks = np.packbits(below, axis=1, bitorder="little").view("V32")[:, 0]
+    masks.flags.writeable = False
+    return masks
+
+
+def _stored_masks(prefix, lo, span):
+    """Per set [U, U + span], the (sets, 4) uint64 mask of the stored bytes z
+    with perm[z] in it, perm being the one `prefix` is built from.
+
+    With a = U mod 256 and b = a + span + 1 the set's bytes are a..b - 1,
+    the part past 255 wrapping to 0..b - 257: the bytes below min(b, 256)
+    and not below a, and those below max(b - 256, 0).
+    """
+    import numpy as np
+
+    a = lo & 0xFF
+    b = a + span + 1
+    mask = prefix[np.minimum(b, 256)].view("<u8")
+    mask ^= prefix[a].view("<u8")
+    mask |= prefix[np.maximum(b - 256, 0)].view("<u8")
+    return mask.reshape(-1, 4)
 
 
 def single_extra_bits(appended, pending):

@@ -9,7 +9,9 @@ are chosen to reach them, and the scalar run counts each event to show
 that they were reached.
 """
 
+import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 
@@ -24,6 +26,7 @@ from pecstream.pipeline import (
     _encode_scalar,
     decode_parallel,
     encode_parallel,
+    shard_ranges,
 )
 from pecstream.rangecoder import (
     PROB_ONE,
@@ -33,6 +36,7 @@ from pecstream.rangecoder import (
     carry_lanes,
 )
 
+from test_acceptance import SEED, _mixed_entropy_file, _order0
 from test_golden import CODECS, INPUTS, MODES, STREAMS
 from test_lockstep import N_STREAMS, source
 from test_pipeline import order0
@@ -200,6 +204,70 @@ def test_byte_budget_splits_blocks(budget, monkeypatch):
 def test_byte_bound_holds_for_costliest_symbols(symbols, model):
     for mode in MODES:
         both_encoders(symbols, model, 4, mode)
+
+
+def _lane_bound(symbols, widths, n_lanes):
+    """The lockstep width, lane by lane in Python: the costliest lane's
+    symbol costs in 1/256 bits, a short lane padded with symbol 0, in
+    bytes, plus three."""
+    loss = -math.log2(1 - 2 ** -8)
+    cost = [math.floor(256 * (math.log2(PROB_ONE / w) + loss)) + 1 if w else 0
+            for w in widths]
+    steps = -(-len(symbols) // n_lanes)
+    worst = 0
+    for start, stop in shard_ranges(len(symbols), n_lanes):
+        bits = sum(map(cost.__getitem__, symbols[start:stop]))
+        worst = max(worst, bits + (steps - (stop - start)) * cost[0])
+    return worst // 2048 + 3
+
+
+@pytest.mark.parametrize("model_name, n_lanes, steps, extra", [
+    ("order0", 512, 300, 77),       # three chunks of rows, short lanes
+    ("order0", 8194, 20, 0),        # two blocks, equal lanes
+    ("order0", 8194, 20, 4097),     # two blocks, short lanes
+    ("bernoulli", 8194, 20, 4097),
+])
+def test_lane_bytes_is_the_costliest_lane(model_name, n_lanes, steps, extra,
+                                          monkeypatch):
+    """The encoder's byte bound equals a per-lane sum in Python.
+
+    A change in the symbol layout or in the chunks the bound is summed in
+    cannot loosen or tighten it unnoticed.
+    """
+    symbols, model = source(model_name, steps * n_lanes + extra, seed=5)
+    bounds = []
+    lane_bytes = pipeline._lane_bytes
+
+    def spy(lanes, widths):
+        bounds.append(lane_bytes(lanes, widths))
+        return bounds[-1]
+
+    monkeypatch.setattr(pipeline, "_lane_bytes", spy)
+    _encode_lockstep(symbols, model, n_lanes, "fr")
+    assert bounds == [_lane_bound(symbols, model.widths(), n_lanes)]
+
+
+def test_encoder_memory_peak():
+    """The lockstep encoder's Python-heap peak on 1 MiB at 65536 fr streams.
+
+    Its symbol layout and byte bound hold no input-sized copy beyond the
+    one (steps, lanes) array: the peak was 4.1 MiB, and an intp copy of
+    each 2**20-symbol chunk that the bound gathers through took it to
+    11.6 MiB.
+    """
+    data = _mixed_entropy_file(random.Random(SEED), 1 << 20)
+    model = _order0(data)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _encode_lockstep(data, model, 65536, "fr")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 6 << 20
 
 
 def test_encode_parallel_dispatches_on_stream_count(monkeypatch):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import encode_bit_stream, forward_source, random_bits
-from pecstream import termination
 from pecstream.bitio import REVERSED_BYTES
 from pecstream.container import stream_bytes
 from pecstream.rangecoder import (
@@ -151,15 +150,14 @@ class TestJointTerminate:
         assert term.fwd_value == 276 and term.bwd_value == 20
         assert term.fwd_data == bytes([0x43, 20])  # chain byte incremented
 
-    def test_fr_junction_is_bit_reversed_member(self, rnd, monkeypatch):
+    def test_fr_junction_is_bit_reversed_member(self, rnd):
         """The junction is the smallest stored byte both sides can end on.
 
         Checked for `fb` and `fr` against a brute force over all 256 stored
         bytes; in `fr` the backward side stores its byte bit-reversed.  The
-        scalar `joint_terminate` and the array `junction_bytes` (in chunks
-        of 64 pairs, the last one partial) are both checked.
+        scalar `joint_terminate` and the array `junction_bytes` are both
+        checked.
         """
-        monkeypatch.setattr(termination, "_JUNCTION_CHUNK", 64)
         for mode in ("fb", "fr"):
             flip = REVERSED_BYTES if mode == "fr" else range(256)
             shared = 0
@@ -197,6 +195,36 @@ class TestJointTerminate:
                            np.array([0]), "fb")
         with pytest.raises(ValueError):
             junction_bytes(*columns, "uni")
+
+    @pytest.mark.parametrize("mode", ["fb", "fr"])
+    def test_junction_bytes_at_mask_word_edges(self, rnd, mode):
+        """`junction_bytes` against a brute force over the 256 stored bytes.
+
+        Every U mod 256 occurs on each side with every span of `spans`: the
+        spans put a set's last byte on and next to the edges of the 64-bit
+        mask words, and the widest wrap past 255.  U runs up to 511, so
+        carried values are in.  Each set is paired with a random partner,
+        so the cross product is sampled, not enumerated.
+        """
+        spans = (0, 1, 62, 63, 64, 65, 127, 128, 191, 192, 254)
+        flip = REVERSED_BYTES if mode == "fr" else range(256)
+        sets = [(u + 256 * rnd.randrange(2), span)
+                for u in range(256) for span in spans]
+        pairs = ([(s, rnd.choice(sets)) for s in sets]
+                 + [(rnd.choice(sets), s) for s in sets])
+        expected = []
+        for (lo_f, span_f), (lo_b, span_b) in pairs:
+            f_bytes = {t & 0xFF for t in range(lo_f, lo_f + span_f + 1)}
+            b_bytes = {t & 0xFF for t in range(lo_b, lo_b + span_b + 1)}
+            expected.append(next((z for z in range(256)
+                                  if z in f_bytes and flip[z] in b_bytes), -1))
+        lo_f, span_f, lo_b, span_b = np.array(
+            [f + b for f, b in pairs], dtype=np.int64).T
+        got = junction_bytes(lo_f, lo_f + span_f, lo_b, lo_b + span_b, mode)
+        assert got.tolist() == expected
+        # every mask word holds some pair's junction, and some pairs share none
+        assert set(np.unique(got[got >= 0] // 64)) == {0, 1, 2, 3}
+        assert (got == -1).any()
 
     def test_direction_validation(self):
         fwd = state_for_bounds(5, 9, "forward")
