@@ -11,10 +11,6 @@ class TruncatedStreamError(EOFError):
     """A read ran past the end of the available bits."""
 
 
-#: width of a `BitReader.window`, in bits (whole bytes)
-WINDOW_BITS = 40
-
-
 #: reverse_byte lookup, REVERSED_BYTES[n] has bit i equal to bit 7-i of n.
 REVERSED_BYTES = bytes(
     ((n << 7) & 0x80)
@@ -99,21 +95,20 @@ class BitReader:
     def bits_remaining(self) -> int:
         return self._nbits - self._pos
 
-    def window(self, skip: int = 0) -> tuple[int, int]:
-        """Advance `skip` bits, then return (bits, offset): the
-        `WINDOW_BITS` bits from the byte holding the new position on, zeros
-        past the data, and the position's offset into them (0-7).
+    def advance(self, count: int = 0) -> tuple[bytes, int]:
+        """Move the read position `count` bits on; return (data, position),
+        the bytes read from and the new bit position in them.
 
+        For a decoder that reads bits straight from the bytes: it takes the
+        position with `advance()`, reads no further than `bits_remaining`
+        bits on, and hands back the bits it used with `advance(used)`.
         Raises `TruncatedStreamError` when the advance passes the end.
         """
-        pos = self._pos + skip
+        pos = self._pos + count
         if pos > self._nbits:
             raise TruncatedStreamError("bit source exhausted")
         self._pos = pos
-        width = WINDOW_BITS >> 3
-        chunk = self._data[pos >> 3:(pos >> 3) + width]
-        return (int.from_bytes(chunk, "big") << 8 * (width - len(chunk)),
-                pos & 7)
+        return self._data, pos
 
     def read_bit(self) -> int:
         pos = self._pos

@@ -370,10 +370,11 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     range) as uint32 and its bytes as one row of a uint8 matrix with a
     length per lane; the matrix is as wide as `_lane_bytes` bounds the
     longest lane from its symbols' costs.  The symbols are held step-major,
-    one (steps, lanes) array built with one copy of the input, so each step
-    reads one contiguous row.  A carry out of low, or a termination value
-    >= 256, goes into the lane's bytes as it happens, through
-    `carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
+    one (steps, lanes) array built with one copy of the input (through a
+    lane-major buffer of about 2**16 symbols when lanes differ in length),
+    so each step reads one contiguous row.  A carry out of low, or a
+    termination value >= 256, goes into the lane's bytes as it happens,
+    through `carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
     lanes and `_LOCKSTEP_BYTES` matrix bytes, each block for all steps, then
     terminated with `valid_byte_sets` and `junction_bytes`.  A block's
     segments are gathered with one boolean mask, after its backward rows
@@ -390,8 +391,18 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     if mask is None:
         lanes = np.ascontiguousarray(arr.reshape(n_streams, steps).T)
     else:
-        lanes = np.zeros((steps, n_streams), dtype=np.uint8)
-        lanes.T[mask] = arr
+        # filled lane-major a chunk of about 2**16 symbols at a time, then
+        # copied transposed: a boolean fill through the transposed view
+        # took 1.5-2.3x as long
+        lanes = np.empty((steps, n_streams), dtype=np.uint8)
+        per = max(1, (1 << 16) // steps)
+        for first in range(0, n_streams, per):
+            stop = min(first + per, n_streams)
+            chunk = np.zeros((stop - first, steps), dtype=np.uint8)
+            # lane k holds shard k of `shard_ranges`
+            chunk[mask[first:stop]] = arr[first * len(arr) // n_streams:
+                                          stop * len(arr) // n_streams]
+            lanes[:, first:stop] = chunk.T
     binary = isinstance(model, BinaryModel)
     split, probs = ((split_bits, model.p0) if binary
                     else (split_symbols, cdf_tables(model)))

@@ -8,14 +8,13 @@ interpolative codec, the known total) on the decode side.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import ge
 from typing import Sequence
 
 from .bitio import (
-    WINDOW_BITS,
     BitReader,
     BitWriter,
+    TruncatedStreamError,
     bounded_code,
     elias_gamma_decode,
     elias_gamma_encode,
@@ -137,45 +136,55 @@ def rtc_encode(sizes: Sequence[int], bound: int, sink: BitWriter) -> int:
 
 
 #: nodes whose span (maximum minus the minimum) is at least this are decoded
-#: bit by bit; below it a span's table has at most 4 * span entries
+#: bit by bit, so no node table has more than 2 * RTC_TABLE_SPAN_CAP entries
 RTC_TABLE_SPAN_CAP = 1 << 12
-#: table entries one `rtc_decode` call may build, besides one per payload
-#: bit, so a hostile index cannot make the decoder build unbounded tables
-RTC_TABLE_ENTRIES = 1 << 12
-#: the widest table index: a selection bit plus the longest offset code
-_TABLE_BITS = 1 + (RTC_TABLE_SPAN_CAP - 1).bit_length()
-#: take a new window once the read offset passes this
-_REFILL = WINDOW_BITS - _TABLE_BITS
+#: table entries one `rtc_decode` call may build per node it decodes.  A
+#: node maximum's k-bit table and the code tables it needs take fewer than
+#: 3 * 2**k entries, so the table is built once the maximum has been seen
+#: often enough to pay that at this rate.  A node above the minimum reads
+#: at least its selection bit, so the payload's bit count bounds them too
+_ENTRIES_PER_NODE = 4
+#: whole bytes a window refill loads, unless the longest node code needs more
+_REFILL_BYTES = 7
 
 
-def _span_table(span: int) -> list[tuple[int, int, int]]:
-    """Decode table of a node whose maximum is `span` above the minimum.
+def _code_table(bound: int, k: int, memo: dict) -> list[tuple[int, int]]:
+    """Decode table of the `bounded_code` of [0, bound), for bound <= 2**k.
 
-    Indexed by the node's next 1 + bitlen(span) bits, the selection bit y
-    first; each entry is (left decrement, right decrement, code length),
-    from the `bounded_code` of every offset against span + y.
+    Indexed by the next k bits; entry = (value, code length).  Built by
+    halving: a code is "1" and the code of a value below bound // 2, or
+    "0" and the code of one below bound - bound // 2, shifted up by
+    bound // 2; so the table is the halves' (k-1)-bit tables, the "0" half
+    first.  `memo` holds the tables built, keyed by (bound, k).
     """
-    k = 1 + span.bit_length()
-    table: list = [None] * (1 << k)
-    for y in (0, 1):
-        bound = span + y
-        for offset in range(bound):
-            code, nbits = bounded_code(offset, bound)
-            entry = (0, offset, nbits + 1) if y else (offset + 1, 0, nbits + 1)
-            first = ((y << nbits) | code) << (k - 1 - nbits)
-            run = 1 << (k - 1 - nbits)
-            table[first:first + run] = [entry] * run
+    table = memo.get((bound, k))
+    if table is None:
+        if bound == 1:
+            table = [(0, 0)] * (1 << k)
+        else:
+            half = bound >> 1
+            table = [(half + value, nbits + 1) for value, nbits
+                     in _code_table(bound - half, k - 1, memo)]
+            table += [(value, nbits + 1) for value, nbits
+                      in _code_table(half, k - 1, memo)]
+        memo[bound, k] = table
     return table
 
 
 def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
     """Inverse of rtc_encode; returns the first `count` sizes.
 
-    A node whose span is below `RTC_TABLE_SPAN_CAP` is decoded with one
-    lookup in its span's `_span_table`, built on first use, over
-    `BitReader.window`s of the payload.  Other nodes, and those whose table
-    would take the entries built past `RTC_TABLE_ENTRIES` plus one per
-    payload bit, read their bits one at a time with `unpack_bounded`.
+    The tree is decoded a level at a time: each node of a level appends
+    its (left, right) pair of child maxima to the next.  Node codes are
+    read from a window of the payload held as an int, topped up by whole
+    bytes whenever fewer bits than the longest node code are left.  A node
+    maximum v whose span v - minimum is below `RTC_TABLE_SPAN_CAP` gets a
+    table, indexed by its next k = 1 + bitlen(span) bits and holding the
+    child pair and the code length, once it has been seen often enough
+    that the entries built stay within `_ENTRIES_PER_NODE` per node; until
+    then, and above the cap, its code is read a bit at a time from the
+    window.  Reading past the payload's end raises `TruncatedStreamError`
+    at the next refill.
     """
     if count < 1:
         raise ValueError("need at least one size")
@@ -184,55 +193,77 @@ def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
     smallest = unpack_bounded(root + 1, source)
     if n == 1:
         return [root]
-    budget = RTC_TABLE_ENTRIES + source.bits_remaining
-    # per node maximum below cap: (table, shift, mask), or None to read
-    # bit by bit
+    # the longest node code: a selection bit and a code below the root's span
+    need = 1 + (root - smallest).bit_length()
+    fill = max(_REFILL_BYTES, -(-need // 8))
+    data, pos = source.advance()
+    # bits of the first byte before the read position, and the window's
+    # read offset past which the payload has ended
+    skew = pos & 7
+    limit = skew + source.bits_remaining
+    # zeros after the payload's bytes: a refill starts before `limit` plus
+    # `need` bits, so it always finds `fill` bytes
+    buf = data[pos >> 3:(pos + source.bits_remaining + 7) >> 3]
+    buf += bytes(2 * fill)
+    window = int.from_bytes(buf[:fill], "big")
+    at = fill
+    left = 8 * fill - skew  # unread bits, the low end of `window`
     cap = smallest + RTC_TABLE_SPAN_CAP
-    tables: dict[int, tuple | None] = {}
-    # in-place array decoding: tree slots are reused for decoded leaves;
-    # node i's children go to 2i (upper levels) or 2i - n (leaves)
-    values = [0] * n
-    values[1] = root
-    window, pos = source.window()
-    start = pos
-    for i, j in zip(range(1, n), chain(range(2, n, 2), range(0, n, 2))):
-        v = values[i]
-        if v == smallest:
-            values[j] = values[j + 1] = v
-            continue
-        lookup = None
-        if v < cap:
-            try:
-                lookup = tables[v]
-            except KeyError:
-                k = 1 + (v - smallest).bit_length()
-                if 1 << k <= budget:
-                    budget -= 1 << k
-                    lookup = (_span_table(v - smallest), WINDOW_BITS - k,
-                              (1 << k) - 1)
-                tables[v] = lookup
-        if lookup is None:
-            if pos != start:
-                source.window(pos - start)
-            left = right = v
-            if source.read_bit():
-                right -= unpack_bounded(v - smallest + 1, source)
-            else:
-                left -= unpack_bounded(v - smallest, source) + 1
-            # past _REFILL: the next table lookup takes a new window
-            pos = start = WINDOW_BITS
-        else:
-            if pos > _REFILL:
-                window, pos = source.window(pos - start)
-                start = pos
-            table, shift, mask = lookup
-            dl, dr, nbits = table[(window >> (shift - pos)) & mask]
-            left, right = v - dl, v - dr
-            pos += nbits
-        values[j] = left
-        values[j + 1] = right
-    source.window(pos - start)
-    return values[:count]
+    tables: dict[int, tuple] = {}  # node maximum -> (table, k, mask)
+    seen: dict[int, int] = {}  # node maximum without a table -> sightings
+    codes: dict = {}  # `_code_table`'s memo
+    same = (smallest, smallest)
+    level = [root]
+    for _ in range(n.bit_length() - 1):
+        below = []
+        for v in level:
+            if v == smallest:
+                below += same
+                continue
+            if left < need:
+                if 8 * at - left > limit:
+                    raise TruncatedStreamError("bit source exhausted")
+                window = ((window & ((1 << left) - 1)) << 8 * fill
+                          | int.from_bytes(buf[at:at + fill], "big"))
+                at += fill
+                left += 8 * fill
+            lookup = tables.get(v)
+            if lookup is not None:
+                table, k, mask = lookup
+                pair, nbits = table[(window >> (left - k)) & mask]
+                left -= nbits
+                below += pair
+                continue
+            span = v - smallest
+            if v < cap:
+                k = 1 + span.bit_length()
+                sightings = seen.get(v, 0) + 1
+                if sightings * _ENTRIES_PER_NODE >= 3 << k:
+                    # the selection bit y first: y = 0 codes the left
+                    # child below span, y = 1 the right below span + 1
+                    table = [((v - 1 - offset, v), nbits + 1) for offset, nbits
+                             in _code_table(span, k - 1, codes)]
+                    table += [((v, v - offset), nbits + 1) for offset, nbits
+                              in _code_table(span + 1, k - 1, codes)]
+                    tables[v] = (table, k, (1 << k) - 1)
+                else:
+                    seen[v] = sightings
+            # the bisection of `bounded_code`, one window bit at a time
+            left -= 1
+            y = (window >> left) & 1
+            a, b, m = 0, span + y, (span + y) >> 1
+            while a != m:
+                left -= 1
+                if (window >> left) & 1:
+                    b = m
+                else:
+                    a = m
+                m = (a + b) >> 1
+            below += (v, v - m) if y else (v - 1 - m, v)
+        level = below
+    source.advance(8 * at - left - skew)
+    del level[count:]
+    return level
 
 
 def _minimal_binary_encode(value: int, width: int, sink: BitWriter) -> None:

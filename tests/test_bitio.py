@@ -61,18 +61,20 @@ class TestBitStreams:
         with pytest.raises(TruncatedStreamError):
             r.read_bit()
 
-    def test_window(self):
-        r = BitReader(bytes([0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC]), 43)
-        assert r.window() == (0x123456789A, 0)
-        # advancing 11 bits starts the window at byte 1, 3 bits in
-        assert r.window(11) == (0x3456789ABC, 3)
+    def test_advance(self):
+        data = bytes([0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC])
+        r = BitReader(data, 43)
+        assert r.advance() == (data, 0)
+        assert r.advance(11) == (data, 11)
+        # reads go on from the advanced position
         assert r.read_bits(5) == 0x14
-        # past the data the window reads zeros
-        assert r.window(24) == (0xBC00000000, 0)
+        assert r.advance(24) == (data, 40)
         assert r.bits_remaining == 3
         with pytest.raises(TruncatedStreamError):
-            r.window(4)
-        assert r.window(3) == (0xBC00000000, 3)
+            r.advance(4)
+        # a failed advance leaves the position where it was
+        assert r.advance(3) == (data, 43)
+        assert r.bits_remaining == 0
 
     def test_bits_bytes_helpers(self):
         data = bytes(range(256))

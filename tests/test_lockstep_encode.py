@@ -248,26 +248,28 @@ def test_lane_bytes_is_the_costliest_lane(model_name, n_lanes, steps, extra,
 
 
 def test_encoder_memory_peak():
-    """The lockstep encoder's Python-heap peak on 1 MiB at 65536 fr streams.
+    """The lockstep encoder's Python-heap peak on 1 MiB at 65536 fr streams,
+    and at 65537 uni streams, whose lanes differ in length.
 
     Its symbol layout and byte bound hold no input-sized copy beyond the
-    one (steps, lanes) array: the peak was 4.1 MiB, and an intp copy of
-    each 2**20-symbol chunk that the bound gathers through took it to
-    11.6 MiB.
+    one (steps, lanes) array and the short lanes' mask: the peak was 4.2
+    and 4.7 MiB, and an intp copy of each 2**20-symbol chunk that the bound
+    gathers through took the first to 11.6 MiB.
     """
     data = _mixed_entropy_file(random.Random(SEED), 1 << 20)
     model = _order0(data)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        _encode_lockstep(data, model, 65536, "fr")
-        peak = tracemalloc.get_traced_memory()[1] - base
+        for n_lanes, mode in ((65536, "fr"), (65537, "uni")):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _encode_lockstep(data, model, n_lanes, mode)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= 6 << 20, (n_lanes, peak)
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 6 << 20
 
 
 def test_encode_parallel_dispatches_on_stream_count(monkeypatch):

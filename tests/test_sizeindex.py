@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from pecstream.bitio import (
     BitReader,
     BitWriter,
     TruncatedStreamError,
+    bounded_code,
     pack_bounded,
     unpack_bounded,
 )
@@ -17,7 +20,6 @@ from pecstream.container import read_header
 from pecstream.rangecoder import CdfModel
 from pecstream.sizeindex import (
     RTC_CONTAINER_BOUND,
-    RTC_TABLE_ENTRIES,
     RTC_TABLE_SPAN_CAP,
     CorruptIndexError,
     bic_decode,
@@ -30,6 +32,7 @@ from pecstream.sizeindex import (
     rtc_decode,
     rtc_encode,
 )
+from test_acceptance import SEED, _mixed_entropy_file, _order0
 
 
 def encoded_bits(encode, *args) -> tuple[str, int]:
@@ -156,11 +159,62 @@ def reference_rtc_decode(count, bound, source):
 
 
 def decode_outcome(decode, count, bound, payload, nbits=None):
-    """The sizes a decoder returns, or the type of the error it raises."""
+    """The sizes a decoder returns and the bits it leaves, or the type of
+    the error it raises."""
+    source = BitReader(payload, nbits)
     try:
-        return decode(count, bound, BitReader(payload, nbits))
+        return decode(count, bound, source), source.bits_remaining
     except (TruncatedStreamError, ValueError) as exc:
         return type(exc)
+
+
+class TableCount:
+    """Counts the table entries `rtc_decode` builds, through `_code_table`.
+
+    A node table re-forms the two code tables `rtc_decode` asks for
+    directly (`asked`, as (bound, k)), so each of those adds its length; a
+    code table the call's memo does not hold yet is built, and adds its
+    length again.
+    """
+
+    def __init__(self, monkeypatch):
+        self.entries = 0
+        self.asked = []
+        self._depth = 0
+        self._build = sizeindex._code_table
+        monkeypatch.setattr(sizeindex, "_code_table", self._counted)
+
+    def _counted(self, bound, k, memo):
+        built = (bound, k) not in memo
+        self._depth += 1
+        try:
+            table = self._build(bound, k, memo)
+        finally:
+            self._depth -= 1
+        self.entries += len(table) * (built + (self._depth == 0))
+        if not self._depth:
+            self.asked.append((bound, k))
+        return table
+
+
+def coded_nodes(sizes):
+    """The tree nodes whose maximum is above the minimum: those that read
+    bits, the nodes `rtc_decode` counts toward its table entries."""
+    n = 1 << (len(sizes) - 1).bit_length()
+    smallest = min(sizes)
+    maxima, _ = build_range_tree(list(sizes) + [smallest] * (n - len(sizes)))
+    return [v for v in maxima[1:n] if v != smallest]
+
+
+@lru_cache(maxsize=None)
+def real_index(n_streams):
+    """The rtc index payload and entry count of the seeded 1 MiB
+    mixed-entropy input, order0 `fr` over `n_streams` streams."""
+    data = _mixed_entropy_file(random.Random(SEED), 1 << 20)
+    blob = encode_parallel(data, _order0(data), n_streams, "fr")
+    header = read_header(blob)
+    offset = header.index_offset
+    return blob[offset:offset + header.index_nbytes], header.entry_count
 
 
 class TestRtcTables:
@@ -183,23 +237,27 @@ class TestRtcTables:
             assert source.bits_remaining == 0
 
     def test_tables_up_to_the_span_cap(self, monkeypatch):
-        # few distinct sizes below the cap: the widest tables are built and
-        # read at every offset in the window
-        built = []
-        span_table = sizeindex._span_table
-        monkeypatch.setattr(sizeindex, "_span_table",
-                            lambda span: built.append(span) or span_table(span))
         rnd = random.Random(15)
-        for case in range(20):
-            pool = [0] + rnd.sample(range(1, RTC_TABLE_SPAN_CAP), 5)
-            sizes = [rnd.choice(pool) for _ in range(2048)]
+
+        def tables_asked(pool):
+            sizes = [rnd.choice(pool) for _ in range(16384)]
             ref, sink = BitWriter(), BitWriter()
             nbits = reference_rtc_encode(sizes, RTC_CONTAINER_BOUND, ref)
             assert rtc_encode(sizes, RTC_CONTAINER_BOUND, sink) == nbits
             assert sink.getvalue() == ref.getvalue()
+            count = TableCount(monkeypatch)
             source = BitReader(sink.getvalue(), nbits)
             assert rtc_decode(len(sizes), RTC_CONTAINER_BOUND, source) == sizes
-        assert max(built).bit_length() == (RTC_TABLE_SPAN_CAP - 1).bit_length()
+            assert source.bits_remaining == 0
+            return count.asked
+
+        # the widest table, at a span of RTC_TABLE_SPAN_CAP - 1, is built
+        # and read at every offset in the window
+        top = RTC_TABLE_SPAN_CAP - 1
+        asked = tables_asked([0, top] + rnd.sample(range(1, top), 3))
+        assert max(k for _, k in asked) == top.bit_length()
+        # most nodes are at the cap, often enough for a table, but get none
+        assert tables_asked([0, RTC_TABLE_SPAN_CAP]) == []
 
     def test_random_payloads_decode_as_reference(self):
         # garbage and short payloads: the same sizes or the same error
@@ -229,34 +287,79 @@ class TestRtcTables:
                     rtc_decode(count, RTC_CONTAINER_BOUND, source)
 
     def test_hostile_spans_stay_inside_the_table_budget(self, monkeypatch):
-        # every node maximum differs, up to 4095: tables of up to 2**13
-        # entries each would take ~20M entries without the budget
+        # every node maximum differs, up to 4095: a table for each would
+        # take ~20M entries
         sizes = list(range(4096))
         random.Random(14).shuffle(sizes)
         sink = BitWriter()
         nbits = rtc_encode(sizes, RTC_CONTAINER_BOUND, sink)
-        maxima, _ = build_range_tree(sizes)
-        assert len(set(maxima[1:4096])) > 2000
-        built = []
-        fallback = []
-        span_table = sizeindex._span_table
-
-        def counted_table(span):
-            table = span_table(span)
-            built.append(len(table))
-            return table
-
-        def counted_unpack(bound, source):
-            fallback.append(bound)
-            return unpack_bounded(bound, source)
-
-        monkeypatch.setattr(sizeindex, "_span_table", counted_table)
-        monkeypatch.setattr(sizeindex, "unpack_bounded", counted_unpack)
+        nodes = coded_nodes(sizes)
+        assert len(set(nodes)) > 2000
+        count = TableCount(monkeypatch)
         source = BitReader(sink.getvalue(), nbits)
         assert rtc_decode(len(sizes), RTC_CONTAINER_BOUND, source) == sizes
-        assert sum(built) <= RTC_TABLE_ENTRIES + nbits
-        # root, minimum, then well over a thousand nodes read bit by bit
-        assert len(fallback) > 1000
+        assert count.entries <= 4 * len(nodes)
+
+    @pytest.mark.parametrize("n_streams", [64, 4096])
+    def test_table_entries_stay_within_four_per_node(self, monkeypatch,
+                                                     n_streams):
+        payload, entries = real_index(n_streams)
+        count = TableCount(monkeypatch)
+        sizes = rtc_decode(entries, RTC_CONTAINER_BOUND, BitReader(payload))
+        assert count.entries <= 4 * len(coded_nodes(sizes))
+
+    def test_tables_serve_the_widest_index(self, monkeypatch):
+        # 32768 entries: most nodes are read through a table
+        payload, entries = real_index(65536)
+        count = TableCount(monkeypatch)
+        source = BitReader(payload)
+        sizes = rtc_decode(entries, RTC_CONTAINER_BOUND, source)
+        assert source.bits_remaining < 8
+        nodes = coded_nodes(sizes)
+        # rtc_decode asks for the span's code table, then span + 1's
+        tabled = {min(sizes) + span for span, _ in count.asked[0::2]}
+        assert sum(v in tabled for v in nodes) > len(nodes) // 2
+        assert count.entries <= 4 * len(nodes)
+
+    def test_short_payload_with_a_huge_count_fails_fast(self):
+        # the root and the minimum fit in 4 bytes and the tree runs past
+        # them: a decoder that ran every level over zero padding would hold
+        # 2**19 sizes before it saw the end
+        sink = BitWriter()
+        pack_bounded(5, RTC_CONTAINER_BOUND, sink)
+        pack_bounded(1, 6, sink)
+        sink.write_bits(0b10110, 5)
+        payload = sink.getvalue()
+        assert len(payload) == 4
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(TruncatedStreamError):
+                rtc_decode(1 << 19, RTC_CONTAINER_BOUND, BitReader(payload))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_code_table_matches_bounded_code():
+    """The halving builder against `bounded_code` for every bound in
+    1..600 and each table width the decoder can ask for it."""
+    memo = {}
+    for bound in range(1, 601):
+        narrowest = (bound - 1).bit_length()
+        base = [None] * (1 << narrowest)
+        for value in range(bound):
+            code, nbits = bounded_code(value, bound)
+            run = 1 << (narrowest - nbits)
+            base[code * run:(code + 1) * run] = [(value, nbits)] * run
+        for k in range(narrowest, bound.bit_length() + 2):
+            run = 1 << (k - narrowest)
+            expected = [entry for entry in base for _ in range(run)]
+            assert sizeindex._code_table(bound, k, memo) == expected, (bound, k)
 
 
 class TestBic:
