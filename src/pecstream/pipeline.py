@@ -59,7 +59,6 @@ from .container import (
     check_layout,
     read_container,
     segment_source,
-    write_container,
 )
 from .rangecoder import (
     MASK32,
@@ -250,18 +249,17 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
         # through a list, as bytes() of a buffer copies memory, not values
         symbols = (bytes(map(bool, symbols)) if isinstance(model, BinaryModel)
                    else bytes(list(symbols)))
-    if n_streams >= LOCKSTEP_MIN_STREAMS:
-        sizes, region = _encode_lockstep(symbols, model, n_streams, mode)
-        return assemble_container(mode, index_codec, model, n_streams,
-                                  len(symbols), sizes, region)
-    segments = _encode_scalar(symbols, model, n_streams, mode)
-    return write_container(mode, index_codec, model, n_streams,
-                           len(symbols), segments)
+    encode = (_encode_lockstep if n_streams >= LOCKSTEP_MIN_STREAMS
+              else _encode_scalar)
+    sizes, region = encode(symbols, model, n_streams, mode)
+    return assemble_container(mode, index_codec, model, n_streams,
+                              len(symbols), sizes, region)
 
 
 def _encode_scalar(symbols: bytes, model: BinaryModel | CdfModel,
-                   n_streams: int, mode: str) -> list[bytes]:
-    """One `Encoder` per shard, then one termination per stream or pair.
+                   n_streams: int, mode: str) -> tuple[list[int], bytes]:
+    """One `Encoder` per shard, then one termination per stream or pair;
+    returns the segment sizes and the joined region, as `_encode_lockstep`.
 
     The shards are coded in contiguous blocks of whole streams (uni) or
     whole forward/backward pairs, one block per process of `_processes`.
@@ -273,7 +271,8 @@ def _encode_scalar(symbols: bytes, model: BinaryModel | CdfModel,
               shard_ranges(units, _processes(len(symbols), units))]
     parts = _fork_map(
         lambda block: _encode_shards(symbols, model, block, mode), blocks)
-    return [segment for part in parts for segment in part]
+    segments = [segment for part in parts for segment in part]
+    return [len(segment) for segment in segments], b"".join(segments)
 
 
 def _encode_shards(symbols: bytes, model: BinaryModel | CdfModel,
@@ -555,9 +554,8 @@ def decode_parallel(blob: bytes) -> bytes:
         raise ContainerFormatError(
             f"symbol count {header.n_symbols} impossible for {header.data_size} "
             f"data bytes")
-    if header.n_streams >= LOCKSTEP_MIN_STREAMS:
-        return _decode_lockstep(blob, header, seg_map)
-    return _decode_scalar(blob, header, seg_map)
+    return (_decode_lockstep if header.n_streams >= LOCKSTEP_MIN_STREAMS
+            else _decode_scalar)(blob, header, seg_map)
 
 
 def _decode_scalar(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:

@@ -136,39 +136,19 @@ def rtc_encode(sizes: Sequence[int], bound: int, sink: BitWriter) -> int:
 
 
 #: nodes whose span (maximum minus the minimum) is at least this are decoded
-#: bit by bit, so no node table has more than 2 * RTC_TABLE_SPAN_CAP entries
+#: bit by bit, so no node table has more than 2 * RTC_TABLE_SPAN_CAP slots
 RTC_TABLE_SPAN_CAP = 1 << 12
-#: table entries one `rtc_decode` call may build per node it decodes.  A
-#: node maximum's k-bit table and the code tables it needs take fewer than
-#: 3 * 2**k entries, so the table is built once the maximum has been seen
-#: often enough to pay that at this rate.  A node above the minimum reads
-#: at least its selection bit, so the payload's bit count bounds them too
+#: table slots one `rtc_decode` call may allocate per node it decodes: a
+#: node maximum's table of 2**k slots is allocated on its 2**k / 4-th
+#: sighting.  A node above the minimum reads at least its selection bit, so
+#: the payload's bit count bounds them too
 _ENTRIES_PER_NODE = 4
 #: whole bytes a window refill loads, unless the longest node code needs more
 _REFILL_BYTES = 7
 
 
-def _code_table(bound: int, k: int, memo: dict) -> list[tuple[int, int]]:
-    """Decode table of the `bounded_code` of [0, bound), for bound <= 2**k.
-
-    Indexed by the next k bits; entry = (value, code length).  Built by
-    halving: a code is "1" and the code of a value below bound // 2, or
-    "0" and the code of one below bound - bound // 2, shifted up by
-    bound // 2; so the table is the halves' (k-1)-bit tables, the "0" half
-    first.  `memo` holds the tables built, keyed by (bound, k).
-    """
-    table = memo.get((bound, k))
-    if table is None:
-        if bound == 1:
-            table = [(0, 0)] * (1 << k)
-        else:
-            half = bound >> 1
-            table = [(half + value, nbits + 1) for value, nbits
-                     in _code_table(bound - half, k - 1, memo)]
-            table += [(value, nbits + 1) for value, nbits
-                      in _code_table(half, k - 1, memo)]
-        memo[bound, k] = table
-    return table
+def _empty_table(size: int) -> list:
+    return [None] * size
 
 
 def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
@@ -177,14 +157,15 @@ def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
     The tree is decoded a level at a time: each node of a level appends
     its (left, right) pair of child maxima to the next.  Node codes are
     read from a window of the payload held as an int, topped up by whole
-    bytes whenever fewer bits than the longest node code are left.  A node
-    maximum v whose span v - minimum is below `RTC_TABLE_SPAN_CAP` gets a
-    table, indexed by its next k = 1 + bitlen(span) bits and holding the
-    child pair and the code length, once it has been seen often enough
-    that the entries built stay within `_ENTRIES_PER_NODE` per node; until
-    then, and above the cap, its code is read a bit at a time from the
-    window.  Reading past the payload's end raises `TruncatedStreamError`
-    at the next refill.
+    bytes whenever fewer bits than the longest node code are left, and
+    decoded by the bisection of `bounded_code` one window bit at a time.
+    A node maximum v whose span v - minimum is below `RTC_TABLE_SPAN_CAP`
+    gets a table of empty slots, indexed by its next k = 1 + bitlen(span)
+    bits, once it has been seen often enough that the slots allocated stay
+    within `_ENTRIES_PER_NODE` per node.  The first bisection read under a
+    key fills its slot with the child pair and the code length, and later
+    reads of that key take them from the slot.  Reading past the payload's
+    end raises `TruncatedStreamError` at the next refill.
     """
     if count < 1:
         raise ValueError("need at least one size")
@@ -211,7 +192,6 @@ def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
     cap = smallest + RTC_TABLE_SPAN_CAP
     tables: dict[int, tuple] = {}  # node maximum -> (table, k, mask)
     seen: dict[int, int] = {}  # node maximum without a table -> sightings
-    codes: dict = {}  # `_code_table`'s memo
     same = (smallest, smallest)
     level = [root]
     for _ in range(n.bit_length() - 1):
@@ -230,28 +210,30 @@ def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
             lookup = tables.get(v)
             if lookup is not None:
                 table, k, mask = lookup
-                pair, nbits = table[(window >> (left - k)) & mask]
-                left -= nbits
-                below += pair
-                continue
-            span = v - smallest
-            if v < cap:
-                k = 1 + span.bit_length()
+                key = (window >> (left - k)) & mask
+                slot = table[key]
+                if slot is not None:
+                    pair, nbits = slot
+                    left -= nbits
+                    below += pair
+                    continue
+            elif v < cap:
+                k = 1 + (v - smallest).bit_length()
                 sightings = seen.get(v, 0) + 1
-                if sightings * _ENTRIES_PER_NODE >= 3 << k:
-                    # the selection bit y first: y = 0 codes the left
-                    # child below span, y = 1 the right below span + 1
-                    table = [((v - 1 - offset, v), nbits + 1) for offset, nbits
-                             in _code_table(span, k - 1, codes)]
-                    table += [((v, v - offset), nbits + 1) for offset, nbits
-                              in _code_table(span + 1, k - 1, codes)]
-                    tables[v] = (table, k, (1 << k) - 1)
+                if sightings * _ENTRIES_PER_NODE >= 1 << k:
+                    mask = (1 << k) - 1
+                    table = _empty_table(1 << k)
+                    lookup = tables[v] = (table, k, mask)
+                    key = (window >> (left - k)) & mask
                 else:
                     seen[v] = sightings
-            # the bisection of `bounded_code`, one window bit at a time
+            # the selection bit y first: y = 0 codes the left child below
+            # span, y = 1 the right below span + 1
+            start = left
             left -= 1
             y = (window >> left) & 1
-            a, b, m = 0, span + y, (span + y) >> 1
+            a, b = 0, v - smallest + y
+            m = b >> 1
             while a != m:
                 left -= 1
                 if (window >> left) & 1:
@@ -259,7 +241,10 @@ def rtc_decode(count: int, bound: int, source: BitReader) -> list[int]:
                 else:
                     a = m
                 m = (a + b) >> 1
-            below += (v, v - m) if y else (v - 1 - m, v)
+            pair = (v, v - m) if y else (v - 1 - m, v)
+            if lookup is not None:
+                table[key] = (pair, start - left)
+            below += pair
         level = below
     source.advance(8 * at - left - skew)
     del level[count:]

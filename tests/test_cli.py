@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -167,16 +168,39 @@ class TestBenchCommands:
         assert (workdir / "term.csv").read_text() == (workdir / "term2.csv").read_text()
 
     def test_bench_overhead_csv(self, workdir):
-        path = str(workdir / "factors.csv")
-        curves = str(workdir / "curves.csv")
-        grid = str(workdir / "grid.csv")
-        assert run("bench-overhead", "--csv", path, "--curves-csv", curves,
-                   "--grid-csv", grid, "--tbar", "published") == EXIT_OK
-        text = (workdir / "factors.csv").read_text()
-        assert "uni,i32" in text and "4.57" in text
-        assert "fr,rtc" in text and "0.41" in text
-        assert (workdir / "curves.csv").read_text().count("\n") > 50
-        assert "data_bytes,streams" in (workdir / "grid.csv").read_text()
+        # the factor tables by text, the curves and the grid by SHA-256
+        expected = {
+            ("--tbar", "published"): (
+                "# generator=numpy.random.Generator(PCG64)\n"
+                "# seed=20240817\n"
+                "# tbar_source=published\n"
+                "mode,index,tbar,alpha,beta\n"
+                "uni,i32,4.5600,0.000000,4.570000\n"
+                "uni,rtc,4.5600,0.125000,0.820000\n"
+                "fb,rtc,2.7700,0.062500,0.533750\n"
+                "fr,rtc,1.7800,0.062500,0.410000\n",
+                "3d4db2b133ba40e41c530bb77fa045dc6963b298340e71dd9b9a272d5e4bd9a1",
+                "62bb7e9100e43a0989553211f21b554b1e0e0609b610236f9ce464d12e808607"),
+            ("--tbar", "measured", "--pairs", "400", "--seed", "5"): (
+                "# generator=numpy.random.Generator(PCG64)\n"
+                "# seed=5\n"
+                "# tbar_source=measured\n"
+                "mode,index,tbar,alpha,beta\n"
+                "uni,i32,4.5635,0.000000,4.570442\n"
+                "uni,rtc,4.5635,0.125000,0.820442\n"
+                "fb,rtc,2.9435,0.062500,0.555442\n"
+                "fr,rtc,1.9135,0.062500,0.426692\n",
+                "b0fa3887c12dbf8e0fec780e3bdb38b7c48d7c0e68f9ef11523c6cac1aa92d98",
+                "53d1af9e1ce2643fd58849a8348e3896e1dd90700a8a3e552bcc8d647b96ffb4"),
+        }
+        factors, curves, grid = (workdir / "factors.csv", workdir / "curves.csv",
+                                 workdir / "grid.csv")
+        for options, (factors_text, curves_digest, grid_digest) in expected.items():
+            assert run("bench-overhead", "--csv", str(factors), "--curves-csv",
+                       str(curves), "--grid-csv", str(grid), *options) == EXIT_OK
+            assert factors.read_text() == factors_text
+            assert hashlib.sha256(curves.read_bytes()).hexdigest() == curves_digest
+            assert hashlib.sha256(grid.read_bytes()).hexdigest() == grid_digest
 
     def test_bench_index_csv(self, workdir):
         path = str(workdir / "idx.csv")

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from pecstream import pipeline, rangecoder, termination
-from pecstream.container import write_container
+from pecstream.container import assemble_container
 from pecstream.pipeline import (
     LOCKSTEP_MIN_STREAMS,
     _encode_lockstep,
@@ -43,14 +43,10 @@ from test_pipeline import order0
 
 
 def both_encoders(symbols, model, n_streams, mode):
-    """The common segments of both engines; fails if they differ.
-
-    The lockstep engine returns the segment sizes and the joined region.
-    """
+    """The common segment sizes and joined region of both engines; fails
+    if they differ."""
     scalar = _encode_scalar(symbols, model, n_streams, mode)
-    sizes, region = _encode_lockstep(symbols, model, n_streams, mode)
-    assert sizes == [len(seg) for seg in scalar]
-    assert region == b"".join(scalar)
+    assert _encode_lockstep(symbols, model, n_streams, mode) == scalar
     return scalar
 
 
@@ -61,9 +57,9 @@ def both_encoders(symbols, model, n_streams, mode):
 def test_engines_agree_on_matrix(model_name, mode, codec, n_streams):
     # 2.5 symbols per stream: the shards differ in length by one
     symbols, model = source(model_name, 5 * n_streams // 2 + 1)
-    segments = both_encoders(symbols, model, n_streams, mode)
-    blob = write_container(mode, codec, model, n_streams, len(symbols),
-                           segments)
+    sizes, region = both_encoders(symbols, model, n_streams, mode)
+    blob = assemble_container(mode, codec, model, n_streams, len(symbols),
+                              sizes, region)
     assert decode_parallel(blob) == symbols
 
 
@@ -275,16 +271,14 @@ def test_encoder_memory_peak():
 def test_encode_parallel_dispatches_on_stream_count(monkeypatch):
     calls = []
 
-    def engine(name, output):
+    def engine(name):
         def run(symbols, model, n_streams, mode):
             calls.append(name)
-            return output(n_streams // 2)
+            return [0] * (n_streams // 2), b""
         return run
 
-    monkeypatch.setattr(pipeline, "_encode_lockstep", engine(
-        "lockstep", lambda entries: ([0] * entries, b"")))
-    monkeypatch.setattr(pipeline, "_encode_scalar", engine(
-        "scalar", lambda entries: [b""] * entries))
+    monkeypatch.setattr(pipeline, "_encode_lockstep", engine("lockstep"))
+    monkeypatch.setattr(pipeline, "_encode_scalar", engine("scalar"))
     model = BinaryModel(30000)
     for n_streams in (LOCKSTEP_MIN_STREAMS - 2, LOCKSTEP_MIN_STREAMS):
         encode_parallel(b"\x01\x00", model, n_streams, "fr")

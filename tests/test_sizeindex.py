@@ -11,7 +11,6 @@ from pecstream.bitio import (
     BitReader,
     BitWriter,
     TruncatedStreamError,
-    bounded_code,
     pack_bounded,
     unpack_bounded,
 )
@@ -168,33 +167,33 @@ def decode_outcome(decode, count, bound, payload, nbits=None):
         return type(exc)
 
 
-class TableCount:
-    """Counts the table entries `rtc_decode` builds, through `_code_table`.
-
-    A node table re-forms the two code tables `rtc_decode` asks for
-    directly (`asked`, as (bound, k)), so each of those adds its length; a
-    code table the call's memo does not hold yet is built, and adds its
-    length again.
-    """
+class SlotCount:
+    """Counts the table slots `rtc_decode` allocates, through
+    `_empty_table`, and the node reads its filled slots serve."""
 
     def __init__(self, monkeypatch):
-        self.entries = 0
-        self.asked = []
-        self._depth = 0
-        self._build = sizeindex._code_table
-        monkeypatch.setattr(sizeindex, "_code_table", self._counted)
+        self.slots = 0
+        self.widths = []  # k of each table, in allocation order
+        self.served = 0
+        monkeypatch.setattr(sizeindex, "_empty_table", self._allocate)
 
-    def _counted(self, bound, k, memo):
-        built = (bound, k) not in memo
-        self._depth += 1
-        try:
-            table = self._build(bound, k, memo)
-        finally:
-            self._depth -= 1
-        self.entries += len(table) * (built + (self._depth == 0))
-        if not self._depth:
-            self.asked.append((bound, k))
-        return table
+    def _allocate(self, size):
+        self.slots += size
+        self.widths.append(size.bit_length() - 1)
+        return _CountedSlots(self, size)
+
+
+class _CountedSlots(list):
+    """A node table that counts the reads a filled slot serves."""
+
+    def __init__(self, count, size):
+        super().__init__([None] * size)
+        self._count = count
+
+    def __getitem__(self, key):
+        slot = super().__getitem__(key)
+        self._count.served += slot is not None
+        return slot
 
 
 def coded_nodes(sizes):
@@ -239,25 +238,25 @@ class TestRtcTables:
     def test_tables_up_to_the_span_cap(self, monkeypatch):
         rnd = random.Random(15)
 
-        def tables_asked(pool):
+        def table_widths(pool):
             sizes = [rnd.choice(pool) for _ in range(16384)]
             ref, sink = BitWriter(), BitWriter()
             nbits = reference_rtc_encode(sizes, RTC_CONTAINER_BOUND, ref)
             assert rtc_encode(sizes, RTC_CONTAINER_BOUND, sink) == nbits
             assert sink.getvalue() == ref.getvalue()
-            count = TableCount(monkeypatch)
+            count = SlotCount(monkeypatch)
             source = BitReader(sink.getvalue(), nbits)
             assert rtc_decode(len(sizes), RTC_CONTAINER_BOUND, source) == sizes
             assert source.bits_remaining == 0
-            return count.asked
+            return count.widths
 
         # the widest table, at a span of RTC_TABLE_SPAN_CAP - 1, is built
         # and read at every offset in the window
         top = RTC_TABLE_SPAN_CAP - 1
-        asked = tables_asked([0, top] + rnd.sample(range(1, top), 3))
-        assert max(k for _, k in asked) == top.bit_length()
+        widths = table_widths([0, top] + rnd.sample(range(1, top), 3))
+        assert max(widths) == 1 + top.bit_length()
         # most nodes are at the cap, often enough for a table, but get none
-        assert tables_asked([0, RTC_TABLE_SPAN_CAP]) == []
+        assert table_widths([0, RTC_TABLE_SPAN_CAP]) == []
 
     def test_random_payloads_decode_as_reference(self):
         # garbage and short payloads: the same sizes or the same error
@@ -295,31 +294,29 @@ class TestRtcTables:
         nbits = rtc_encode(sizes, RTC_CONTAINER_BOUND, sink)
         nodes = coded_nodes(sizes)
         assert len(set(nodes)) > 2000
-        count = TableCount(monkeypatch)
+        count = SlotCount(monkeypatch)
         source = BitReader(sink.getvalue(), nbits)
         assert rtc_decode(len(sizes), RTC_CONTAINER_BOUND, source) == sizes
-        assert count.entries <= 4 * len(nodes)
+        assert count.slots <= 4 * len(nodes)
 
-    @pytest.mark.parametrize("n_streams", [64, 4096])
+    @pytest.mark.parametrize("n_streams", [64, 4096, 16384])
     def test_table_entries_stay_within_four_per_node(self, monkeypatch,
                                                      n_streams):
         payload, entries = real_index(n_streams)
-        count = TableCount(monkeypatch)
+        count = SlotCount(monkeypatch)
         sizes = rtc_decode(entries, RTC_CONTAINER_BOUND, BitReader(payload))
-        assert count.entries <= 4 * len(coded_nodes(sizes))
+        assert count.slots <= 4 * len(coded_nodes(sizes))
 
     def test_tables_serve_the_widest_index(self, monkeypatch):
         # 32768 entries: most nodes are read through a table
         payload, entries = real_index(65536)
-        count = TableCount(monkeypatch)
+        count = SlotCount(monkeypatch)
         source = BitReader(payload)
         sizes = rtc_decode(entries, RTC_CONTAINER_BOUND, source)
         assert source.bits_remaining < 8
         nodes = coded_nodes(sizes)
-        # rtc_decode asks for the span's code table, then span + 1's
-        tabled = {min(sizes) + span for span, _ in count.asked[0::2]}
-        assert sum(v in tabled for v in nodes) > len(nodes) // 2
-        assert count.entries <= 4 * len(nodes)
+        assert count.served > len(nodes) // 2
+        assert count.slots <= 4 * len(nodes)
 
     def test_short_payload_with_a_huge_count_fails_fast(self):
         # the root and the minimum fit in 4 bytes and the tree runs past
@@ -343,23 +340,6 @@ class TestRtcTables:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 1 << 20
-
-
-def test_code_table_matches_bounded_code():
-    """The halving builder against `bounded_code` for every bound in
-    1..600 and each table width the decoder can ask for it."""
-    memo = {}
-    for bound in range(1, 601):
-        narrowest = (bound - 1).bit_length()
-        base = [None] * (1 << narrowest)
-        for value in range(bound):
-            code, nbits = bounded_code(value, bound)
-            run = 1 << (narrowest - nbits)
-            base[code * run:(code + 1) * run] = [(value, nbits)] * run
-        for k in range(narrowest, bound.bit_length() + 2):
-            run = 1 << (k - narrowest)
-            expected = [entry for entry in base for _ in range(run)]
-            assert sizeindex._code_table(bound, k, memo) == expected, (bound, k)
 
 
 class TestBic:
