@@ -33,10 +33,12 @@ pays for its fork.  Coding stays in the calling process on one CPU, where
 `os.fork` is missing, below that floor, and on Python 3.12 or later in a
 process with other threads, where forking warns.  On a 2-vCPU VM two
 processes took the benchmark's bits-8 workload (8 fb streams) from 0.82 to
-1.44 MB/s decoding and from 0.92 to 1.64 MB/s encoding.  The lockstep
-engines never fork: on 65536 streams, two processes decoded 0.84x as fast
-as one, since the container parse stays serial and each block is only a
-few steps long.
+1.44 MB/s decoding and from 0.92 to 1.64 MB/s encoding.  Under a skewed
+binary model a `Decoder` decodes four zeros with one lookup in a run table
+that the caller builds before it forks, which took bits-8 decoding from
+1.46 to 1.95 MB/s.  The lockstep engines never fork: on 65536 streams, two
+processes decoded 0.84x as fast as one, since the container parse stays
+serial and each block is only a few steps long.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .rangecoder import (
     CdfModel,
     Decoder,
     Encoder,
+    _zero_runs,
     carry_lanes,
     cdf_tables,
     check_symbols,
@@ -112,7 +115,9 @@ _LOCKSTEP_BYTES = 32 << 20
 #: numpy loaded, forking and reaping a child took 1.5-3.3 ms and the
 #: caller's own block ran slower after the fork; two processes broke even
 #: on Bernoulli bits at about twice this many symbols, where order0 already
-#: ran 1.4x faster
+#: ran 1.4x faster.  Decoding Bernoulli(0.1) bits through the run table
+#: (8 fb streams), two processes ran 0.75x one at 2**15 symbols, 1.05-1.07x
+#: at 2**16 and 1.35x at 2**17
 _FORK_MIN_SYMBOLS = 1 << 15
 #: from Python 3.12 on, `os.fork` in a process with more than one thread
 #: raises a DeprecationWarning
@@ -565,6 +570,9 @@ def _decode_scalar(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
                     stream_layout(header)))
     blocks = [work[a:b] for a, b in shard_ranges(
         header.n_streams, _processes(header.n_symbols, header.n_streams))]
+    if isinstance(header.model, BinaryModel):
+        # built here, so forked children inherit it and build none
+        _zero_runs(header.model.p0)
     return b"".join(_fork_map(
         lambda block: _decode_streams(blob, seg_map, header.model, block),
         blocks))

@@ -8,7 +8,7 @@ import pytest
 
 from pecstream.bitio import REVERSED_BYTES
 from pecstream.container import stream_bytes
-from pecstream.rangecoder import BinaryModel, Decoder, Encoder
+from pecstream.rangecoder import MASK32, TOP, BinaryModel, Decoder, Encoder
 
 
 def forward_source(stream: bytes, continuation: bytes = b"\x00" * 8) -> bytes:
@@ -45,6 +45,27 @@ def random_bits(rnd: random.Random, count: int, p_one: float = 0.5) -> bytes:
 
 def decode_bit_stream(model: BinaryModel, source, count: int) -> bytes:
     return Decoder(source).decode_bits(model, count)
+
+
+def plain_decode_bits(dec: Decoder, model: BinaryModel, count: int) -> bytes:
+    """`Decoder.decode_bits` one bit at a time, with no run table: the
+    reference for its output and for the state it leaves in dec."""
+    p0 = model.p0
+    out = bytearray(count)
+    for i in range(count):
+        r0 = (dec._range >> 16) * p0
+        if dec._val < r0:
+            dec._range = r0
+        else:
+            out[i] = 1
+            dec._val -= r0
+            dec._range -= r0
+        while dec._range < TOP:
+            byte = dec._data[dec._pos] if dec._pos < len(dec._data) else 0
+            dec._val = ((dec._val << 8) | byte) & MASK32
+            dec._pos += 1
+            dec._range <<= 8
+    return bytes(out)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from pecstream.pipeline import (
     decode_parallel,
     encode_parallel,
 )
-from pecstream.rangecoder import PROB_ONE, BinaryModel, CdfModel
+from pecstream.rangecoder import PROB_ONE, _RUN_GATE, BinaryModel, CdfModel
 
 from test_golden import CODECS, INPUTS, MODES, STREAMS, bernoulli_bits, mixed_bytes
 from test_pipeline import order0
@@ -172,6 +172,32 @@ def test_corrupted_data_in_two_blocks(model_name):
             assert both_engines(bytes(bad)) != symbols
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_corrupted_runs_of_zeros(mode):
+    # Under a binary model above the run gate the scalar decoder takes four
+    # zeros at a time; 64 lanes of ~500 bits, one in 22 a one, have runs of
+    # four and more.  Corrupted, and claiming extra symbols, the bytes past
+    # a segment's end and the replaced ones decide the output
+    rnd = random.Random(64)
+    model = BinaryModel(PROB_ONE - 3000)
+    assert model.p0 >= _RUN_GATE
+    symbols = bernoulli_bits(3, 64 * 500 + 7, 3000)
+    blob = encode_parallel(symbols, model, 64, mode, "rtc")
+    _, seg_map = read_container(blob)
+    offset = seg_map.data_offset
+    spans = [(offset + start, offset + stop) for start, stop in
+             zip(seg_map.boundaries, seg_map.boundaries[1:])]
+    for trial in range(8):
+        bad = bytearray(blob)
+        for start, stop in rnd.sample(spans, 4):
+            bad[start:stop] = b"\xff" * (stop - start)
+        for _ in range(rnd.randrange(1, 40)):
+            bad[rnd.randrange(offset, len(bad))] = rnd.randrange(256)
+        if trial & 1:
+            struct.pack_into("<Q", bad, _N_SYMBOLS_OFFSET, len(symbols) + 999)
+        assert both_engines(bytes(bad))[:len(symbols)] != symbols
+
+
 def test_golden_inputs_decode_through_both_engines():
     # The index codec only moves the data region, and a lockstep step over
     # one or two lanes costs 15-50 us, so the codecs take turns: every
@@ -314,14 +340,21 @@ def test_symbol_bound_admits_cheapest_symbols(model, symbol):
 
 def test_importing_pipeline_loads_no_numpy():
     src = Path(pecstream.__file__).resolve().parent.parent
-    # a narrow encode and decode run on the scalar engines, which need none
+    # a narrow encode and decode run on the scalar engines, which need none;
+    # the last model is above the run gate, with 40 bits a stream, mostly
+    # zeros, so its run table is built and used
     code = ("import sys; import pecstream, pecstream.pipeline, pecstream.cli\n"
             "from pecstream import BinaryModel, CdfModel\n"
             "from pecstream.pipeline import decode_parallel, encode_parallel\n"
+            "from pecstream.rangecoder import _run_table\n"
+            "runs = bytes(i % 50 == 0 for i in range(40 * 510))\n"
             "for model, data in ((CdfModel.from_counts([1] * 256), b'abc'),\n"
-            "                    (BinaryModel(30000), b'\\x01\\x00')):\n"
+            "                    (BinaryModel(30000), b'\\x01\\x00'),\n"
+            "                    (BinaryModel(65536 - 1300), runs)):\n"
             f"    blob = encode_parallel(data, model, {LOCKSTEP_MIN_STREAMS - 2}, 'fr')\n"
             "    assert decode_parallel(blob) == data\n"
+            "info = _run_table.cache_info()\n"
+            "assert info.misses == 1 and info.hits >= 510, info\n"
             "sys.exit('numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], cwd=src,
                             env={"PYTHONPATH": str(src)}, timeout=60)

@@ -441,3 +441,47 @@ class TestProcessSplit:
         assert encode_parallel(data, model, 8, "fr") == blob
         assert decode_parallel(blob) == data
         assert not forks
+
+
+class TestRunTable:
+    """A binary model's run table is built once per process, in the
+    caller, before the scalar decoder forks its children."""
+
+    @staticmethod
+    def container(p0):
+        rnd = random.Random(p0)
+        bits = bytes(rnd.random() < 0.05 for _ in range(8000))
+        return bits, encode_parallel(bits, BinaryModel(p0), 8, "fb")
+
+    def test_built_before_forking(self, monkeypatch, forks):
+        p0 = rangecoder.PROB_ONE - 3000
+        bits, blob = self.container(p0)
+        split(monkeypatch, 2)
+        table = rangecoder._run_table
+        table.cache_clear()
+        cached = []
+        real = pipeline._fork_map
+
+        def spy(fn, blocks):
+            misses = table.cache_info().misses
+            table(p0)
+            cached.append(table.cache_info().misses == misses)
+            return real(fn, blocks)
+
+        monkeypatch.setattr(pipeline, "_fork_map", spy)
+        assert decode_parallel(blob) == bits
+        assert cached == [True]
+        assert len(forks) == (1 if fork_allowed() else 0)
+        assert_no_children()
+
+    def test_second_decode_builds_no_table(self):
+        table = rangecoder._run_table
+        table.cache_clear()
+        bits, blob = self.container(rangecoder._RUN_GATE - 1)
+        assert decode_parallel(blob) == bits
+        assert table.cache_info().misses == 0
+        bits, blob = self.container(rangecoder._RUN_GATE)
+        assert decode_parallel(blob) == bits
+        assert table.cache_info().misses == 1
+        assert decode_parallel(blob) == bits
+        assert table.cache_info().misses == 1

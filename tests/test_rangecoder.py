@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,16 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import backward_source, encode_bit_stream, forward_source, random_bits
+from conftest import (
+    backward_source,
+    encode_bit_stream,
+    forward_source,
+    plain_decode_bits,
+    random_bits,
+)
 from pecstream.rangecoder import (
     MASK32,
     PROB_ONE,
     TOP,
+    _RUN_GATE,
     BinaryModel,
     CdfModel,
     Decoder,
     Encoder,
     FinalCoderState,
+    _run_table,
+    _zero_runs,
 )
 from pecstream.termination import terminate_single
 
@@ -274,6 +284,61 @@ class TestFinalState:
         enc.finalize()
         with pytest.raises(AttributeError):
             enc.encode_bits(BinaryModel(PROB_ONE // 2), b"\x00" * 12)
+
+
+#: run-table edges: just below the gate, at it, bits-8's model and the
+#: largest p0
+RUN_P0 = (_RUN_GATE - 1, _RUN_GATE, round(0.9 * PROB_ONE), PROB_ONE - 1)
+
+
+class TestZeroRuns:
+    @pytest.mark.parametrize("p0", RUN_P0)
+    def test_decode_bits_matches_plain_loop(self, p0, rnd):
+        # valid streams, random bytes, and random bytes whose first four
+        # 0xFF start the value at the range; two calls on one decoder, so
+        # the second starts from the first one's state
+        model = BinaryModel(p0)
+        counts = list(range(13)) + [rnd.randrange(13, 4000) for _ in range(4)]
+        for count in counts:
+            bits = random_bits(rnd, count, 1 - p0 / PROB_ONE)
+            valid = terminate_single(encode_bit_stream(model, bits)).data
+            garbage = bytes(rnd.randrange(256) for _ in range(count // 8 + 9))
+            for data in (valid, garbage, b"\xff" * 4 + garbage):
+                for more in (0, 3, 4, rnd.randrange(5, 300)):
+                    fast, plain = Decoder(data), Decoder(data)
+                    got = fast.decode_bits(model, count), \
+                        fast.decode_bits(model, more)
+                    want = plain_decode_bits(plain, model, count), \
+                        plain_decode_bits(plain, model, more)
+                    assert got == want
+                    assert (fast._val, fast._range, fast._pos) == \
+                        (plain._val, plain._range, plain._pos)
+                if data is valid:
+                    assert got[0] == bits
+
+    @pytest.mark.parametrize("p0", (_RUN_GATE, PROB_ONE - 1))
+    def test_run_table_is_four_zeros(self, p0):
+        table = _run_table(p0)
+        assert len(table) == PROB_ONE
+        for h in range(PROB_ONE):
+            rng = h << 16
+            for _ in range(4):
+                rng = (rng >> 16) * p0
+            assert table[h] == (rng if rng >= TOP else 0)
+
+    def test_gate(self):
+        assert _zero_runs(_RUN_GATE - 1) is None
+        assert _zero_runs(_RUN_GATE) is _run_table(_RUN_GATE)
+
+    def test_run_table_build_stays_below_one_mib(self):
+        tracemalloc.start()
+        try:
+            table = _run_table.__wrapped__(round(0.9 * PROB_ONE))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == PROB_ONE
+        assert peak < 1 << 20
 
 
 @given(st.integers(1, PROB_ONE - 1),
