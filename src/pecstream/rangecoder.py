@@ -21,8 +21,10 @@ range), one lane per stream, with array forms of the rules: a sum past
 2**32 wraps as the scalar coder masks it, and a Python int operand is
 always a nonnegative value that fits, so old and new numpy promotion rules
 (NEP 50) keep every lane uint32.  Only `cdf_tables` loads numpy.  Under a
-skewed binary model `Decoder.decode_bits` takes four zeros at a time from
-`_run_table`, with the output and state of its per-bit loop.
+skewed binary model `Encoder.encode_bits` codes each run of zeros up to
+eight zeros a lookup and `Decoder.decode_bits` decodes four zeros a lookup,
+both in the same `_run_tables`, with the output and state of their per-bit
+loops.
 
 1. Split: `split_bits` (p0 shared or one per lane) and `split_symbols` (over
    `cdf_tables`) narrow each range in place and return the offset that the
@@ -365,6 +367,67 @@ class FinalCoderState:
                                self.direction, self.bit_reversed)
 
 
+#: the lowest p0 whose bits `Encoder.encode_bits` and `Decoder.decode_bits`
+#: code through `_zero_runs`: p(one) = 0.2.  On 2**17 bits in one process
+#: (2-vCPU VM) the per-bit loop took this many times the run loop's time,
+#: lowest and highest of three runs:
+#:
+#:   p(one)          0.01  0.05  0.1   0.15  0.2   0.25  0.3
+#:   decode lowest   2.35  1.77  1.33  1.12  1.04  0.69  0.86
+#:   decode highest  2.96  1.97  1.41  1.40  1.12  1.00  0.95
+#:   encode lowest   3.63  2.08  1.54  1.26  1.15  0.98  1.00
+#:   encode highest  3.98  2.63  1.80  1.33  1.17  1.01  1.04
+_RUN_GATE = 52429
+#: the most zeros one `_run_tables` lookup codes
+_RUN_MAX = 8
+#: the bits `Encoder.encode_bits` splits into runs at a time.  A split
+#: holds an object per run: 2**22 bits split at once peaked at 21 MB
+#: (p(one) = 0.1) to 51 MB (a one in three) under tracemalloc, and a slice
+#: of 2**16 bits holds about 1 MB at most
+_SPLIT_BITS = 1 << 16
+
+
+def _zero_runs(p0: int) -> tuple[array, ...] | None:
+    """The run tables of p0, or None below `_RUN_GATE`."""
+    return _run_tables(p0) if p0 >= _RUN_GATE else None
+
+
+@lru_cache(maxsize=2)
+def _run_tables(p0: int) -> tuple[array, ...]:
+    """(Z_1, ..., Z_8): Z_L[h] is the range after L zeros from any range r
+    with r >> 16 == h, or 0 where one of them leaves it below 2**24.
+
+    A zero sets the range to (range >> 16) * p0 and leaves low alone, so
+    the L ranges depend on h alone and fall strictly.  The encoder codes L
+    zeros with no renormalization by setting the range to a nonzero
+    Z_L[h].  A value v decodes four zeros with no renormalization exactly
+    when v < Z_4[h], and leaves the range at Z_4[h].
+
+    The 65536 h are the 32-bit fields of one int (an "I" array item), so
+    each step is a few operations on that int: h * p0 < 2**32 fits a field,
+    and a shift by 16 with a mask of 0xFFFF per field is each field's own
+    shift.  The ranges rise with h, so the entries below 2**24 are a
+    prefix.  Each table takes 256 KiB, so a p0 takes 2 MiB and the cache of
+    two p0 at most 4 MiB.  The build took about 6.5 ms on a 2-vCPU VM
+    and peaks below the tables plus 1 MiB.  Every caller shares the tables
+    and only reads them.
+    """
+    order = sys.byteorder
+    fields = int.from_bytes(array("I", range(PROB_ONE)), order)
+    mask = int.from_bytes(b"\xff\xff\x00\x00" * PROB_ONE, "little")
+    tables = []
+    for _ in range(_RUN_MAX):
+        if tables:
+            fields >>= 16
+            fields &= mask
+        fields *= p0
+        table = array("I", fields.to_bytes(4 * PROB_ONE, order))
+        low = bisect_left(table, TOP)
+        table[:low] = array("I", bytes(4 * low))
+        tables.append(table)
+    return tuple(tables)
+
+
 class Encoder:
     """Range encoder producing bytes in decode order into a bytearray.
 
@@ -391,9 +454,21 @@ class Encoder:
         return int.from_bytes(self._out, "big"), len(self._out)
 
     def encode_bits(self, model: BinaryModel, bits: Sequence[int]) -> None:
+        """Encode bits under model.
+
+        Bits given as bytes or a bytearray, under a model whose p0 is at
+        least `_RUN_GATE`, are coded one run of zeros at a time through
+        `_zero_runs`; all other bits go through the per-bit loop.  Both
+        paths write the same bytes and leave the same state.
+        """
         check_symbols(model, bits)
-        # hot path: the coder state lives in locals for the whole batch
         p0 = model.p0
+        if isinstance(bits, (bytes, bytearray)):
+            tables = _zero_runs(p0)
+            if tables is not None:
+                self._encode_runs(p0, tables, bits)
+                return
+        # hot path: the coder state lives in locals for the whole batch
         low = self._low
         rng = self._range
         out = self._out
@@ -412,6 +487,76 @@ class Encoder:
                 push(low >> 24)
                 low = (low << 8) & MASK32
                 rng <<= 8
+        self._low = low
+        self._range = rng
+
+    def _encode_runs(self, p0: int, tables: tuple[array, ...],
+                     bits: bytes | bytearray) -> None:
+        """`encode_bits` of checked bits, one run of zeros and the one after
+        it at a time.
+
+        A run of n zeros takes the range from Z_L[range >> 16], L = min(n,
+        8), while that entry is nonzero.  A 0 entry means a renormalization
+        comes within those L zeros, so the zeros up to and including it are
+        coded one at a time.  A zero leaves low alone, so no byte and no
+        carry can come from a run that has no renormalization.
+        """
+        zeros = (None, *tables)  # zeros[L] is Z_L
+        longest = tables[-1]
+        low = self._low
+        rng = self._range
+        out = self._out
+        push = out.append
+        # the runs of zeros before each one, split from _SPLIT_BITS bits
+        # at a time; a slice's last run goes on into the next slice, and
+        # the last run of all, which has no one after it, is marked by -1
+        size = len(bits)
+        last = 0
+        for start in range(0, size, _SPLIT_BITS):
+            piece = bits[start:start + _SPLIT_BITS]
+            runs = list(map(len, piece.split(b"\x01")))
+            runs[0] += last
+            last = runs.pop()
+            if start + _SPLIT_BITS >= size:
+                runs.append(-1)
+            for n in runs:
+                if n < 0:
+                    n, last = last, -1
+                while n:
+                    if n >= _RUN_MAX:
+                        r = longest[rng >> 16]
+                        if r:
+                            rng = r
+                            n -= _RUN_MAX
+                            continue
+                    else:
+                        r = zeros[n][rng >> 16]
+                        if r:
+                            rng = r
+                            break
+                    r0 = (rng >> 16) * p0
+                    while r0 >= TOP:
+                        rng = r0
+                        n -= 1
+                        r0 = (rng >> 16) * p0
+                    rng = r0
+                    n -= 1
+                    while rng < TOP:
+                        push(low >> 24)
+                        low = (low << 8) & MASK32
+                        rng <<= 8
+                if last < 0:
+                    break
+                r0 = (rng >> 16) * p0
+                low += r0
+                rng -= r0
+                if low > MASK32:
+                    _carry(out)
+                    low -= MASK32 + 1
+                while rng < TOP:
+                    push(low >> 24)
+                    low = (low << 8) & MASK32
+                    rng <<= 8
         self._low = low
         self._range = rng
 
@@ -456,54 +601,6 @@ class Encoder:
                                direction, bit_reversed)
 
 
-#: the lowest p0 whose bits `Decoder.decode_bits` decodes through
-#: `_zero_runs`: p(one) = 0.2.  On 2**17 bits in one process (2-vCPU VM,
-#: three runs) the per-bit loop took this many times the run loop's time:
-#:
-#:   p(one)  0.01  0.05  0.1   0.15  0.2   0.25  0.3
-#:   lowest  2.35  1.77  1.33  1.12  1.04  0.69  0.86
-#:   highest 2.96  1.97  1.41  1.40  1.12  1.00  0.95
-_RUN_GATE = 52429
-
-
-def _zero_runs(p0: int) -> array | None:
-    """The run table of p0, or None below `_RUN_GATE`."""
-    return _run_table(p0) if p0 >= _RUN_GATE else None
-
-
-@lru_cache(maxsize=4)
-def _run_table(p0: int) -> array:
-    """Z[h]: the range after four zeros from any range r with r >> 16 == h,
-    or 0 where one of them leaves it below 2**24.
-
-    A zero sets the range to (range >> 16) * p0, so the four ranges depend
-    on h alone and fall strictly.  A value v decodes four zeros with no
-    renormalization exactly when v < Z[h], and leaves the range at Z[h].
-
-    The 65536 h are the 32-bit fields of one int (an "I" array item), so
-    each step is a few operations on that int: h * p0 < 2**32 fits a field,
-    and a shift by 16 with a mask of 0xFFFF per field is each field's own
-    shift.  The ranges rise with h, so the entries below 2**24 are a
-    prefix.  The table takes 256 KiB; its build took about 3 ms on a 2-vCPU
-    VM (a loop over h took 18-23 ms) and peaks below 1 MiB.  Every caller
-    shares it and only reads it.
-    """
-    order = sys.byteorder
-    fields = int.from_bytes(array("I", range(PROB_ONE)), order)
-    mask = int.from_bytes(b"\xff\xff\x00\x00" * PROB_ONE, "little")
-    for _ in range(3):
-        fields *= p0
-        fields >>= 16
-        fields &= mask
-    del mask
-    fields *= p0
-    table = array("I", fields.to_bytes(4 * PROB_ONE, order))
-    del fields
-    low = bisect_left(table, TOP)
-    table[:low] = array("I", bytes(4 * low))
-    return table
-
-
 class Decoder:
     """Range decoder over one stream's bytes in decode order.
 
@@ -524,12 +621,12 @@ class Decoder:
         """Decode count bits under model.
 
         Under a model whose p0 is at least `_RUN_GATE`, while four or more
-        bits remain, one lookup in `_zero_runs` decodes four zeros at once
-        when they come with no renormalization; otherwise the bits up to
-        the next one or renormalization, at most four, are decoded one at
-        a time.  The rest, and every bit of other models, go through the
-        per-bit loop.  Both paths read the same bytes and leave the same
-        state, on corrupted streams too.
+        bits remain, one lookup in Z_4 of `_zero_runs` decodes four zeros
+        at once when they come with no renormalization; otherwise the bits
+        up to the next one or renormalization, at most four, are decoded
+        one at a time.  The rest, and every bit of other models, go through
+        the per-bit loop.  Both paths read the same bytes and leave the
+        same state, on corrupted streams too.
         """
         p0 = model.p0
         val = self._val
@@ -539,8 +636,9 @@ class Decoder:
         pos = self._pos
         out = bytearray(count)
         i = 0
-        runs = _zero_runs(p0) if count >= 4 else None
-        if runs is not None:
+        tables = _zero_runs(p0) if count >= 4 else None
+        if tables is not None:
+            runs = tables[3]
             last = count - 4
             while i <= last:
                 r = runs[rng >> 16]

@@ -47,6 +47,29 @@ def decode_bit_stream(model: BinaryModel, source, count: int) -> bytes:
     return Decoder(source).decode_bits(model, count)
 
 
+def plain_encode_bits(enc: Encoder, model: BinaryModel, bits) -> None:
+    """`Encoder.encode_bits` one bit at a time, with no run tables: the
+    reference for the bytes it writes and the state it leaves in enc."""
+    p0 = model.p0
+    for bit in bits:
+        r0 = (enc._range >> 16) * p0
+        if bit:
+            enc._low += r0
+            enc._range -= r0
+            if enc._low > MASK32:
+                # add the carry to the bytes written so far as one integer
+                size = len(enc._out)
+                enc._out[:] = (int.from_bytes(enc._out, "big") + 1).to_bytes(
+                    size, "big")
+                enc._low -= MASK32 + 1
+        else:
+            enc._range = r0
+        while enc._range < TOP:
+            enc._out.append(enc._low >> 24)
+            enc._low = (enc._low << 8) & MASK32
+            enc._range <<= 8
+
+
 def plain_decode_bits(dec: Decoder, model: BinaryModel, count: int) -> bytes:
     """`Decoder.decode_bits` one bit at a time, with no run table: the
     reference for its output and for the state it leaves in dec."""

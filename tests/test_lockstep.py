@@ -8,6 +8,7 @@ so over-long symbol counts and corrupted containers are compared as well:
 there the bytes past a segment's end decide the output.
 """
 
+import os
 import random
 import struct
 import subprocess
@@ -342,20 +343,23 @@ def test_importing_pipeline_loads_no_numpy():
     src = Path(pecstream.__file__).resolve().parent.parent
     # a narrow encode and decode run on the scalar engines, which need none;
     # the last model is above the run gate, with 40 bits a stream, mostly
-    # zeros, so its run table is built and used
+    # zeros, so its run tables are built once, then used by both directions
     code = ("import sys; import pecstream, pecstream.pipeline, pecstream.cli\n"
             "from pecstream import BinaryModel, CdfModel\n"
             "from pecstream.pipeline import decode_parallel, encode_parallel\n"
-            "from pecstream.rangecoder import _run_table\n"
+            "from pecstream.rangecoder import _run_tables\n"
             "runs = bytes(i % 50 == 0 for i in range(40 * 510))\n"
             "for model, data in ((CdfModel.from_counts([1] * 256), b'abc'),\n"
             "                    (BinaryModel(30000), b'\\x01\\x00'),\n"
             "                    (BinaryModel(65536 - 1300), runs)):\n"
             f"    blob = encode_parallel(data, model, {LOCKSTEP_MIN_STREAMS - 2}, 'fr')\n"
+            "    encoded = _run_tables.cache_info()\n"
             "    assert decode_parallel(blob) == data\n"
-            "info = _run_table.cache_info()\n"
-            "assert info.misses == 1 and info.hits >= 510, info\n"
+            "decoded = _run_tables.cache_info()\n"
+            "assert encoded.misses == decoded.misses == 1, decoded\n"
+            "assert encoded.hits >= 510 and decoded.hits - encoded.hits >= 510\n"
             "sys.exit('numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], cwd=src,
-                            env={"PYTHONPATH": str(src)}, timeout=60)
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            timeout=60)
     assert result.returncode == 0

@@ -444,8 +444,9 @@ class TestProcessSplit:
 
 
 class TestRunTable:
-    """A binary model's run table is built once per process, in the
-    caller, before the scalar decoder forks its children."""
+    """A binary model's run tables are built once per process, in the
+    caller, before the scalar encoder or decoder forks its children, and
+    both share them."""
 
     @staticmethod
     def container(p0):
@@ -455,9 +456,8 @@ class TestRunTable:
 
     def test_built_before_forking(self, monkeypatch, forks):
         p0 = rangecoder.PROB_ONE - 3000
-        bits, blob = self.container(p0)
         split(monkeypatch, 2)
-        table = rangecoder._run_table
+        table = rangecoder._run_tables
         table.cache_clear()
         cached = []
         real = pipeline._fork_map
@@ -469,18 +469,21 @@ class TestRunTable:
             return real(fn, blocks)
 
         monkeypatch.setattr(pipeline, "_fork_map", spy)
+        bits, blob = self.container(p0)
         assert decode_parallel(blob) == bits
-        assert cached == [True]
-        assert len(forks) == (1 if fork_allowed() else 0)
+        assert cached == [True, True]
+        assert table.cache_info().misses == 1
+        assert len(forks) == (2 if fork_allowed() else 0)
         assert_no_children()
 
     def test_second_decode_builds_no_table(self):
-        table = rangecoder._run_table
+        table = rangecoder._run_tables
         table.cache_clear()
         bits, blob = self.container(rangecoder._RUN_GATE - 1)
         assert decode_parallel(blob) == bits
         assert table.cache_info().misses == 0
         bits, blob = self.container(rangecoder._RUN_GATE)
+        assert table.cache_info().misses == 1
         assert decode_parallel(blob) == bits
         assert table.cache_info().misses == 1
         assert decode_parallel(blob) == bits

@@ -12,6 +12,7 @@ from conftest import (
     encode_bit_stream,
     forward_source,
     plain_decode_bits,
+    plain_encode_bits,
     random_bits,
 )
 from pecstream.rangecoder import (
@@ -19,12 +20,13 @@ from pecstream.rangecoder import (
     PROB_ONE,
     TOP,
     _RUN_GATE,
+    _SPLIT_BITS,
     BinaryModel,
     CdfModel,
     Decoder,
     Encoder,
     FinalCoderState,
-    _run_table,
+    _run_tables,
     _zero_runs,
 )
 from pecstream.termination import terminate_single
@@ -316,29 +318,111 @@ class TestZeroRuns:
                 if data is valid:
                     assert got[0] == bits
 
-    @pytest.mark.parametrize("p0", (_RUN_GATE, PROB_ONE - 1))
-    def test_run_table_is_four_zeros(self, p0):
-        table = _run_table(p0)
-        assert len(table) == PROB_ONE
-        for h in range(PROB_ONE):
-            rng = h << 16
-            for _ in range(4):
-                rng = (rng >> 16) * p0
-            assert table[h] == (rng if rng >= TOP else 0)
+    @pytest.mark.parametrize("p0", RUN_P0)
+    def test_encode_bits_matches_plain_loop(self, p0, rnd):
+        # runs of 0-20 zeros, multiples of eight and longer ones, alone,
+        # between ones, after a leading one and before a trailing one; all
+        # ones; no bits; random bits.  Each input is coded twice on one
+        # encoder, so the second call starts from the first one's state
+        model = BinaryModel(p0)
+        zero_runs = [b"\x00" * n for n in
+                     list(range(21)) + [24, 32, 64, 65, 100, 1000, 5000]]
+        inputs = [b"", b"\x01", b"\x01" * 40]
+        inputs += [run + one for run in zero_runs for one in (b"", b"\x01")]
+        inputs += [b"\x01" + run for run in zero_runs]
+        inputs += [b"\x01".join(rnd.sample(zero_runs, 4)) for _ in range(20)]
+        inputs += [random_bits(rnd, rnd.randrange(4000), p_one)
+                   for p_one in (0.01, 0.1, 1 - p0 / PROB_ONE, 0.5)
+                   for _ in range(3)]
+        # runs that go on from one split slice into the next
+        inputs += [b"\x00" * (2 * _SPLIT_BITS + 3),
+                   b"\x01" * (_SPLIT_BITS - 5) + b"\x00" * 12 + b"\x01",
+                   b"\x01" * _SPLIT_BITS + b"\x00" * 9,
+                   random_bits(rnd, _SPLIT_BITS + 7, 0.1)]
+        for bits in inputs:
+            fast, plain = Encoder(), Encoder()
+            for _ in range(2):
+                fast.encode_bits(model, bits)
+                plain_encode_bits(plain, model, bits)
+                assert fast._out == plain._out
+                assert fast.state == plain.state
 
-    def test_gate(self):
-        assert _zero_runs(_RUN_GATE - 1) is None
-        assert _zero_runs(_RUN_GATE) is _run_table(_RUN_GATE)
+    @pytest.mark.parametrize("p0", RUN_P0)
+    def test_encode_bits_input_types(self, p0, rnd):
+        # the run path codes bytes and bytearrays; lists and numpy arrays
+        # take the per-bit loop, with the same bytes and state
+        model = BinaryModel(p0)
+        bits = random_bits(rnd, 3000, 0.1)
+        want = Encoder()
+        plain_encode_bits(want, model, bits)
+        for given in (bits, bytearray(bits), list(bits),
+                      np.frombuffer(bits, np.uint8),
+                      np.frombuffer(bits, bool)):
+            enc = Encoder()
+            enc.encode_bits(model, given)
+            assert (enc._out, enc.state) == (want._out, want.state)
 
-    def test_run_table_build_stays_below_one_mib(self):
+    def test_encode_bits_splits_a_slice_at_a_time(self):
+        # a split holds an object per run: split whole, these three slices
+        # of bits would peak near 3 MiB
+        model = BinaryModel(round(0.9 * PROB_ONE))
+        bits = b"\x00\x00\x01" * _SPLIT_BITS
+        _run_tables(model.p0)
+        enc = Encoder()
         tracemalloc.start()
         try:
-            table = _run_table.__wrapped__(round(0.9 * PROB_ONE))
+            enc.encode_bits(model, bits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(table) == PROB_ONE
-        assert peak < 1 << 20
+        assert peak < (2 << 20) + len(enc._out)
+
+    def test_carry_right_after_a_run(self, rnd):
+        # the first one that follows eight or more zeros and carries out of
+        # low, found by coding random bits one at a time
+        model = BinaryModel(round(0.9 * PROB_ONE))
+        bits = random_bits(rnd, 1 << 16, 0.1)
+        enc = Encoder()
+        for i, bit in enumerate(bits):
+            low, rng = enc.state
+            if (bit and i >= 8 and not any(bits[i - 8:i])
+                    and low + (rng >> 16) * model.p0 > MASK32):
+                break
+            plain_encode_bits(enc, model, bits[i:i + 1])
+        else:
+            pytest.fail("no carry after a run of zeros")
+        bits = bits[:i + 1 + rnd.randrange(3)]
+        fast, plain = Encoder(), Encoder()
+        fast.encode_bits(model, bits)
+        plain_encode_bits(plain, model, bits)
+        assert (fast._out, fast.state) == (plain._out, plain.state)
+        term = terminate_single(fast.finalize())
+        assert Decoder(term.data).decode_bits(model, len(bits)) == bits
+
+    @pytest.mark.parametrize("p0", (_RUN_GATE, PROB_ONE - 1))
+    def test_run_tables_are_zero_steps(self, p0):
+        tables = _run_tables(p0)
+        assert len(tables) == 8
+        for h in range(PROB_ONE):
+            rng = h << 16
+            for table in tables:
+                rng = (rng >> 16) * p0
+                assert table[h] == (rng if rng >= TOP else 0)
+
+    def test_gate(self):
+        assert _zero_runs(_RUN_GATE - 1) is None
+        assert _zero_runs(_RUN_GATE) is _run_tables(_RUN_GATE)
+
+    def test_run_tables_build_peaks_below_their_size_plus_one_mib(self):
+        tracemalloc.start()
+        try:
+            tables = _run_tables.__wrapped__(round(0.9 * PROB_ONE))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(len(table) * table.itemsize for table in tables)
+        assert size == 8 * 4 * PROB_ONE
+        assert peak < size + (1 << 20)
 
 
 @given(st.integers(1, PROB_ONE - 1),
