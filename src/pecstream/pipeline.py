@@ -34,10 +34,10 @@ pays for its fork.  Coding stays in the calling process on one CPU, where
 process with other threads, where forking warns.  On a 2-vCPU VM two
 processes took the benchmark's bits-8 workload (8 fb streams) from 0.82 to
 1.44 MB/s decoding and from 0.92 to 1.64 MB/s encoding.  Under a skewed
-binary model an `Encoder` codes up to eight zeros and a `Decoder` decodes
-four zeros with one lookup in run tables that the caller builds before it
-forks, which took bits-8 decoding from 1.46 to 1.95 MB/s and encoding from
-1.69 to 2.45 MB/s.  The lockstep engines never fork: on 65536 streams, two
+binary model an `Encoder` codes and a `Decoder` decodes up to eight zeros
+with one lookup in run tables that the caller builds before it forks,
+which took bits-8 decoding from 1.46 to 2.08 MB/s and encoding from 1.69
+to 2.45 MB/s.  The lockstep engines never fork: on 65536 streams, two
 processes decoded 0.84x as fast as one, since the container parse stays
 serial and each block is only a few steps long.
 """

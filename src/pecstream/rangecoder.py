@@ -21,10 +21,9 @@ range), one lane per stream, with array forms of the rules: a sum past
 2**32 wraps as the scalar coder masks it, and a Python int operand is
 always a nonnegative value that fits, so old and new numpy promotion rules
 (NEP 50) keep every lane uint32.  Only `cdf_tables` loads numpy.  Under a
-skewed binary model `Encoder.encode_bits` codes each run of zeros up to
-eight zeros a lookup and `Decoder.decode_bits` decodes four zeros a lookup,
-both in the same `_run_tables`, with the output and state of their per-bit
-loops.
+skewed binary model `Encoder.encode_bits` and `Decoder.decode_bits` code
+up to eight zeros of a run a lookup, both in the same `_run_tables`, with
+the output and state of their per-bit loops.
 
 1. Split: `split_bits` (p0 shared or one per lane) and `split_symbols` (over
    `cdf_tables`) narrow each range in place and return the offset that the
@@ -276,6 +275,14 @@ def renormalize(state, rng):
     return shift
 
 
+#: the bytes `check_symbols` checks at a time under a `BinaryModel`.  The
+#: translate that deletes the legal bits copies its input first: 2**23
+#: bits checked whole peaked at 8.0 MiB under tracemalloc, and at 0.13 MiB
+#: in slices of 2**16 bytes, which took 1.14x as long (3.8-4.6 ms against
+#: 3.3-4.0 ms, 2-vCPU VM)
+_CHECK_BYTES = 1 << 16
+
+
 def check_symbols(model: BinaryModel | CdfModel,
                   symbols: Sequence[int]) -> None:
     """Raise the error coding `symbols` under `model` raises, before any
@@ -289,7 +296,8 @@ def check_symbols(model: BinaryModel | CdfModel,
     if isinstance(model, BinaryModel):
         # deleting the legal values checks bytes ~30x faster than a set does
         if isinstance(symbols, (bytes, bytearray)):
-            bad = symbols.translate(None, b"\x00\x01")
+            bad = any(symbols[k:k + _CHECK_BYTES].translate(None, b"\x00\x01")
+                      for k in range(0, len(symbols), _CHECK_BYTES))
         else:
             # the coder tests each bit for truth, so 0.0 and 1.0 code too
             bad = set(symbols).difference((0, 1))
@@ -373,8 +381,8 @@ class FinalCoderState:
 #: lowest and highest of three runs:
 #:
 #:   p(one)          0.01  0.05  0.1   0.15  0.2   0.25  0.3
-#:   decode lowest   2.35  1.77  1.33  1.12  1.04  0.69  0.86
-#:   decode highest  2.96  1.97  1.41  1.40  1.12  1.00  0.95
+#:   decode lowest   4.03  2.23  1.51  1.23  1.00  0.77  0.82
+#:   decode highest  4.55  2.67  1.53  1.27  1.06  0.94  0.89
 #:   encode lowest   3.63  2.08  1.54  1.26  1.15  0.98  1.00
 #:   encode highest  3.98  2.63  1.80  1.33  1.17  1.01  1.04
 _RUN_GATE = 52429
@@ -400,8 +408,9 @@ def _run_tables(p0: int) -> tuple[array, ...]:
     A zero sets the range to (range >> 16) * p0 and leaves low alone, so
     the L ranges depend on h alone and fall strictly.  The encoder codes L
     zeros with no renormalization by setting the range to a nonzero
-    Z_L[h].  A value v decodes four zeros with no renormalization exactly
-    when v < Z_4[h], and leaves the range at Z_4[h].
+    Z_L[h].  A value v decodes eight zeros with no renormalization exactly
+    when v < Z_8[h], and leaves the range at Z_8[h]; failing that, four
+    when v < Z_4[h].
 
     The 65536 h are the 32-bit fields of one int (an "I" array item), so
     each step is a few operations on that int: h * p0 < 2**32 fits a field,
@@ -503,6 +512,9 @@ class Encoder:
         """
         zeros = (None, *tables)  # zeros[L] is Z_L
         longest = tables[-1]
+        top = TOP
+        mask = MASK32
+        most = _RUN_MAX
         low = self._low
         rng = self._range
         out = self._out
@@ -523,11 +535,11 @@ class Encoder:
                 if n < 0:
                     n, last = last, -1
                 while n:
-                    if n >= _RUN_MAX:
+                    if n >= most:
                         r = longest[rng >> 16]
                         if r:
                             rng = r
-                            n -= _RUN_MAX
+                            n -= most
                             continue
                     else:
                         r = zeros[n][rng >> 16]
@@ -535,27 +547,27 @@ class Encoder:
                             rng = r
                             break
                     r0 = (rng >> 16) * p0
-                    while r0 >= TOP:
+                    while r0 >= top:
                         rng = r0
                         n -= 1
                         r0 = (rng >> 16) * p0
                     rng = r0
                     n -= 1
-                    while rng < TOP:
+                    while rng < top:
                         push(low >> 24)
-                        low = (low << 8) & MASK32
+                        low = (low << 8) & mask
                         rng <<= 8
                 if last < 0:
                     break
                 r0 = (rng >> 16) * p0
                 low += r0
                 rng -= r0
-                if low > MASK32:
+                if low > mask:
                     _carry(out)
-                    low -= MASK32 + 1
-                while rng < TOP:
+                    low -= mask + 1
+                while rng < top:
                     push(low >> 24)
-                    low = (low << 8) & MASK32
+                    low = (low << 8) & mask
                     rng <<= 8
         self._low = low
         self._range = rng
@@ -620,13 +632,13 @@ class Decoder:
     def decode_bits(self, model: BinaryModel, count: int) -> bytes:
         """Decode count bits under model.
 
-        Under a model whose p0 is at least `_RUN_GATE`, while four or more
-        bits remain, one lookup in Z_4 of `_zero_runs` decodes four zeros
-        at once when they come with no renormalization; otherwise the bits
-        up to the next one or renormalization, at most four, are decoded
-        one at a time.  The rest, and every bit of other models, go through
-        the per-bit loop.  Both paths read the same bytes and leave the
-        same state, on corrupted streams too.
+        Under a model whose p0 is at least `_RUN_GATE`, while eight or more
+        bits remain, a value v < Z_8[h] of `_zero_runs` (h = range >> 16)
+        decodes eight zeros with no renormalization and v < Z_4[h] four;
+        then the bits up to the next one or renormalization, which comes
+        within eight bits, are decoded one at a time.  The rest, and every
+        bit of other models, go through the per-bit loop.  Both paths read
+        the same bytes and leave the same state, on corrupted streams too.
         """
         p0 = model.p0
         val = self._val
@@ -636,20 +648,29 @@ class Decoder:
         pos = self._pos
         out = bytearray(count)
         i = 0
-        tables = _zero_runs(p0) if count >= 4 else None
+        top = TOP
+        mask = MASK32
+        tables = _zero_runs(p0) if count >= _RUN_MAX else None
         if tables is not None:
-            runs = tables[3]
-            last = count - 4
+            fours = tables[3]
+            eights = tables[7]
+            last = count - _RUN_MAX
             while i <= last:
-                r = runs[rng >> 16]
+                h = rng >> 16
+                r = eights[h]
+                if val < r:
+                    rng = r
+                    i += 8
+                    continue
+                r = fours[h]
                 if val < r:
                     rng = r
                     i += 4
-                    continue
-                # a one or a renormalization comes within four bits, so
-                # the bits up to it stay within count
-                r0 = (rng >> 16) * p0
-                while val < r0 >= TOP:
+                    h = r >> 16
+                # a one or a renormalization comes within the next four
+                # bits, so the bits up to it stay within count
+                r0 = h * p0
+                while val < r0 >= top:
                     rng = r0
                     i += 1
                     r0 = (rng >> 16) * p0
@@ -660,8 +681,8 @@ class Decoder:
                     val -= r0
                     rng -= r0
                 i += 1
-                while rng < TOP:
-                    val = ((val << 8) | (data[pos] if pos < end else 0)) & MASK32
+                while rng < top:
+                    val = ((val << 8) | (data[pos] if pos < end else 0)) & mask
                     pos += 1
                     rng <<= 8
         for i in range(i, count):
@@ -672,8 +693,8 @@ class Decoder:
                 out[i] = 1
                 val -= r0
                 rng -= r0
-            while rng < TOP:
-                val = ((val << 8) | (data[pos] if pos < end else 0)) & MASK32
+            while rng < top:
+                val = ((val << 8) | (data[pos] if pos < end else 0)) & mask
                 pos += 1
                 rng <<= 8
         self._val = val

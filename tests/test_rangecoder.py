@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from conftest import (
     plain_encode_bits,
     random_bits,
 )
+from pecstream import rangecoder
 from pecstream.rangecoder import (
     MASK32,
     PROB_ONE,
     TOP,
+    _CHECK_BYTES,
     _RUN_GATE,
     _SPLIT_BITS,
     BinaryModel,
@@ -28,6 +31,7 @@ from pecstream.rangecoder import (
     FinalCoderState,
     _run_tables,
     _zero_runs,
+    check_symbols,
 )
 from pecstream.termination import terminate_single
 
@@ -189,6 +193,33 @@ class TestBinaryCoding:
             assert value + width <= prev_value + prev_width + 1e-12
             prev_value, prev_width = value, width
 
+    def test_bit_check_peaks_below_one_mib(self):
+        # the check deletes the legal bits a slice at a time: whole, the
+        # deletion copies the input first and peaks at 8 MiB here
+        bits = bytes(1 << 23)
+        tracemalloc.start()
+        try:
+            check_symbols(BinaryModel(PROB_ONE // 2), bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("at", (0, _CHECK_BYTES + 7, -1))
+    def test_bad_bit_in_any_check_slice_raises_before_coding(self, at, rnd):
+        # a byte other than 0 or 1 in the first, a middle or the last slice
+        model = BinaryModel(round(0.9 * PROB_ONE))
+        bits = bytearray(random_bits(rnd, 3 * _CHECK_BYTES + 5, 0.1))
+        bits[at] = 2
+        for given in (bytes(bits), bits):
+            enc = Encoder()
+            enc.encode_bits(model, b"\x01\x00" * 20)
+            before = bytes(enc._out), enc.state
+            with pytest.raises(ValueError,
+                               match="binary models code 0/1 symbols only"):
+                enc.encode_bits(model, given)
+            assert (bytes(enc._out), enc.state) == before
+
 
 class TestSymbolCoding:
     def test_uniform_cdf_rate(self):
@@ -291,32 +322,123 @@ class TestFinalState:
 #: run-table edges: just below the gate, at it, bits-8's model and the
 #: largest p0
 RUN_P0 = (_RUN_GATE - 1, _RUN_GATE, round(0.9 * PROB_ONE), PROB_ONE - 1)
+#: runs of 0-20 zeros, multiples of eight and longer ones
+ZERO_RUNS = [b"\x00" * n for n in
+             list(range(21)) + [24, 32, 64, 65, 100, 1000, 5000]]
+
+
+def replay_run_lookups(dec: Decoder, model: BinaryModel, count: int):
+    """Decode count bits with `plain_decode_bits`, one at a time, and replay
+    from the states it passes through the run-table reads that
+    `Decoder.decode_bits` makes on them.
+
+    While eight bits remain, the value is tested against Z_8[h], then on a
+    miss against Z_4[h]; after a miss of both or a Z_4 hit, the bits up to
+    the next one or renormalization are decoded one at a time.  Returns the
+    bits, the (L, h) of each Z_L[h] read in order, and a count of the cases
+    met: "8 hit", "8 miss, 4 hit" and "renormalization in 8 zeros".
+    """
+    states, stops = [], []
+    out = bytearray()
+    for _ in range(count):
+        states.append((dec._val, dec._range))
+        pos = dec._pos
+        out += plain_decode_bits(dec, model, 1)
+        stops.append(out[-1] == 1 or dec._pos != pos)
+    reads, cases = [], Counter()
+    tables = _zero_runs(model.p0)
+    i = 0
+    while tables is not None and i <= count - 8:
+        val, rng = states[i]
+        h = rng >> 16
+        reads.append((8, h))
+        if val < tables[7][h]:
+            cases["8 hit"] += 1
+            i += 8
+            continue
+        if not any(out[i:i + 8]):
+            cases["renormalization in 8 zeros"] += 1
+        reads.append((4, h))
+        if val < tables[3][h]:
+            cases["8 miss, 4 hit"] += 1
+            i += 4
+        while not stops[i]:
+            i += 1
+        i += 1
+    return bytes(out), reads, cases
+
+
+class ReadLog:
+    """A run table that logs each read as (L, h) and answers it."""
+
+    def __init__(self, table, zeros: int, reads: list) -> None:
+        self.table, self.zeros, self.reads = table, zeros, reads
+
+    def __getitem__(self, h: int) -> int:
+        self.reads.append((self.zeros, h))
+        return self.table[h]
 
 
 class TestZeroRuns:
     @pytest.mark.parametrize("p0", RUN_P0)
-    def test_decode_bits_matches_plain_loop(self, p0, rnd):
-        # valid streams, random bytes, and random bytes whose first four
-        # 0xFF start the value at the range; two calls on one decoder, so
-        # the second starts from the first one's state
+    def test_decode_bits_matches_plain_loop(self, p0, rnd, monkeypatch):
+        # valid streams of random bits and of the fixed runs of zeros,
+        # alone, between ones and joined; random bytes, and random bytes
+        # whose first four 0xFF start the value at the range.  Each is
+        # decoded in one call that must read the run tables where the
+        # replay does, then in two calls on one decoder, so that the
+        # second starts from the first one's state
         model = BinaryModel(p0)
-        counts = list(range(13)) + [rnd.randrange(13, 4000) for _ in range(4)]
+        reads = []
+
+        def logged(p0):
+            tables = _zero_runs(p0)
+            if tables is None:
+                return None
+            return tuple(ReadLog(table, zeros, reads)
+                         for zeros, table in enumerate(tables, 1))
+
+        monkeypatch.setattr(rangecoder, "_zero_runs", logged)
+        streams = []
+        counts = list(range(21)) + [rnd.randrange(21, 4000) for _ in range(4)]
         for count in counts:
             bits = random_bits(rnd, count, 1 - p0 / PROB_ONE)
-            valid = terminate_single(encode_bit_stream(model, bits)).data
             garbage = bytes(rnd.randrange(256) for _ in range(count // 8 + 9))
-            for data in (valid, garbage, b"\xff" * 4 + garbage):
-                for more in (0, 3, 4, rnd.randrange(5, 300)):
-                    fast, plain = Decoder(data), Decoder(data)
-                    got = fast.decode_bits(model, count), \
-                        fast.decode_bits(model, more)
-                    want = plain_decode_bits(plain, model, count), \
-                        plain_decode_bits(plain, model, more)
-                    assert got == want
-                    assert (fast._val, fast._range, fast._pos) == \
-                        (plain._val, plain._range, plain._pos)
-                if data is valid:
-                    assert got[0] == bits
+            streams += [(bits, None), (garbage, count),
+                        (b"\xff" * 4 + garbage, count)]
+        streams += [(bits, None) for run in ZERO_RUNS
+                    for bits in (run, b"\x01" + run + b"\x01")]
+        streams += [(b"\x01".join(rnd.sample(ZERO_RUNS, 4)), None)
+                    for _ in range(20)]
+        cases = Counter()
+        for data, count in streams:
+            bits = None
+            if count is None:
+                bits, count = data, len(data)
+                data = terminate_single(encode_bit_stream(model, bits)).data
+            reads.clear()
+            fast, plain = Decoder(data), Decoder(data)
+            got = fast.decode_bits(model, count)
+            want, want_reads, met = replay_run_lookups(plain, model, count)
+            assert got == want
+            assert reads == want_reads
+            cases += met
+            assert (fast._val, fast._range, fast._pos) == \
+                (plain._val, plain._range, plain._pos)
+            if bits is not None:
+                assert got == bits
+            for more in (0, 3, 4, 7, 8, rnd.randrange(9, 300)):
+                fast, plain = Decoder(data), Decoder(data)
+                got = fast.decode_bits(model, count), \
+                    fast.decode_bits(model, more)
+                want = plain_decode_bits(plain, model, count), \
+                    plain_decode_bits(plain, model, more)
+                assert got == want
+                assert (fast._val, fast._range, fast._pos) == \
+                    (plain._val, plain._range, plain._pos)
+        if p0 >= _RUN_GATE:
+            assert set(cases) == {"8 hit", "8 miss, 4 hit",
+                                  "renormalization in 8 zeros"}, cases
 
     @pytest.mark.parametrize("p0", RUN_P0)
     def test_encode_bits_matches_plain_loop(self, p0, rnd):
@@ -325,12 +447,10 @@ class TestZeroRuns:
         # ones; no bits; random bits.  Each input is coded twice on one
         # encoder, so the second call starts from the first one's state
         model = BinaryModel(p0)
-        zero_runs = [b"\x00" * n for n in
-                     list(range(21)) + [24, 32, 64, 65, 100, 1000, 5000]]
         inputs = [b"", b"\x01", b"\x01" * 40]
-        inputs += [run + one for run in zero_runs for one in (b"", b"\x01")]
-        inputs += [b"\x01" + run for run in zero_runs]
-        inputs += [b"\x01".join(rnd.sample(zero_runs, 4)) for _ in range(20)]
+        inputs += [run + one for run in ZERO_RUNS for one in (b"", b"\x01")]
+        inputs += [b"\x01" + run for run in ZERO_RUNS]
+        inputs += [b"\x01".join(rnd.sample(ZERO_RUNS, 4)) for _ in range(20)]
         inputs += [random_bits(rnd, rnd.randrange(4000), p_one)
                    for p_one in (0.01, 0.1, 1 - p0 / PROB_ONE, 0.5)
                    for _ in range(3)]
