@@ -7,7 +7,6 @@ from .bitio import (
     elias_gamma_decode,
     elias_gamma_encode,
     pack_bounded,
-    reverse_byte,
     unpack_bounded,
 )
 from .container import (
@@ -26,16 +25,7 @@ from .rangecoder import (
     Encoder,
     FinalCoderState,
 )
-from .sizeindex import (
-    bic_decode,
-    bic_encode,
-    gamma_decode_sizes,
-    gamma_encode_sizes,
-    i32_decode_sizes,
-    i32_encode_sizes,
-    rtc_decode,
-    rtc_encode,
-)
+from .sizeindex import decode_index, encode_index
 from .termination import (
     JointTermination,
     SingleTermination,
@@ -48,13 +38,11 @@ from .termination import (
 
 __all__ = [
     "BitReader", "BitWriter", "TruncatedStreamError", "elias_gamma_decode",
-    "elias_gamma_encode", "pack_bounded", "reverse_byte", "unpack_bounded",
+    "elias_gamma_encode", "pack_bounded", "unpack_bounded",
     "ContainerFormatError", "Header", "SegmentMap", "read_container",
     "segment_source", "write_container", "decode_parallel", "encode_parallel",
     "shard_ranges", "BinaryModel", "CdfModel", "Decoder", "Encoder",
-    "FinalCoderState", "bic_decode", "bic_encode",
-    "gamma_decode_sizes", "gamma_encode_sizes", "i32_decode_sizes",
-    "i32_encode_sizes", "rtc_decode", "rtc_encode", "JointTermination",
+    "FinalCoderState", "decode_index", "encode_index", "JointTermination",
     "SingleTermination", "TerminationStats", "ValidByteSet", "joint_terminate",
     "terminate_single", "valid_byte_set",
 ]

@@ -11,7 +11,7 @@ class TruncatedStreamError(EOFError):
     """A read ran past the end of the available bits."""
 
 
-#: reverse_byte lookup, REVERSED_BYTES[n] has bit i equal to bit 7-i of n.
+#: REVERSED_BYTES[n] has bit i equal to bit 7-i of n (an involution).
 REVERSED_BYTES = bytes(
     ((n << 7) & 0x80)
     | ((n << 5) & 0x40)
@@ -23,13 +23,6 @@ REVERSED_BYTES = bytes(
     | ((n >> 7) & 0x01)
     for n in range(256)
 )
-
-
-def reverse_byte(n: int) -> int:
-    """Reverse the bit order of an 8-bit value (an involution)."""
-    if not 0 <= n <= 255:
-        raise ValueError(f"byte out of range: {n}")
-    return REVERSED_BYTES[n]
 
 
 class BitWriter:
@@ -46,16 +39,6 @@ class BitWriter:
     def bit_length(self) -> int:
         """Total number of bits written so far."""
         return len(self._buf) * 8 + self._nbits
-
-    def write_bit(self, bit: int) -> None:
-        acc = (self._acc << 1) | (bit & 1)
-        nbits = self._nbits + 1
-        if nbits == 8:
-            self._buf.append(acc)
-            acc = 0
-            nbits = 0
-        self._acc = acc
-        self._nbits = nbits
 
     def write_bits(self, value: int, count: int) -> None:
         """Write the `count` low bits of `value`, most significant first."""

@@ -31,7 +31,10 @@ order, so the output is the one a single process writes.  Every process
 gets at least `_FORK_MIN_SYMBOLS` symbols, the measured point where a child
 pays for its fork.  Coding stays in the calling process on one CPU, where
 `os.fork` is missing, below that floor, and on Python 3.12 or later in a
-process with other threads, where forking warns.  On a 2-vCPU VM two
+process with other threads, where forking warns.  numpy starts its BLAS
+thread pool on import, which `pecstream encode --model bernoulli:P` does;
+`OPENBLAS_NUM_THREADS=1` keeps that pool to the calling thread and so
+keeps the forked blocks.  On a 2-vCPU VM two
 processes took the benchmark's bits-8 workload (8 fb streams) from 0.82 to
 1.44 MB/s decoding and from 0.92 to 1.64 MB/s encoding.  Under a skewed
 binary model an `Encoder` codes and a `Decoder` decodes up to eight zeros

@@ -369,11 +369,6 @@ class FinalCoderState:
         self.chain.append(value & 0xFF)
         return bytes(self.chain)
 
-    def copy(self) -> "FinalCoderState":
-        """Independent copy; intended for use before any termination step."""
-        return FinalCoderState(self.low, self.range, bytearray(self.chain),
-                               self.direction, self.bit_reversed)
-
 
 #: the lowest p0 whose bits `Encoder.encode_bits` and `Decoder.decode_bits`
 #: code through `_zero_runs`: p(one) = 0.2.  On 2**17 bits in one process
@@ -457,10 +452,6 @@ class Encoder:
     @property
     def state(self) -> tuple[int, int]:
         return self._low, self._range
-
-    def chain_value(self) -> tuple[int, int]:
-        """(integer of produced bytes, byte count) for invariant checks."""
-        return int.from_bytes(self._out, "big"), len(self._out)
 
     def encode_bits(self, model: BinaryModel, bits: Sequence[int]) -> None:
         """Encode bits under model.

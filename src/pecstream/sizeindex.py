@@ -8,7 +8,6 @@ interpolative codec, the known total) on the decode side.
 
 from __future__ import annotations
 
-from operator import ge
 from typing import Sequence
 
 from .bitio import (
@@ -31,21 +30,11 @@ class CorruptIndexError(ValueError):
     """Decoded index data is internally impossible."""
 
 
-def build_range_tree(values: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Running-maxima tree over a power-of-two value array.
-
-    Returns (maxima, selection): maxima[i] = max of the two children for
-    internal nodes 1..N-1 (leaves at N..2N-1), selection[i] = 1 when the
-    left child attains the maximum (ties select left).
-    """
-    maxima = _tree_maxima(values)
-    selection = [0, *map(int, map(ge, maxima[2::2], maxima[3::2]))]
-    return maxima, selection
-
-
 def _tree_maxima(values: Sequence[int]) -> list[int]:
-    """`build_range_tree`'s maxima: slot 0 unused, then the nodes in heap
-    order, which is level order, so each level is built from the one below."""
+    """Running-maxima tree over a power-of-two value array: slot 0 unused,
+    then maxima[i] = max of the two children for internal nodes 1..N-1 and
+    the values as leaves N..2N-1.  Heap order is level order, so each level
+    is built from the one below."""
     n = len(values)
     if n < 1 or n & (n - 1):
         raise ValueError("tree size must be a power of two")
@@ -375,6 +364,7 @@ def encode_index(codec: str, sizes: Sequence[int], total: int,
 
 def decode_index(codec: str, count: int, total: int,
                  source: BitReader) -> list[int]:
+    """Decode `count` sizes that `encode_index` wrote with the same codec."""
     if codec == "i32":
         return i32_decode_sizes(count, source)
     if codec == "rtc":

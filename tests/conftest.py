@@ -8,7 +8,14 @@ import pytest
 
 from pecstream.bitio import REVERSED_BYTES
 from pecstream.container import stream_bytes
-from pecstream.rangecoder import MASK32, TOP, BinaryModel, Decoder, Encoder
+from pecstream.rangecoder import (
+    MASK32,
+    TOP,
+    BinaryModel,
+    Decoder,
+    Encoder,
+    FinalCoderState,
+)
 
 
 def forward_source(stream: bytes, continuation: bytes = b"\x00" * 8) -> bytes:
@@ -37,6 +44,12 @@ def encode_bit_stream(model: BinaryModel, bits: bytes, direction: str = "forward
     enc = Encoder()
     enc.encode_bits(model, bits)
     return enc.finalize(direction=direction, bit_reversed=bit_reversed)
+
+
+def copy_state(state: FinalCoderState) -> FinalCoderState:
+    """An independent copy of a final state that no termination has used."""
+    return FinalCoderState(state.low, state.range, bytearray(state.chain),
+                           state.direction)
 
 
 def random_bits(rnd: random.Random, count: int, p_one: float = 0.5) -> bytes:

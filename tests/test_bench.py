@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import copy_state
 from pecstream import bench
 from pecstream.bench import (
     FitResult,
@@ -164,7 +165,7 @@ class TestTerminationExperiment:
         assert np.allclose(pop_fast.pending, pop_exact.pending, atol=1e-12)
         exact = {mode: TerminationStats() for mode in ("uni", "fb", "fr")}
         for state in states:
-            exact["uni"].add_single(terminate_single(state.copy()))
+            exact["uni"].add_single(terminate_single(copy_state(state)))
         unshared = 0
         for mode in ("fb", "fr"):
             # the array junction is joint_terminate's stored junction byte
@@ -173,7 +174,8 @@ class TestTerminationExperiment:
                                        mode)
             scalar = []
             for j in range(0, len(states), 2):
-                term = joint_terminate(states[j].copy(), states[j + 1].copy(), mode)
+                fwd, bwd = copy_state(states[j]), copy_state(states[j + 1])
+                term = joint_terminate(fwd, bwd, mode)
                 exact[mode].add_pair(term)
                 scalar.append(term.fwd_data[-1] if term.shared else -1)
             assert junctions.tolist() == scalar

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pecstream.bitio import (
+    REVERSED_BYTES,
     BitReader,
     BitWriter,
     TruncatedStreamError,
@@ -11,7 +12,6 @@ from pecstream.bitio import (
     elias_gamma_decode,
     elias_gamma_encode,
     pack_bounded,
-    reverse_byte,
     unpack_bounded,
 )
 
@@ -25,7 +25,7 @@ class TestBitStreams:
     def test_writer_counts_bits(self):
         w = BitWriter()
         for _ in range(13):
-            w.write_bit(1)
+            w.write_bits(1, 1)
         assert w.bit_length == 13
         assert len(w.getvalue()) == 2  # ceil(13 / 8)
 
@@ -38,7 +38,7 @@ class TestBitStreams:
     def test_single_bit_roundtrip(self, bits):
         w = BitWriter()
         for b in bits:
-            w.write_bit(b)
+            w.write_bits(b, 1)
         r = BitReader(w.getvalue(), len(bits))
         assert [r.read_bit() for _ in bits] == bits
 
@@ -107,7 +107,7 @@ class TestPackBounded:
     def test_golden_decode(self, bound, bits, expected):
         w = BitWriter()
         for b in bits:
-            w.write_bit(int(b))
+            w.write_bits(int(b), 1)
         r = BitReader(w.getvalue(), len(bits))
         assert unpack_bounded(bound, r) == expected
 
@@ -197,14 +197,9 @@ class TestReverseByte:
         (0xB4, 0x2D),
     ])
     def test_golden(self, value, expected):
-        assert reverse_byte(value) == expected
+        assert REVERSED_BYTES[value] == expected
 
     def test_involution(self):
+        assert len(REVERSED_BYTES) == 256
         for n in range(256):
-            assert reverse_byte(reverse_byte(n)) == n
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            reverse_byte(256)
-        with pytest.raises(ValueError):
-            reverse_byte(-1)
+            assert REVERSED_BYTES[REVERSED_BYTES[n]] == n

@@ -176,19 +176,18 @@ class TestBinaryCoding:
 
     def test_deferred_carry_value_is_monotone(self, rnd):
         # the chain||low fraction only grows, and renormalization never
-        # changes it: each coded symbol moves it by less than the old width
+        # changes it: each coded symbol moves it by less than the old width.
+        # A fresh encoder's finalize() gives the state after each prefix
         model = BinaryModel(40000)
-        enc = Encoder()
+        bits = random_bits(rnd, 400, 0.4)
         prev_value = 0.0
         prev_width = 1.0
-        for _ in range(400):
-            bit = rnd.random() < 0.4
-            enc.encode_bits(model, [bit])
-            chain_int, chain_len = enc.chain_value()
-            low, rng = enc.state
-            scale = 2.0 ** -(8 * chain_len + 32)
-            value = (chain_int * (1 << 32) + low) * scale
-            width = rng * scale
+        for count in range(1, len(bits) + 1):
+            state = encode_bit_stream(model, bits[:count])
+            chain_int = int.from_bytes(state.chain, "big")
+            scale = 2.0 ** -(8 * len(state.chain) + 32)
+            value = (chain_int * (1 << 32) + state.low) * scale
+            width = state.range * scale
             assert value >= prev_value - 1e-12
             assert value + width <= prev_value + prev_width + 1e-12
             prev_value, prev_width = value, width

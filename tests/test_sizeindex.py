@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from functools import lru_cache
+from operator import ge
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from pecstream.sizeindex import (
     CorruptIndexError,
     bic_decode,
     bic_encode,
-    build_range_tree,
     gamma_decode_sizes,
     gamma_encode_sizes,
     i32_decode_sizes,
@@ -54,6 +54,19 @@ def roundtrip(encode, decode, sizes, *, total=None, bound=None):
     encode(sizes, sink)
     source = BitReader(sink.getvalue(), sink.bit_length)
     return decode(len(sizes), source)
+
+
+def build_range_tree(values):
+    """Running-maxima tree over a power-of-two value array, the reference
+    for `rtc_encode`'s tree.
+
+    Returns (maxima, selection): maxima is the encoder's own
+    `_tree_maxima`, and selection[i] = 1 when the left child of internal
+    node i attains the maximum (ties select left).
+    """
+    maxima = sizeindex._tree_maxima(values)
+    selection = [0, *map(int, map(ge, maxima[2::2], maxima[3::2]))]
+    return maxima, selection
 
 
 class TestRangeTree:
@@ -97,7 +110,7 @@ class TestRtc:
     def test_golden_decode(self, bits, count, expected):
         sink = BitWriter()
         for b in bits:
-            sink.write_bit(int(b))
+            sink.write_bits(int(b), 1)
         assert rtc_decode(count, 8, BitReader(sink.getvalue(), len(bits))) == expected
 
     def test_single_entry(self):
@@ -133,7 +146,7 @@ def reference_rtc_encode(sizes, bound, sink):
     for i in range(1, n):
         if maxima[i] != smallest:
             y = selection[i]
-            sink.write_bit(y)
+            sink.write_bits(y, 1)
             pack_bounded(maxima[i] - maxima[2 * i + y] + y - 1,
                          maxima[i] - smallest + y, sink)
     return sink.bit_length - start

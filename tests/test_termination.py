@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import encode_bit_stream, forward_source, random_bits
+from conftest import copy_state, encode_bit_stream, forward_source, random_bits
 from pecstream.bitio import REVERSED_BYTES
 from pecstream.container import stream_bytes
 from pecstream.rangecoder import (
@@ -167,8 +167,8 @@ class TestJointTerminate:
                 lo_b = rnd.randrange(0, 250)
                 fwd = state_for_bounds(lo_f, lo_f + rnd.randrange(0, 120), "forward")
                 bwd = state_for_bounds(lo_b, lo_b + rnd.randrange(0, 120), "backward")
-                f_set = valid_byte_set(fwd.copy())
-                b_set = valid_byte_set(bwd.copy())
+                f_set = valid_byte_set(copy_state(fwd))
+                b_set = valid_byte_set(copy_state(bwd))
                 f_bytes = {t & 0xFF for t in range(f_set.lo, f_set.hi + 1)}
                 b_bytes = {t & 0xFF for t in range(b_set.lo, b_set.hi + 1)}
                 common = [z for z in range(256)
@@ -287,7 +287,7 @@ class TestValidityExhaustive:
             renormed += vset.prefix_bytes
             for value in range(vset.lo, vset.hi + 1):
                 carried += value >= 256
-                data = base.copy().finish(value)
+                data = copy_state(base).finish(value)
                 continuation = bytes(rnd.randrange(256) for _ in range(6))
                 got = Decoder(forward_source(data, continuation)).decode_bits(
                     model, len(bits))
@@ -334,8 +334,8 @@ class TestValidityExhaustive:
             fwd = model_states[i]
             bwd = model_states[i + 1]
             bwd.direction = "backward"
-            singles.add_single(terminate_single(fwd.copy()))
-            singles.add_single(terminate_single(bwd.copy()))
+            singles.add_single(terminate_single(copy_state(fwd)))
+            singles.add_single(terminate_single(copy_state(bwd)))
             pairs.add_pair(joint_terminate(fwd, bwd, "fb"))
         expected = singles.mean_extra_bits - 4.0 * pairs.share_ratio
         assert pairs.mean_extra_bits == pytest.approx(expected, abs=1e-9)
