@@ -149,11 +149,6 @@ def overhead_factors(mode: str, index_codec: str, tbar: float) -> OverheadModel:
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def overhead_curve(model: OverheadModel,
-                   stream_bytes: Iterable[float]) -> list[tuple[float, float]]:
-    return [(b, model.relative_overhead(b)) for b in stream_bytes]
-
-
 def overhead_grid(model: OverheadModel, data_bytes: Sequence[float],
                   n_streams: Sequence[int]) -> list[tuple[float, int, float]]:
     """W over a (D, N_s) grid; skips cells with less than one byte per stream."""

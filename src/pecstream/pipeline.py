@@ -65,6 +65,7 @@ from .container import (
     check_layout,
     read_container,
     segment_source,
+    stream_bytes,
 )
 from .rangecoder import (
     MASK32,
@@ -265,24 +266,31 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
                               len(symbols), sizes, region)
 
 
+def _scalar_map(fn: Callable, work: list, unit: int, n_symbols: int,
+                model: BinaryModel | CdfModel) -> list:
+    """fn over contiguous blocks of work, in order, one block per process
+    of `_processes`; every block holds whole units of `unit` items."""
+    units = len(work) // unit
+    blocks = [work[unit * a:unit * b] for a, b in
+              shard_ranges(units, _processes(n_symbols, units))]
+    if isinstance(model, BinaryModel):
+        # built here, so forked children inherit it and build none
+        _zero_runs(model.p0)
+    return _fork_map(fn, blocks)
+
+
 def _encode_scalar(symbols: bytes, model: BinaryModel | CdfModel,
                    n_streams: int, mode: str) -> tuple[list[int], bytes]:
     """One `Encoder` per shard, then one termination per stream or pair;
     returns the segment sizes and the joined region, as `_encode_lockstep`.
 
-    The shards are coded in contiguous blocks of whole streams (uni) or
-    whole forward/backward pairs, one block per process of `_processes`.
+    The shards are coded in blocks of whole streams (uni) or whole
+    forward/backward pairs, through `_scalar_map`.
     """
-    ranges = shard_ranges(len(symbols), n_streams)
-    per_unit = 1 if mode == "uni" else 2
-    units = n_streams // per_unit
-    blocks = [ranges[per_unit * a:per_unit * b] for a, b in
-              shard_ranges(units, _processes(len(symbols), units))]
-    if isinstance(model, BinaryModel):
-        # built here, so forked children inherit it and build none
-        _zero_runs(model.p0)
-    parts = _fork_map(
-        lambda block: _encode_shards(symbols, model, block, mode), blocks)
+    parts = _scalar_map(
+        lambda block: _encode_shards(symbols, model, block, mode),
+        shard_ranges(len(symbols), n_streams), 1 if mode == "uni" else 2,
+        len(symbols), model)
     segments = [segment for part in parts for segment in part]
     return [len(segment) for segment in segments], b"".join(segments)
 
@@ -313,30 +321,30 @@ def _encode_shards(symbols: bytes, model: BinaryModel | CdfModel,
             bwd_state = encoders[j + 1].finalize(direction="backward",
                                                  bit_reversed=reversed_bits)
             term = joint_terminate(fwd_state, bwd_state, mode)
-            bwd = term.bwd_data
-            if reversed_bits:
-                bwd = bwd.translate(REVERSED_BYTES)
-            segments.append(term.fwd_data + bwd[::-1])
+            segments.append(term.fwd_data + stream_bytes(
+                term.bwd_data, "backward", reversed_bits))
     return segments
 
 
-def _lane_mask(n_symbols: int, n_lanes: int):
-    """Which (lane, step) cells of a lockstep matrix hold a symbol.
+def _short_lanes(n_symbols: int, n_lanes: int):
+    """Which lockstep lanes are one symbol shorter than the longest, as a
+    boolean vector, and the end of each one's shard.
 
     Lane k holds shard k of `shard_ranges`, one symbol per step, so a lane
-    is either as long as the longest or one symbol shorter.  None when
-    every lane is as long as the longest.
+    is either as long as the longest or one symbol shorter.  The shard ends
+    at floor((k+1)n/N) = (k+1)(n // N) + floor((k+1)(n % N)/N); the second
+    form keeps int64 exact where (k+1)n would not be.
     """
     import numpy as np
 
     short, extra = divmod(n_symbols, n_lanes)
     if not extra:
-        return None
-    # shard_ranges' counts: floor((k+1)n/N) - floor(kn/N) is short plus the
-    # same difference taken over the remainder, which keeps int64 exact
-    counts = short + np.diff(np.arange(n_lanes + 1, dtype=np.int64) * extra
-                             // n_lanes)
-    return np.arange(short + 1) < counts[:, None]
+        # every lane holds n // N
+        return np.zeros(n_lanes, dtype=bool), np.zeros(0, dtype=np.int64)
+    k = np.arange(1, n_lanes + 1, dtype=np.int64)
+    tail = k * extra // n_lanes
+    is_short = np.diff(tail, prepend=0) == 0
+    return is_short, (k * short + tail)[is_short]
 
 
 def _lane_bytes(lanes, widths: list[int]) -> int:
@@ -381,9 +389,10 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     range) as uint32 and its bytes as one row of a uint8 matrix with a
     length per lane; the matrix is as wide as `_lane_bytes` bounds the
     longest lane from its symbols' costs.  The symbols are held step-major,
-    one (steps, lanes) array built with one copy of the input (through a
-    lane-major buffer of about 2**16 symbols when lanes differ in length),
-    so each step reads one contiguous row.  A carry out of low, or a
+    one (steps, lanes) array, so each step reads one contiguous row.  A lane
+    one symbol short of the longest (see `_short_lanes`) is padded with
+    symbol 0, which adds nothing to low, and keeps its range at the last
+    step, so it codes exactly its shard.  A carry out of low, or a
     termination value >= 256, goes into the lane's bytes as it happens,
     through `carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
     lanes and `_LOCKSTEP_BYTES` matrix bytes, each block for all steps, then
@@ -396,24 +405,13 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     import numpy as np
 
     arr = np.frombuffer(symbols, dtype=np.uint8)
-    mask = _lane_mask(len(arr), n_streams)
+    short, ends = _short_lanes(len(arr), n_streams)
     steps = -(-len(arr) // n_streams)
-    # step-major, so that each step reads one contiguous row
-    if mask is None:
-        lanes = np.ascontiguousarray(arr.reshape(n_streams, steps).T)
-    else:
-        # filled lane-major a chunk of about 2**16 symbols at a time, then
-        # copied transposed: a boolean fill through the transposed view
-        # took 1.5-2.3x as long
-        lanes = np.empty((steps, n_streams), dtype=np.uint8)
-        per = max(1, (1 << 16) // steps)
-        for first in range(0, n_streams, per):
-            stop = min(first + per, n_streams)
-            chunk = np.zeros((stop - first, steps), dtype=np.uint8)
-            # lane k holds shard k of `shard_ranges`
-            chunk[mask[first:stop]] = arr[first * len(arr) // n_streams:
-                                          stop * len(arr) // n_streams]
-            lanes[:, first:stop] = chunk.T
+    # padding symbol 0 ends each short lane's shard; np.insert copies even
+    # where it inserts nothing
+    lanes = np.ascontiguousarray(
+        (np.insert(arr, ends, 0) if len(ends) else arr)
+        .reshape(n_streams, steps).T)
     binary = isinstance(model, BinaryModel)
     split, probs = ((split_bits, model.p0) if binary
                     else (split_symbols, cdf_tables(model)))
@@ -445,19 +443,18 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
         at = row.copy()
         low = np.zeros(n, dtype=np.uint32)
         rng = np.full(n, MASK32, dtype=np.uint32)
+        pad = np.flatnonzero(short[first:first + n])
 
         for i in range(steps):
             # bits multiply in place into the uint32 range; intp indices
             # gather faster
             s = block[i] if binary else block[i].astype(np.intp)
-            # a lane one symbol short codes nothing at the last step: its
-            # padding symbol 0 adds nothing to low, and it keeps its range
-            padded = mask is not None and i == steps - 1
-            coded = rng.copy() if padded else rng
-            offset = split(coded, probs, s)
+            # a short lane keeps its range at its padding step
+            kept = rng[pad] if i == steps - 1 else None
+            offset = split(rng, probs, s)
             low += offset
-            if padded:
-                np.copyto(rng, coded, where=mask[first:first + n, i])
+            if kept is not None:
+                rng[pad] = kept
             # low wrapped past 2**32 where the sum came out below the offset
             hit = np.flatnonzero(low < offset)
             if len(hit):
@@ -516,12 +513,9 @@ def stream_layout(header: Header) -> list[tuple[int, str, bool]]:
     """Per-stream (segment, direction, bit_reversed) in shard order."""
     out = []
     for k in range(header.n_streams):
-        if header.mode == "uni":
-            out.append((k, "forward", False))
-        else:
-            backward = bool(k & 1)
-            out.append((k // 2, "backward" if backward else "forward",
-                        backward and header.mode == "fr"))
+        seg, backward = divmod(k, 1 if header.mode == "uni" else 2)
+        out.append((seg, "backward" if backward else "forward",
+                    bool(backward) and header.mode == "fr"))
     return out
 
 
@@ -571,18 +565,12 @@ def decode_parallel(blob: bytes) -> bytes:
 
 
 def _decode_scalar(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
-    """One `Decoder` per stream, in contiguous blocks of streams, one block
-    per process of `_processes`."""
+    """One `Decoder` per stream, in blocks of streams through `_scalar_map`."""
     work = list(zip(shard_ranges(header.n_symbols, header.n_streams),
                     stream_layout(header)))
-    blocks = [work[a:b] for a, b in shard_ranges(
-        header.n_streams, _processes(header.n_symbols, header.n_streams))]
-    if isinstance(header.model, BinaryModel):
-        # built here, so forked children inherit it and build none
-        _zero_runs(header.model.p0)
-    return b"".join(_fork_map(
+    return b"".join(_scalar_map(
         lambda block: _decode_streams(blob, seg_map, header.model, block),
-        blocks))
+        work, 1, header.n_symbols, header.model))
 
 
 def _decode_streams(blob: bytes, seg_map: SegmentMap,
@@ -608,10 +596,10 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
     uint32 and the index of its next byte.  Every lane reads upward: a
     forward lane from its segment's start in `blob`, a backward lane from
     its segment's end in a reversed copy of `blob` placed after it
-    (bit-reversed in fr), and 0x00 at and past the segment length.  Lanes
-    whose shard is one symbol short of the longest decode one symbol too
-    many; the reassembly drops it.  Lanes are decoded in blocks of
-    `_LOCKSTEP_BLOCK`, each block for all steps.
+    (bit-reversed in fr), and 0x00 at and past the segment length.  A lane
+    one symbol short of the longest (see `_short_lanes`) decodes one symbol
+    too many at the last step; the reassembly drops that cell.  Lanes are
+    decoded in blocks of `_LOCKSTEP_BLOCK`, each block for all steps.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
@@ -646,10 +634,7 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
         lane = np.arange(first, min(first + _LOCKSTEP_BLOCK, n_lanes))
         block = out[first:first + len(lane)]
         # lanes are laid out as stream_layout lists the streams
-        if header.mode == "uni":
-            seg, backward = lane, False
-        else:
-            seg, backward = lane >> 1, (lane & 1).astype(bool)
+        seg, backward = np.divmod(lane, 1 if header.mode == "uni" else 2)
         start, stop = bounds[seg], bounds[seg + 1]
         # lane k's next byte is data[at[k]] while at[k] < end[k]
         at = np.where(backward, 2 * size - stop, start)
@@ -680,5 +665,7 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
             val |= fetch() >> (16 - shift)
             at += shift >> 3
 
-    mask = _lane_mask(n_symbols, n_lanes)
-    return out.tobytes() if mask is None else out[mask].tobytes()
+    short, _ = _short_lanes(n_symbols, n_lanes)
+    drop = np.flatnonzero(short) * steps + steps - 1
+    # np.delete copies even where it drops nothing
+    return (np.delete(out, drop) if len(drop) else out).tobytes()

@@ -15,7 +15,6 @@ from pecstream.bench import (
     average_redundancy,
     fit_log2_normal,
     log2_normal_entropy,
-    overhead_curve,
     overhead_factors,
     redundancy_experiment,
 )
@@ -133,8 +132,6 @@ class TestOverheadModel:
 
     def test_curve_shape(self):
         model = overhead_factors("fr", "rtc", 1.78)
-        points = [b for b, _ in overhead_curve(model, [95, 1200])]
-        assert points == [95, 1200]
         assert model.relative_overhead(95) < 0.01
         assert model.relative_overhead(1200) < 0.001
 

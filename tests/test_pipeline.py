@@ -9,7 +9,13 @@ import pytest
 
 from pecstream import pipeline, rangecoder
 from pecstream.container import MAX_STREAMS, read_container, write_container
-from pecstream.pipeline import decode_parallel, encode_parallel, shard_ranges
+from pecstream.pipeline import (
+    _short_lanes,
+    decode_parallel,
+    encode_parallel,
+    shard_ranges,
+    stream_layout,
+)
 from pecstream.rangecoder import BinaryModel, CdfModel, Encoder
 from pecstream.termination import terminate_single
 
@@ -45,6 +51,63 @@ class TestShardRanges:
     def test_rejects_zero_streams(self):
         with pytest.raises(ValueError):
             shard_ranges(5, 0)
+
+
+def short_shards(n, n_lanes):
+    """The stop of each shard one symbol shorter than the longest, from
+    `shard_ranges`' own Python ints, and which lanes those are."""
+    ranges = shard_ranges(n, n_lanes)
+    longest = max(stop - start for start, stop in ranges)
+    short = [stop - start < longest for start, stop in ranges]
+    return short, [stop for (_, stop), s in zip(ranges, short) if s]
+
+
+class TestShortLanes:
+    """The lockstep engines' short lanes are `shard_ranges`' short shards,
+    and each one's padding goes where its shard stops."""
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3, 512, 8194, 65537])
+    def test_matches_shard_ranges(self, n_lanes):
+        for n in (0, 1, n_lanes - 1, n_lanes, n_lanes + 1, 7 * n_lanes + 3):
+            short, ends = _short_lanes(n, n_lanes)
+            assert (short.tolist(), ends.tolist()) == short_shards(n, n_lanes)
+
+    def test_exact_where_products_pass_int64(self):
+        # (k + 1) * n passes 2**63 here.  Only the counts are computed, no
+        # symbol is allocated, and the reference is `shard_ranges`' floor
+        # form in Python ints, one lane at a time rather than a million
+        # tuples at once
+        n, n_lanes = 2 ** 50 + 12345, 2 ** 20 - 1
+        assert n_lanes * n >= 2 ** 63
+        short, ends = _short_lanes(n, n_lanes)
+        stops = iter(ends)
+        for k, is_short in enumerate(short.tolist()):
+            stop = (k + 1) * n // n_lanes
+            assert is_short == (stop - k * n // n_lanes == n // n_lanes)
+            if is_short:
+                assert next(stops) == stop
+        assert next(stops, None) is None
+        assert len(ends) == n_lanes - n % n_lanes
+
+
+class TestStreamLayout:
+    """(segment, direction, bit_reversed) per stream, as the benchmark
+    replay decodes through it."""
+
+    @pytest.mark.parametrize("mode, n_streams, layout", [
+        ("uni", 3, [(0, "forward", False), (1, "forward", False),
+                    (2, "forward", False)]),
+        ("fb", 4, [(0, "forward", False), (0, "backward", False),
+                   (1, "forward", False), (1, "backward", False)]),
+        ("fr", 4, [(0, "forward", False), (0, "backward", True),
+                   (1, "forward", False), (1, "backward", True)]),
+    ])
+    def test_literal(self, mode, n_streams, layout):
+        data = bytes(range(10))
+        header, _ = read_container(
+            encode_parallel(data, order0(data), n_streams, mode))
+        assert stream_layout(header) == layout
+        assert all(type(rev) is bool for _, _, rev in stream_layout(header))
 
 
 class TestEncodeDecode:
