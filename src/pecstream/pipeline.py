@@ -13,9 +13,11 @@ treat the streams as interleaved lanes (Giesen, "Interleaved entropy
 coders", arXiv:1402.3392): each numpy step codes one symbol on every lane
 with the array forms of `rangecoder` on uint32 lane state, which moves each
 lane's 0-2 bytes in one renormalization step.  The encoder carries into a
-lane's bytes in place and terminates all lanes at once with the array forms
-of `termination`; the decoder's backward lanes read upward through one
-reversed copy of the container (bit-reversed in fr).  A step costs about
+lane's bytes in place, in rows as wide as the model's costliest symbol
+bounds a lane of its length (sized without reading a symbol), and
+terminates all lanes at once with the array forms of `termination`; the
+decoder's backward lanes read upward through one reversed copy of the
+container (bit-reversed in fr).  A step costs about
 c0 + c1 * lanes and the scalar engines about c_s * lanes per symbol, so
 which one is faster depends on the stream count and not on the stream
 length; `encode_parallel` and `decode_parallel` use the lockstep engines
@@ -347,28 +349,39 @@ def _short_lanes(n_symbols: int, n_lanes: int):
     return is_short, (k * short + tail)[is_short]
 
 
-def _lane_bytes(lanes, widths: list[int]) -> int:
-    """A bound on the bytes any lane emits, plus one: the lockstep width.
-
-    lanes is the encoder's step-major (steps, lanes) symbol array, a short
-    lane's padding symbol 0 included.  Each lane's symbol costs are summed
-    down its column, a chunk of rows at a time, and the costliest lane
-    sets the bound.
+def _symbol_costs(widths: list[int]):
+    """Each symbol's coding cost in 1/256 bits, rounded up, as uint16.
 
     Coding a symbol of width w leaves more than (1 - 2**-8) * w / 65536 of
     a range >= 2**24, which is at most log2(65536 / w) + 0.0057 bits lost.
-    Each byte emitted restores 8 bits and the range stays below 2**32, so a
-    lane whose symbols lose at most C bits emits at most C / 8 bytes, and
-    termination adds two more.  A step writes low's top two bytes from the
-    lane's length, at most C / 8 before the step, so no write passes the
-    width either.
+    A zero-width symbol costs 0: it is never coded, and only pads short
+    lockstep lanes as symbol 0, which adds nothing to low.
     """
     import numpy as np
 
     w = np.asarray(widths, dtype=np.float64)
     bits = np.log2(PROB_ONE / np.maximum(w, 1)) - math.log2(1 - 2 ** -8)
-    # in 1/256 bits, rounded up; a zero-width symbol only pads short lanes
-    cost = np.where(w > 0, np.floor(256 * bits) + 1, 0).astype(np.uint16)
+    return np.where(w > 0, np.floor(256 * bits) + 1, 0).astype(np.uint16)
+
+
+def _lane_bytes(lanes, cost) -> int:
+    """A bound on the bytes any lane emits, plus one: the lockstep width.
+
+    lanes is the encoder's step-major (steps, lanes) symbol array, a short
+    lane's padding symbol 0 included, and cost the `_symbol_costs` of the
+    model.  Each lane's symbol costs are summed down its column, a chunk of
+    rows at a time, and the costliest lane sets the bound.
+
+    Each byte emitted restores 8 bits and the range stays below 2**32, so a
+    lane whose symbols lose at most C bits emits at most C / 8 bytes, and
+    termination adds two more.  A step writes low's top two bytes from the
+    lane's length, at most C / 8 before the step, so no write passes the
+    width either.  The same argument holds for any C at least the lane's
+    cost, such as steps times the model's costliest symbol, which
+    `_encode_lockstep` takes where that bound is narrow enough.
+    """
+    import numpy as np
+
     total = np.zeros(lanes.shape[1], dtype=np.int64)
     # an intp index gathers about twice as fast as the uint8 symbols, which
     # a fancy index casts as it gathers; at about 2**16 symbols a chunk its
@@ -387,18 +400,29 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     The symbols must have passed `check_symbols`, as `encode_parallel`
     checks them.  Each shard is a lane holding the `Encoder` state (low,
     range) as uint32 and its bytes as one row of a uint8 matrix with a
-    length per lane; the matrix is as wide as `_lane_bytes` bounds the
-    longest lane from its symbols' costs.  The symbols are held step-major,
-    one (steps, lanes) array, so each step reads one contiguous row.  A lane
-    one symbol short of the longest (see `_short_lanes`) is padded with
-    symbol 0, which adds nothing to low, and keeps its range at the last
-    step, so it codes exactly its shard.  A carry out of low, or a
-    termination value >= 256, goes into the lane's bytes as it happens,
-    through `carry_lanes`.  Lanes are coded in blocks of at most `_LOCKSTEP_BLOCK`
-    lanes and `_LOCKSTEP_BYTES` matrix bytes, each block for all steps, then
-    terminated with `valid_byte_sets` and `junction_bytes`.  A block's
+    length per lane.  The symbols are held step-major, one (steps, lanes)
+    array, so each step reads one contiguous row.  A lane one symbol short
+    of the longest (see `_short_lanes`) is padded with symbol 0, which adds
+    nothing to low, and keeps its range at the last step, so it codes
+    exactly its shard.  A carry out of low, or a termination value >= 256,
+    goes into the lane's bytes as it happens, through `carry_lanes`.  Lanes
+    are coded in blocks of at most `_LOCKSTEP_BLOCK` lanes and
+    `_LOCKSTEP_BYTES` matrix bytes, each block for all steps, then
+    terminated with `valid_byte_sets` and `junction_bytes`.
+
+    No symbol, the padding symbol 0 included, costs more than the model's
+    narrowest nonzero width, so steps times that cost bounds every lane by
+    `_lane_bytes`' argument, without reading a symbol.  The rows take that
+    width unless it would keep one block from holding min(`_LOCKSTEP_BLOCK`,
+    the lane count rounded up to even) lanes within `_LOCKSTEP_BYTES`; only
+    then does `_lane_bytes` sum each lane's symbol costs for the narrower
+    bound.  So the block count is the one the per-lane bound gives: where
+    the model's rows are taken a single block holds every lane, or a full
+    `_LOCKSTEP_BLOCK`, which no narrower row could exceed.  A block's
     segments are gathered with one boolean mask, after its backward rows
-    are reversed (and bit-reversed in fr, through one `bytes.translate`).
+    are reversed (and bit-reversed in fr, through one `bytes.translate`);
+    where its rows are more than twice its longest lane, only the columns
+    up to that lane are reversed and masked.
     Returns the segment sizes and the data region, the segments in order.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
@@ -415,16 +439,19 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     binary = isinstance(model, BinaryModel)
     split, probs = ((split_bits, model.p0) if binary
                     else (split_symbols, cdf_tables(model)))
-    width_bytes = _lane_bytes(lanes, model.widths())
+    cost = _symbol_costs(model.widths())
+    width_bytes = steps * int(cost.max()) // 2048 + 3
+    if width_bytes * min(_LOCKSTEP_BLOCK, n_streams + n_streams % 2) > \
+            _LOCKSTEP_BYTES:
+        # rows that wide would split the lanes into more blocks than their
+        # own costs might
+        width_bytes = _lane_bytes(lanes, cost)
     # an even lane count, so a forward/backward pair shares its block
     block_lanes = max(2, min(_LOCKSTEP_BLOCK, _LOCKSTEP_BYTES // width_bytes)
                       // 2 * 2)
     # in the smallest dtype that holds the width, a keep mask compares
     # about twice as fast as in int64
     cols = np.arange(width_bytes, dtype=np.min_scalar_type(width_bytes))
-    # a pair's row holds its forward bytes from the left and its reversed
-    # backward bytes from the right
-    pair_cols = np.stack((cols, cols[::-1]))
     perm = (np.frombuffer(REVERSED_BYTES, dtype=np.uint8) if mode == "fr"
             else np.arange(256))
     sizes: list[int] = []
@@ -484,11 +511,19 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
         carry_lanes(flat, at[hit] - 1, row[hit])
         flat[at] = (value & 0xFF).astype(np.uint8)
         length = at + 1 - row
-        if length.max() >= width_bytes:
+        longest = int(length.max())
+        if longest >= width_bytes:
             raise AssertionError("a lane outgrew its byte bound")
+        if 2 * longest < width_bytes:
+            # the model's bound can be several times the longest lane (a
+            # rare width-1 symbol, skewed bits), so only the columns up to
+            # it are reversed and masked; a view gathers more slowly than
+            # a whole matrix, so rows at most twice the lane stay whole
+            out = out[:, :longest]
+        used = cols[:out.shape[1]]
 
         if mode == "uni":
-            keep = cols < length.astype(cols.dtype)[:, None]
+            keep = used < length.astype(cols.dtype)[:, None]
             block_sizes = length
         else:
             # with each backward row reversed in place, a segment is its
@@ -500,9 +535,11 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
                 bwd = np.frombuffer(bwd.tobytes().translate(REVERSED_BYTES),
                                     dtype=np.uint8).reshape(bwd.shape)
             out[1::2] = bwd
-            out = out.reshape(n // 2, 2 * width_bytes)
+            out = out.reshape(n // 2, 2, len(used))
             lens = np.stack((fwd_len, bwd_len), axis=1).astype(cols.dtype)
-            keep = (pair_cols < lens[:, :, None]).reshape(out.shape)
+            # a pair's forward bytes from the left of its first row, its
+            # reversed backward bytes from the right of its second
+            keep = np.stack((used, used[::-1])) < lens[:, :, None]
             block_sizes = fwd_len + bwd_len
         region.append(out[keep].tobytes())
         sizes += block_sizes.tolist()

@@ -202,19 +202,57 @@ def test_byte_bound_holds_for_costliest_symbols(symbols, model):
         both_encoders(symbols, model, 4, mode)
 
 
-def _lane_bound(symbols, widths, n_lanes):
-    """The lockstep width, lane by lane in Python: the costliest lane's
-    symbol costs in 1/256 bits, a short lane padded with symbol 0, in
-    bytes, plus three."""
+def _costs(widths):
+    """Each symbol's cost in 1/256 bits, rounded up; 0 for zero width."""
     loss = -math.log2(1 - 2 ** -8)
-    cost = [math.floor(256 * (math.log2(PROB_ONE / w) + loss)) + 1 if w else 0
+    return [math.floor(256 * (math.log2(PROB_ONE / w) + loss)) + 1 if w else 0
             for w in widths]
+
+
+def _lane_bound(symbols, widths, n_lanes):
+    """The per-lane lockstep width, lane by lane in Python: the costliest
+    lane's symbol costs, a short lane padded with symbol 0, in bytes, plus
+    three."""
+    cost = _costs(widths)
     steps = -(-len(symbols) // n_lanes)
     worst = 0
     for start, stop in shard_ranges(len(symbols), n_lanes):
         bits = sum(map(cost.__getitem__, symbols[start:stop]))
         worst = max(worst, bits + (steps - (stop - start)) * cost[0])
     return worst // 2048 + 3
+
+
+def _model_rows(widths, n_symbols, n_lanes):
+    """The lockstep width from the model alone: every step at the cost of
+    the narrowest nonzero width."""
+    return -(-n_symbols // n_lanes) * max(_costs(widths)) // 2048 + 3
+
+
+def _full_block(n_lanes):
+    """The lanes one block must hold for the model's rows to be taken."""
+    return min(pipeline._LOCKSTEP_BLOCK, n_lanes + n_lanes % 2)
+
+
+class _Spies:
+    """Records each `_lane_bytes` result and counts `valid_byte_sets`
+    calls, one per lane block."""
+
+    def __init__(self, monkeypatch):
+        self.bounds = []
+        self.blocks = 0
+        lane_bytes = pipeline._lane_bytes
+        valid_byte_sets = pipeline.valid_byte_sets
+
+        def lane_spy(lanes, cost):
+            self.bounds.append(lane_bytes(lanes, cost))
+            return self.bounds[-1]
+
+        def block_spy(low, range_):
+            self.blocks += 1
+            return valid_byte_sets(low, range_)
+
+        monkeypatch.setattr(pipeline, "_lane_bytes", lane_spy)
+        monkeypatch.setattr(pipeline, "valid_byte_sets", block_spy)
 
 
 @pytest.mark.parametrize("model_name, n_lanes, steps, extra", [
@@ -225,45 +263,113 @@ def _lane_bound(symbols, widths, n_lanes):
 ])
 def test_lane_bytes_is_the_costliest_lane(model_name, n_lanes, steps, extra,
                                           monkeypatch):
-    """The encoder's byte bound equals a per-lane sum in Python.
+    """Where the model's rows would split the lanes into more blocks, the
+    encoder's byte bound equals a per-lane sum in Python.
 
     A change in the symbol layout or in the chunks the bound is summed in
     cannot loosen or tighten it unnoticed.
     """
     symbols, model = source(model_name, steps * n_lanes + extra, seed=5)
-    bounds = []
-    lane_bytes = pipeline._lane_bytes
-
-    def spy(lanes, widths):
-        bounds.append(lane_bytes(lanes, widths))
-        return bounds[-1]
-
-    monkeypatch.setattr(pipeline, "_lane_bytes", spy)
+    rows = _model_rows(model.widths(), len(symbols), n_lanes)
+    monkeypatch.setattr(pipeline, "_LOCKSTEP_BYTES",
+                        rows * _full_block(n_lanes) - 1)
+    spies = _Spies(monkeypatch)
     _encode_lockstep(symbols, model, n_lanes, "fr")
-    assert bounds == [_lane_bound(symbols, model.widths(), n_lanes)]
+    assert spies.bounds == [_lane_bound(symbols, model.widths(), n_lanes)]
+
+
+def _rare_byte_text(n, seed=9):
+    """n letters and spaces with one "~" in the middle: the order0 model of
+    the text gives "~" width 1 from n = 65537 on."""
+    text = bytearray(random.Random(seed).choices(b"etaoin shrdlu", k=n))
+    text[n // 2] = ord("~")
+    return bytes(text)
+
+
+def _rare_byte_source(n):
+    text = _rare_byte_text(n)
+    model = order0(text)
+    assert min(w for w in model.widths() if w) == 1
+    return text, model
+
+
+@pytest.mark.parametrize("n_lanes", (512, 8194))
+@pytest.mark.parametrize("symbols, model", [
+    (bytes(4000), CdfModel([0, 1] + [PROB_ONE] * 255)),
+    (bytes(4000), BinaryModel(1)),
+    (bytes(range(256)) * 16, CdfModel([0] + [256 * s + 1 for s in range(255)]
+                                      + [PROB_ONE])),
+    # Bernoulli(0.1): rows several times the longest lane
+    (bytes(random.Random(4).random() < 0.1 for _ in range(40000)),
+     BinaryModel(PROB_ONE - 6554)),
+    # a width-1 symbol in order0 text: two bytes a step
+    _rare_byte_source(1 << 17),
+], ids=("width1-cdf", "width1-bits", "carries", "bernoulli-0.1",
+        "rare-byte-text"))
+def test_model_rows_skip_the_symbol_pass(symbols, model, n_lanes,
+                                         monkeypatch):
+    # the rows come from the model's costliest symbol; no lane outgrows
+    # them, and the bytes are the scalar engine's
+    spies = _Spies(monkeypatch)
+    for mode in MODES:
+        both_encoders(symbols, model, n_lanes, mode)
+    assert spies.bounds == []
+
+
+@pytest.mark.parametrize("model_name, n_lanes, mode", [
+    ("order0", 66, "fr"),
+    # odd: one block must hold 514 lanes, not 513, or it would split
+    ("order0", 513, "uni"),
+    ("bernoulli", 8194, "fb"),      # a full block and a second one
+])
+def test_block_count_is_the_per_lane_bounds(model_name, n_lanes, mode,
+                                            monkeypatch):
+    """On both sides of the budget where the model's rows give way to the
+    per-lane bound, and well below it, the lanes split into as many blocks
+    as the per-lane bound alone would give."""
+    symbols, model = source(model_name, 7 * n_lanes + 3, seed=2)
+    widths = model.widths()
+    lane_rows = _lane_bound(symbols, widths, n_lanes)
+    edge = _model_rows(widths, len(symbols), n_lanes) * _full_block(n_lanes)
+    spies = _Spies(monkeypatch)
+    for budget, model_rows in ((edge, True), (edge - 1, False),
+                               (4 * lane_rows, False)):
+        spies.bounds, spies.blocks = [], 0
+        monkeypatch.setattr(pipeline, "_LOCKSTEP_BYTES", budget)
+        both_encoders(symbols, model, n_lanes, mode)
+        block_lanes = max(2, min(pipeline._LOCKSTEP_BLOCK,
+                                 budget // lane_rows) // 2 * 2)
+        assert spies.blocks == -(-n_lanes // block_lanes), budget
+        assert spies.bounds == ([] if model_rows else [lane_rows]), budget
 
 
 def test_encoder_memory_peak():
-    """The lockstep encoder's Python-heap peak on 1 MiB at 65536 fr streams,
-    and at 65537 uni streams, whose lanes differ in length.
+    """The lockstep encoder's Python-heap peak on 1 MiB.
 
-    Its symbol layout and byte bound hold no input-sized copy beyond the
-    one (steps, lanes) array and, while short lanes are padded to build
-    it, np.insert's copy and mask: the peak was 4.3 and 3.7 MiB, and an
-    intp copy of each 2**20-symbol chunk that the bound gathers through
-    took the first to 11.6 MiB.
+    On the mixed-entropy input at 65536 fr streams, and at 65537 uni
+    streams, whose lanes differ in length, its symbol layout and byte
+    bound hold no input-sized copy beyond the one (steps, lanes) array and,
+    while short lanes are padded to build it, np.insert's copy and mask:
+    the peak was 4.3 and 3.7 MiB, and an intp copy of each 2**20-symbol
+    chunk that a per-lane bound gathers through took the first to 11.6 MiB.
+    On text with a width-1 symbol the rows the model bounds are widest, two
+    bytes a step, twice the matrix the lanes fill: at 512 uni and 65536 fr
+    streams the peak was 4.5 and 3.6 MiB.
     """
     data = _mixed_entropy_file(random.Random(SEED), 1 << 20)
-    model = _order0(data)
+    text = _rare_byte_text(1 << 20)
+    runs = ((data, 65536, "fr"), (data, 65537, "uni"),
+            (text, 512, "uni"), (text, 65536, "fr"))
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        for n_lanes, mode in ((65536, "fr"), (65537, "uni")):
+        for symbols, n_lanes, mode in runs:
+            model = _order0(symbols)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            _encode_lockstep(data, model, n_lanes, mode)
+            _encode_lockstep(symbols, model, n_lanes, mode)
             peak = tracemalloc.get_traced_memory()[1] - base
-            assert peak <= 6 << 20, (n_lanes, peak)
+            assert peak <= 6 << 20, (n_lanes, mode, peak)
     finally:
         if not tracing:
             tracemalloc.stop()
