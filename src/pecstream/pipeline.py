@@ -13,15 +13,14 @@ treat the streams as interleaved lanes (Giesen, "Interleaved entropy
 coders", arXiv:1402.3392): each numpy step codes one symbol on every lane
 with the array forms of `rangecoder` on uint32 lane state, which moves each
 lane's 0-2 bytes in one renormalization step.  The encoder carries into a
-lane's bytes in place, in rows as wide as the model's costliest symbol
-bounds a lane of its length (sized without reading a symbol), and
-terminates all lanes at once with the array forms of `termination`; the
-decoder's backward lanes read upward through one reversed copy of the
-container (bit-reversed in fr).  A step costs about
-c0 + c1 * lanes and the scalar engines about c_s * lanes per symbol, so
-which one is faster depends on the stream count and not on the stream
-length; `encode_parallel` and `decode_parallel` use the lockstep engines
-from `LOCKSTEP_MIN_STREAMS` on.
+lane's bytes in place, in rows sized from the model where they stay small
+and from each lane's symbols elsewhere, and terminates all lanes at once
+with the array forms of `termination`; the decoder's backward lanes read
+upward through one reversed copy of the container (bit-reversed in fr).
+A step costs about c0 + c1 * lanes and the scalar engines about
+c_s * lanes per symbol, so which one is faster depends on the stream count
+and not on the stream length; `encode_parallel` and `decode_parallel` use
+the lockstep engines from `LOCKSTEP_MIN_STREAMS` on.
 `encode_parallel` checks the whole input with `check_symbols` before either
 engine runs, so an input's error does not depend on the stream count.
 
@@ -116,6 +115,15 @@ _LOCKSTEP_BLOCK = 8192
 #: the lockstep encoder codes fewer lanes at a time where their byte matrix
 #: would pass this size; a block's matrix and gathers peak at a few times it
 _LOCKSTEP_BYTES = 32 << 20
+#: the lockstep encoder bounds its lanes by the model's costliest symbol,
+#: without reading a symbol, while a block's byte matrix stays within this
+#: size, and sums each lane's costs beyond it.  On a 2-vCPU VM (2 MiB L2 a
+#: core) the model's rows ran 1.03-1.11x as fast as the summed ones up to
+#: 0.27 MiB, but where they are several times what the lanes fill (a
+#: width-1 symbol: two bytes a step, where text fills about 0.5) matrices
+#: of 0.5-2 MiB ran 0.91-1.00x as fast, 8 MiB 0.90x, and 15 MiB of such
+#: text at 8192 lanes peaked 23 MiB higher
+_MODEL_ROWS_BYTES = 256 << 10
 
 
 #: symbols each process of a scalar engine must get.  On a 2-vCPU VM, with
@@ -349,44 +357,42 @@ def _short_lanes(n_symbols: int, n_lanes: int):
     return is_short, (k * short + tail)[is_short]
 
 
-def _symbol_costs(widths: list[int]):
-    """Each symbol's coding cost in 1/256 bits, rounded up, as uint16.
+def _lane_bytes(lanes, widths: list[int]) -> int:
+    """A bound on the bytes any lane emits, plus one: the lockstep width.
+
+    lanes is the encoder's step-major (steps, lanes) symbol array, a short
+    lane's padding symbol 0 included.  No lane costs more than its steps
+    at the model's costliest symbol, which bounds it without reading a
+    symbol.  Where rows that wide would make a block's matrix, at most
+    `_LOCKSTEP_BLOCK` lanes, pass `_MODEL_ROWS_BYTES`, each lane's symbol
+    costs are summed down its column instead, a chunk of rows at a time,
+    and the costliest lane sets the bound.  Where the model's rows are
+    taken a block holds `_LOCKSTEP_BLOCK` lanes, or all of them, as it
+    would with narrower rows: they fill at most 1/128 of `_LOCKSTEP_BYTES`.
 
     Coding a symbol of width w leaves more than (1 - 2**-8) * w / 65536 of
     a range >= 2**24, which is at most log2(65536 / w) + 0.0057 bits lost.
-    A zero-width symbol costs 0: it is never coded, and only pads short
-    lockstep lanes as symbol 0, which adds nothing to low.
+    Each byte emitted restores 8 bits and the range stays below 2**32, so a
+    lane whose symbols lose at most C bits emits at most C / 8 bytes, and
+    termination adds two more.  A step writes low's top two bytes from the
+    lane's length, at most C / 8 before the step, so no write passes the
+    width either.
     """
     import numpy as np
 
     w = np.asarray(widths, dtype=np.float64)
     bits = np.log2(PROB_ONE / np.maximum(w, 1)) - math.log2(1 - 2 ** -8)
-    return np.where(w > 0, np.floor(256 * bits) + 1, 0).astype(np.uint16)
-
-
-def _lane_bytes(lanes, cost) -> int:
-    """A bound on the bytes any lane emits, plus one: the lockstep width.
-
-    lanes is the encoder's step-major (steps, lanes) symbol array, a short
-    lane's padding symbol 0 included, and cost the `_symbol_costs` of the
-    model.  Each lane's symbol costs are summed down its column, a chunk of
-    rows at a time, and the costliest lane sets the bound.
-
-    Each byte emitted restores 8 bits and the range stays below 2**32, so a
-    lane whose symbols lose at most C bits emits at most C / 8 bytes, and
-    termination adds two more.  A step writes low's top two bytes from the
-    lane's length, at most C / 8 before the step, so no write passes the
-    width either.  The same argument holds for any C at least the lane's
-    cost, such as steps times the model's costliest symbol, which
-    `_encode_lockstep` takes where that bound is narrow enough.
-    """
-    import numpy as np
-
-    total = np.zeros(lanes.shape[1], dtype=np.int64)
+    # in 1/256 bits, rounded up; a zero-width symbol only pads short lanes
+    cost = np.where(w > 0, np.floor(256 * bits) + 1, 0).astype(np.uint16)
+    steps, n_lanes = lanes.shape
+    model_rows = steps * int(cost.max()) // 2048 + 3
+    if model_rows * min(_LOCKSTEP_BLOCK, n_lanes) <= _MODEL_ROWS_BYTES:
+        return model_rows
+    total = np.zeros(n_lanes, dtype=np.int64)
     # an intp index gathers about twice as fast as the uint8 symbols, which
     # a fancy index casts as it gathers; at about 2**16 symbols a chunk its
     # copy takes 512 KiB
-    rows = max(1, (1 << 16) // lanes.shape[1])
+    rows = max(1, (1 << 16) // n_lanes)
     for j in range(0, len(lanes), rows):
         total += cost[lanes[j:j + rows].astype(np.intp)].sum(axis=0,
                                                              dtype=np.int64)
@@ -400,29 +406,19 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     The symbols must have passed `check_symbols`, as `encode_parallel`
     checks them.  Each shard is a lane holding the `Encoder` state (low,
     range) as uint32 and its bytes as one row of a uint8 matrix with a
-    length per lane.  The symbols are held step-major, one (steps, lanes)
-    array, so each step reads one contiguous row.  A lane one symbol short
-    of the longest (see `_short_lanes`) is padded with symbol 0, which adds
-    nothing to low, and keeps its range at the last step, so it codes
-    exactly its shard.  A carry out of low, or a termination value >= 256,
-    goes into the lane's bytes as it happens, through `carry_lanes`.  Lanes
-    are coded in blocks of at most `_LOCKSTEP_BLOCK` lanes and
-    `_LOCKSTEP_BYTES` matrix bytes, each block for all steps, then
-    terminated with `valid_byte_sets` and `junction_bytes`.
-
-    No symbol, the padding symbol 0 included, costs more than the model's
-    narrowest nonzero width, so steps times that cost bounds every lane by
-    `_lane_bytes`' argument, without reading a symbol.  The rows take that
-    width unless it would keep one block from holding min(`_LOCKSTEP_BLOCK`,
-    the lane count rounded up to even) lanes within `_LOCKSTEP_BYTES`; only
-    then does `_lane_bytes` sum each lane's symbol costs for the narrower
-    bound.  So the block count is the one the per-lane bound gives: where
-    the model's rows are taken a single block holds every lane, or a full
-    `_LOCKSTEP_BLOCK`, which no narrower row could exceed.  A block's
+    length per lane; the matrix is as wide as `_lane_bytes` bounds the
+    longest lane, from the model or from the lanes' symbol costs.  The
+    symbols are held step-major, one (steps, lanes) array, so each step
+    reads one contiguous row.  A lane one symbol short of the longest (see
+    `_short_lanes`) is padded with symbol 0, which adds nothing to low, and
+    keeps its range at the last step, so it codes exactly its shard.  A
+    carry out of low, or a termination value >= 256, goes into the lane's
+    bytes as it happens, through `carry_lanes`.  Lanes are coded in blocks
+    of at most `_LOCKSTEP_BLOCK` lanes and `_LOCKSTEP_BYTES` matrix bytes,
+    each block for all steps, then terminated with `valid_byte_sets` and
+    `junction_bytes`.  A block's
     segments are gathered with one boolean mask, after its backward rows
-    are reversed (and bit-reversed in fr, through one `bytes.translate`);
-    where its rows are more than twice its longest lane, only the columns
-    up to that lane are reversed and masked.
+    are reversed (and bit-reversed in fr, through one `bytes.translate`).
     Returns the segment sizes and the data region, the segments in order.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
@@ -439,19 +435,16 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     binary = isinstance(model, BinaryModel)
     split, probs = ((split_bits, model.p0) if binary
                     else (split_symbols, cdf_tables(model)))
-    cost = _symbol_costs(model.widths())
-    width_bytes = steps * int(cost.max()) // 2048 + 3
-    if width_bytes * min(_LOCKSTEP_BLOCK, n_streams + n_streams % 2) > \
-            _LOCKSTEP_BYTES:
-        # rows that wide would split the lanes into more blocks than their
-        # own costs might
-        width_bytes = _lane_bytes(lanes, cost)
+    width_bytes = _lane_bytes(lanes, model.widths())
     # an even lane count, so a forward/backward pair shares its block
     block_lanes = max(2, min(_LOCKSTEP_BLOCK, _LOCKSTEP_BYTES // width_bytes)
                       // 2 * 2)
     # in the smallest dtype that holds the width, a keep mask compares
     # about twice as fast as in int64
     cols = np.arange(width_bytes, dtype=np.min_scalar_type(width_bytes))
+    # a pair's row holds its forward bytes from the left and its reversed
+    # backward bytes from the right
+    pair_cols = np.stack((cols, cols[::-1]))
     perm = (np.frombuffer(REVERSED_BYTES, dtype=np.uint8) if mode == "fr"
             else np.arange(256))
     sizes: list[int] = []
@@ -511,19 +504,11 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
         carry_lanes(flat, at[hit] - 1, row[hit])
         flat[at] = (value & 0xFF).astype(np.uint8)
         length = at + 1 - row
-        longest = int(length.max())
-        if longest >= width_bytes:
+        if length.max() >= width_bytes:
             raise AssertionError("a lane outgrew its byte bound")
-        if 2 * longest < width_bytes:
-            # the model's bound can be several times the longest lane (a
-            # rare width-1 symbol, skewed bits), so only the columns up to
-            # it are reversed and masked; a view gathers more slowly than
-            # a whole matrix, so rows at most twice the lane stay whole
-            out = out[:, :longest]
-        used = cols[:out.shape[1]]
 
         if mode == "uni":
-            keep = used < length.astype(cols.dtype)[:, None]
+            keep = cols < length.astype(cols.dtype)[:, None]
             block_sizes = length
         else:
             # with each backward row reversed in place, a segment is its
@@ -535,11 +520,9 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
                 bwd = np.frombuffer(bwd.tobytes().translate(REVERSED_BYTES),
                                     dtype=np.uint8).reshape(bwd.shape)
             out[1::2] = bwd
-            out = out.reshape(n // 2, 2, len(used))
+            out = out.reshape(n // 2, 2 * width_bytes)
             lens = np.stack((fwd_len, bwd_len), axis=1).astype(cols.dtype)
-            # a pair's forward bytes from the left of its first row, its
-            # reversed backward bytes from the right of its second
-            keep = np.stack((used, used[::-1])) < lens[:, :, None]
+            keep = (pair_cols < lens[:, :, None]).reshape(out.shape)
             block_sizes = fwd_len + bwd_len
         region.append(out[keep].tobytes())
         sizes += block_sizes.tolist()

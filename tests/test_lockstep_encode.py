@@ -228,31 +228,17 @@ def _model_rows(widths, n_symbols, n_lanes):
     return -(-n_symbols // n_lanes) * max(_costs(widths)) // 2048 + 3
 
 
-def _full_block(n_lanes):
-    """The lanes one block must hold for the model's rows to be taken."""
-    return min(pipeline._LOCKSTEP_BLOCK, n_lanes + n_lanes % 2)
+def _spy_lane_bytes(monkeypatch):
+    """The list each `_lane_bytes` result is appended to."""
+    bounds = []
+    lane_bytes = pipeline._lane_bytes
 
+    def spy(lanes, widths):
+        bounds.append(lane_bytes(lanes, widths))
+        return bounds[-1]
 
-class _Spies:
-    """Records each `_lane_bytes` result and counts `valid_byte_sets`
-    calls, one per lane block."""
-
-    def __init__(self, monkeypatch):
-        self.bounds = []
-        self.blocks = 0
-        lane_bytes = pipeline._lane_bytes
-        valid_byte_sets = pipeline.valid_byte_sets
-
-        def lane_spy(lanes, cost):
-            self.bounds.append(lane_bytes(lanes, cost))
-            return self.bounds[-1]
-
-        def block_spy(low, range_):
-            self.blocks += 1
-            return valid_byte_sets(low, range_)
-
-        monkeypatch.setattr(pipeline, "_lane_bytes", lane_spy)
-        monkeypatch.setattr(pipeline, "valid_byte_sets", block_spy)
+    monkeypatch.setattr(pipeline, "_lane_bytes", spy)
+    return bounds
 
 
 @pytest.mark.parametrize("model_name, n_lanes, steps, extra", [
@@ -263,24 +249,23 @@ class _Spies:
 ])
 def test_lane_bytes_is_the_costliest_lane(model_name, n_lanes, steps, extra,
                                           monkeypatch):
-    """Where the model's rows would split the lanes into more blocks, the
-    encoder's byte bound equals a per-lane sum in Python.
+    """Where the model's rows would be too wide, the encoder's byte bound
+    equals a per-lane sum in Python.
 
     A change in the symbol layout or in the chunks the bound is summed in
     cannot loosen or tighten it unnoticed.
     """
     symbols, model = source(model_name, steps * n_lanes + extra, seed=5)
-    rows = _model_rows(model.widths(), len(symbols), n_lanes)
-    monkeypatch.setattr(pipeline, "_LOCKSTEP_BYTES",
-                        rows * _full_block(n_lanes) - 1)
-    spies = _Spies(monkeypatch)
+    monkeypatch.setattr(pipeline, "_MODEL_ROWS_BYTES", 0)
+    bounds = _spy_lane_bytes(monkeypatch)
     _encode_lockstep(symbols, model, n_lanes, "fr")
-    assert spies.bounds == [_lane_bound(symbols, model.widths(), n_lanes)]
+    assert bounds == [_lane_bound(symbols, model.widths(), n_lanes)]
 
 
 def _rare_byte_text(n, seed=9):
-    """n letters and spaces with one "~" in the middle: the order0 model of
-    the text gives "~" width 1 from n = 65537 on."""
+    """n letters and spaces with one "~" in the middle.  From n = 65537 on
+    the order0 model of the text gives "~" width 1 or 2, as the rounding
+    remainders fall."""
     text = bytearray(random.Random(seed).choices(b"etaoin shrdlu", k=n))
     text[n // 2] = ord("~")
     return bytes(text)
@@ -293,7 +278,9 @@ def _rare_byte_source(n):
     return text, model
 
 
-@pytest.mark.parametrize("n_lanes", (512, 8194))
+# 16386 lanes: the rows of one block, not of all lanes, are held to the
+# limit
+@pytest.mark.parametrize("n_lanes", (512, 8194, 16386))
 @pytest.mark.parametrize("symbols, model", [
     (bytes(4000), CdfModel([0, 1] + [PROB_ONE] * 255)),
     (bytes(4000), BinaryModel(1)),
@@ -302,64 +289,42 @@ def _rare_byte_source(n):
     # Bernoulli(0.1): rows several times the longest lane
     (bytes(random.Random(4).random() < 0.1 for _ in range(40000)),
      BinaryModel(PROB_ONE - 6554)),
-    # a width-1 symbol in order0 text: two bytes a step
-    _rare_byte_source(1 << 17),
+    # a width-1 symbol in order0 text: two bytes a step, 0.22 and 0.24 MiB
+    # matrices at 512 and 8194 lanes, next to the model rows' limit
+    _rare_byte_source(114000),
 ], ids=("width1-cdf", "width1-bits", "carries", "bernoulli-0.1",
         "rare-byte-text"))
-def test_model_rows_skip_the_symbol_pass(symbols, model, n_lanes,
-                                         monkeypatch):
-    # the rows come from the model's costliest symbol; no lane outgrows
-    # them, and the bytes are the scalar engine's
-    spies = _Spies(monkeypatch)
+def test_lane_bytes_from_the_model(symbols, model, n_lanes, monkeypatch):
+    # where a block's matrix stays small the rows come from the model's
+    # costliest symbol; no lane outgrows them, and the bytes are the
+    # scalar engine's
+    bounds = _spy_lane_bytes(monkeypatch)
     for mode in MODES:
         both_encoders(symbols, model, n_lanes, mode)
-    assert spies.bounds == []
-
-
-@pytest.mark.parametrize("model_name, n_lanes, mode", [
-    ("order0", 66, "fr"),
-    # odd: one block must hold 514 lanes, not 513, or it would split
-    ("order0", 513, "uni"),
-    ("bernoulli", 8194, "fb"),      # a full block and a second one
-])
-def test_block_count_is_the_per_lane_bounds(model_name, n_lanes, mode,
-                                            monkeypatch):
-    """On both sides of the budget where the model's rows give way to the
-    per-lane bound, and well below it, the lanes split into as many blocks
-    as the per-lane bound alone would give."""
-    symbols, model = source(model_name, 7 * n_lanes + 3, seed=2)
-    widths = model.widths()
-    lane_rows = _lane_bound(symbols, widths, n_lanes)
-    edge = _model_rows(widths, len(symbols), n_lanes) * _full_block(n_lanes)
-    spies = _Spies(monkeypatch)
-    for budget, model_rows in ((edge, True), (edge - 1, False),
-                               (4 * lane_rows, False)):
-        spies.bounds, spies.blocks = [], 0
-        monkeypatch.setattr(pipeline, "_LOCKSTEP_BYTES", budget)
-        both_encoders(symbols, model, n_lanes, mode)
-        block_lanes = max(2, min(pipeline._LOCKSTEP_BLOCK,
-                                 budget // lane_rows) // 2 * 2)
-        assert spies.blocks == -(-n_lanes // block_lanes), budget
-        assert spies.bounds == ([] if model_rows else [lane_rows]), budget
+    rows = _model_rows(model.widths(), len(symbols), n_lanes)
+    assert rows * min(n_lanes, pipeline._LOCKSTEP_BLOCK) <= \
+        pipeline._MODEL_ROWS_BYTES
+    assert bounds == [rows] * len(MODES)
 
 
 def test_encoder_memory_peak():
-    """The lockstep encoder's Python-heap peak on 1 MiB.
+    """The lockstep encoder's Python-heap peak on about 1 MiB.
 
-    On the mixed-entropy input at 65536 fr streams, and at 65537 uni
+    On the 1 MiB mixed-entropy input at 65536 fr streams, and at 65537 uni
     streams, whose lanes differ in length, its symbol layout and byte
     bound hold no input-sized copy beyond the one (steps, lanes) array and,
     while short lanes are padded to build it, np.insert's copy and mask:
     the peak was 4.3 and 3.7 MiB, and an intp copy of each 2**20-symbol
-    chunk that a per-lane bound gathers through took the first to 11.6 MiB.
-    On text with a width-1 symbol the rows the model bounds are widest, two
-    bytes a step, twice the matrix the lanes fill: at 512 uni and 65536 fr
-    streams the peak was 4.5 and 3.6 MiB.
+    chunk that the per-lane bound gathers through took the first to 11.6
+    MiB.  Under a width-1 symbol the model bounds a lane at two bytes a
+    step, where text fills about 0.5: 1 MiB of such text at 512 uni
+    streams, where the lanes' own costs bound them, peaked at 3.0 MiB, and
+    3/4 MiB at 65536 fr streams, in the model's rows, at 3.3 MiB.
     """
     data = _mixed_entropy_file(random.Random(SEED), 1 << 20)
-    text = _rare_byte_text(1 << 20)
     runs = ((data, 65536, "fr"), (data, 65537, "uni"),
-            (text, 512, "uni"), (text, 65536, "fr"))
+            (_rare_byte_text(1 << 20), 512, "uni"),
+            (_rare_byte_text(3 << 18), 65536, "fr"))
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
