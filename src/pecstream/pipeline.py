@@ -21,8 +21,10 @@ A step costs about c0 + c1 * lanes and the scalar engines about
 c_s * lanes per symbol, so which one is faster depends on the stream count
 and not on the stream length; `encode_parallel` and `decode_parallel` use
 the lockstep engines from `LOCKSTEP_MIN_STREAMS` on.
-`encode_parallel` checks the whole input with `check_symbols` before either
-engine runs, so an input's error does not depend on the stream count.
+`encode_parallel` reads its input as bytes through `check_symbols` before
+either engine runs (bytes as they are, integer or bool arrays in the
+alphabet as their bytes, other iterables of integers once), so an input's
+error does not depend on the stream count.
 
 The scalar engines split their streams into contiguous blocks, one per CPU
 that `os.sched_getaffinity` allows: whole streams or forward/backward pairs
@@ -55,7 +57,7 @@ import signal
 import sys
 import threading
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .bitio import REVERSED_BYTES
 from .container import (
@@ -241,7 +243,7 @@ def _run_child(fn: Callable, block, write_fd: int) -> None:
         os._exit(status)
 
 
-def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
+def encode_parallel(symbols: Iterable[int], model: BinaryModel | CdfModel,
                     n_streams: int, mode: str = "uni",
                     index_codec: str = "rtc") -> bytes:
     """Encode symbols into a container with n_streams independent streams.
@@ -250,25 +252,14 @@ def encode_parallel(symbols: Sequence[int], model: BinaryModel | CdfModel,
     one symbol on every stream per step and terminates all streams at once;
     narrower inputs run one scalar `Encoder` per stream, in blocks of pairs
     or streams spread over forked processes (see the module docstring).
-    Both engines write the same container bytes.  The whole input is
-    checked with `check_symbols` before either engine runs, so an input the
-    model cannot code raises the same error at every stream count, and both
-    engines get it as bytes.
+    Both engines write the same container bytes.  Before either runs,
+    `check_symbols` reads symbols as bytes: bytes or a bytearray as they
+    are, an integer or bool array within the alphabet as its bytes, any
+    other iterable of integers once.  So an input the model cannot code
+    raises the same error at every stream count.
     """
     check_layout(mode, index_codec, n_streams)
-    dtype = getattr(symbols, "dtype", None)
-    if dtype is not None and dtype.kind in "iub" and (
-            not len(symbols) or 0 <= symbols.min() and symbols.max() <= 255):
-        # an integer array in the alphabet is checked as bytes, not
-        # element by element
-        symbols = symbols.astype("u1").tobytes()
-    check_symbols(model, symbols)
-    if not isinstance(symbols, (bytes, bytearray)):
-        # checked once: as bytes, no shard is checked again.  A binary
-        # model codes each symbol's truth value, so 0.0 and 1.0 code too;
-        # through a list, as bytes() of a buffer copies memory, not values
-        symbols = (bytes(map(bool, symbols)) if isinstance(model, BinaryModel)
-                   else bytes(list(symbols)))
+    symbols = check_symbols(model, symbols)
     encode = (_encode_lockstep if n_streams >= LOCKSTEP_MIN_STREAMS
               else _encode_scalar)
     sizes, region = encode(symbols, model, n_streams, mode)

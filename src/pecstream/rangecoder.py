@@ -23,7 +23,9 @@ always a nonnegative value that fits, so old and new numpy promotion rules
 (NEP 50) keep every lane uint32.  Only `cdf_tables` loads numpy.  Under a
 skewed binary model `Encoder.encode_bits` and `Decoder.decode_bits` code
 up to eight zeros of a run a lookup, both in the same `_run_tables`, with
-the output and state of their per-bit loops.
+the output and state of their per-bit loops.  `check_symbols` turns every
+encoder input into bytes: bytes as they are, integer or bool arrays in the
+alphabet as their bytes, other iterables of integers read once.
 
 1. Split: `split_bits` (p0 shared or one per lane) and `split_symbols` (over
    `cdf_tables`) narrow each range in place and return the offset that the
@@ -44,7 +46,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from operator import index
-from typing import Sequence
+from typing import Iterable, Sequence
 
 PROB_BITS = 16
 PROB_ONE = 1 << PROB_BITS
@@ -284,41 +286,50 @@ _CHECK_BYTES = 1 << 16
 
 
 def check_symbols(model: BinaryModel | CdfModel,
-                  symbols: Sequence[int]) -> None:
-    """Raise the error coding `symbols` under `model` raises, before any
-    symbol is coded.
+                  symbols: Iterable[int]) -> bytes | bytearray:
+    """`symbols` as the bytes the coders read under `model`, or the error
+    coding them raises, before any symbol is coded.
 
-    A value outside the model's alphabet anywhere in the input raises
-    first.  Then, under a `CdfModel`, the first symbol in input order that
-    has zero width raises (coding it would renormalize forever), or the
-    `TypeError` of one that is not an integer (a float).
+    Bytes and bytearrays are used as they are, integer or bool arrays
+    within the alphabet as their bytes, and any other iterable of integers
+    is read once (a binary model codes each value's truth, so 0.0 and 1.0
+    code too).  A value outside the alphabet anywhere in the input raises
+    first; then, under a `CdfModel`, the first symbol in input order that
+    has zero width (coding it would renormalize forever) or is not an
+    integer (the `TypeError` of a float).
     """
+    if not isinstance(symbols, (bytes, bytearray)):
+        dtype = getattr(symbols, "dtype", None)
+        if dtype is not None and dtype.kind in "iub" and (not len(symbols) or
+                0 <= symbols.min() and symbols.max() <= 255):
+            return check_symbols(model, symbols.astype("u1").tobytes())
+        symbols = list(symbols)
+        if isinstance(model, BinaryModel):
+            if set(symbols).difference((0, 1)):
+                raise ValueError("binary models code 0/1 symbols only")
+            return bytes(map(bool, symbols))
+        if set(symbols).difference(range(256)):
+            # a negative symbol would index the cdf table from its end
+            raise ValueError("256-symbol models code 0..255 symbols only")
+        cdf = model.cdf
+        # as Python ints: a numpy int8/uint8 symbol would wrap at s + 1
+        for s in map(index, symbols):
+            if cdf[s + 1] <= cdf[s]:
+                raise ValueError(f"symbol {s} has zero width in this model")
+        return bytes(symbols)
     if isinstance(model, BinaryModel):
         # deleting the legal values checks bytes ~30x faster than a set does
-        if isinstance(symbols, (bytes, bytearray)):
-            bad = any(symbols[k:k + _CHECK_BYTES].translate(None, b"\x00\x01")
-                      for k in range(0, len(symbols), _CHECK_BYTES))
-        else:
-            # the coder tests each bit for truth, so 0.0 and 1.0 code too
-            bad = set(symbols).difference((0, 1))
-        if bad:
+        if any(symbols[k:k + _CHECK_BYTES].translate(None, b"\x00\x01")
+               for k in range(0, len(symbols), _CHECK_BYTES)):
             raise ValueError("binary models code 0/1 symbols only")
-        return
-    if isinstance(symbols, (bytes, bytearray)):
+    elif len(model.codable) < 256:
         # bytes fit the alphabet; keep only the zero-width ones, in order.
         # Without any, skip the translate: on 16-byte shards it costs 5% of
         # the coding
-        if len(model.codable) == 256:
-            return
-        symbols = symbols.translate(None, model.codable)
-    elif set(symbols).difference(range(256)):
-        # a negative symbol would index the cdf table from its end
-        raise ValueError("256-symbol models code 0..255 symbols only")
-    cdf = model.cdf
-    # as Python ints: a numpy int8/uint8 symbol would wrap at s + 1
-    for s in map(index, symbols):
-        if cdf[s + 1] <= cdf[s]:
-            raise ValueError(f"symbol {s} has zero width in this model")
+        rest = symbols.translate(None, model.codable)
+        if rest:
+            raise ValueError(f"symbol {rest[0]} has zero width in this model")
+    return symbols
 
 
 class FinalCoderState:
@@ -435,9 +446,11 @@ def _run_tables(p0: int) -> tuple[array, ...]:
 class Encoder:
     """Range encoder producing bytes in decode order into a bytearray.
 
-    `encode_bits` and `encode_symbols` pass each batch to `check_symbols`
-    first, so a batch the model cannot code raises before any of it is
-    coded and leaves the encoder as it was.
+    `encode_bits` and `encode_symbols` read each batch as bytes through
+    `check_symbols` (bytes as they are, integer or bool arrays in the
+    alphabet as their bytes, other iterables of integers once), so a batch
+    the model cannot code raises before any of it is coded and leaves the
+    encoder as it was.
     """
 
     __slots__ = ("_low", "_range", "_out")
@@ -453,21 +466,20 @@ class Encoder:
     def state(self) -> tuple[int, int]:
         return self._low, self._range
 
-    def encode_bits(self, model: BinaryModel, bits: Sequence[int]) -> None:
+    def encode_bits(self, model: BinaryModel, bits: Iterable[int]) -> None:
         """Encode bits under model.
 
-        Bits given as bytes or a bytearray, under a model whose p0 is at
-        least `_RUN_GATE`, are coded one run of zeros at a time through
-        `_zero_runs`; all other bits go through the per-bit loop.  Both
-        paths write the same bytes and leave the same state.
+        Under a model whose p0 is at least `_RUN_GATE` the bits are coded
+        one run of zeros at a time through `_zero_runs`; under other models
+        they go through the per-bit loop.  Both paths write the same bytes
+        and leave the same state.
         """
-        check_symbols(model, bits)
+        bits = check_symbols(model, bits)
         p0 = model.p0
-        if isinstance(bits, (bytes, bytearray)):
-            tables = _zero_runs(p0)
-            if tables is not None:
-                self._encode_runs(p0, tables, bits)
-                return
+        tables = _zero_runs(p0)
+        if tables is not None:
+            self._encode_runs(p0, tables, bits)
+            return
         # hot path: the coder state lives in locals for the whole batch
         low = self._low
         rng = self._range
@@ -563,13 +575,8 @@ class Encoder:
         self._low = low
         self._range = rng
 
-    def encode_symbols(self, model: CdfModel, symbols: Sequence[int]) -> None:
-        check_symbols(model, symbols)
-        if not isinstance(symbols, (bytes, bytearray)):
-            # checked symbols are integers in 0..255; as bytes they are
-            # Python ints, so a numpy int8/uint8 symbol cannot wrap at s + 1.
-            # Through a list: bytes() of a buffer copies memory, not values
-            symbols = bytes(list(symbols))
+    def encode_symbols(self, model: CdfModel, symbols: Iterable[int]) -> None:
+        symbols = check_symbols(model, symbols)
         cdf = model.cdf
         low = self._low
         rng = self._range

@@ -2,7 +2,7 @@
 
 `encode_parallel` picks an engine by stream count alone; these tests call
 both engines directly, whatever the threshold, and require the same
-segment bytes.  Both engines take bytes that `check_symbols` passed, so
+segment bytes.  Both engines take the bytes `check_symbols` returns, so
 other input and its errors are tested through `encode_parallel`.  Carries
 and terminations are where a vectorized coder can go wrong, so the inputs
 are chosen to reach them, and the scalar run counts each event to show
@@ -196,7 +196,7 @@ def test_byte_budget_splits_blocks(budget, monkeypatch):
     # ... and next to it, with carries
     (bytes(range(256)) * 16, CdfModel([0] + [256 * s + 1 for s in range(255)]
                                       + [PROB_ONE])),
-])
+], ids=("width1-cdf", "width1-bits", "carries"))
 def test_byte_bound_holds_for_costliest_symbols(symbols, model):
     for mode in MODES:
         both_encoders(symbols, model, 4, mode)
@@ -363,38 +363,65 @@ def _zero_width_model():
     return CdfModel.from_counts(counts)
 
 
-@pytest.mark.parametrize("symbols, model", [
+_ALPHABET = (ValueError, "256-symbol models code 0..255 symbols only")
+_BITS = (ValueError, "binary models code 0/1 symbols only")
+_FLOAT = (TypeError, "'float' object cannot be interpreted as an integer")
+
+
+def _zero_width(s):
+    return ValueError, f"symbol {s} has zero width in this model"
+
+
+#: (symbols, model, the error type and message coding them raises)
+_ERROR_CASES = [
     # 64 symbols: a symbol outside 0..255 ...
-    ([1] * 40 + [256] + [2] * 23, _zero_width_model()),
+    ([1] * 40 + [256] + [2] * 23, _zero_width_model(), _ALPHABET),
     # ... raises before a zero-width one, wherever each of them is
-    ([1] * 40 + [7, -1] + [2] * 22, _zero_width_model()),
-    ([1] * 3 + [9] + [1] * 40 + [300] + [2] * 19, _zero_width_model()),
-    ([1] * 40 + [7] + [2] * 10 + [-1] + [2] * 12, _zero_width_model()),
+    ([1] * 40 + [7, -1] + [2] * 22, _zero_width_model(), _ALPHABET),
+    ([1] * 3 + [9] + [1] * 40 + [300] + [2] * 19, _zero_width_model(),
+     _ALPHABET),
+    ([1] * 40 + [7] + [2] * 10 + [-1] + [2] * 12, _zero_width_model(),
+     _ALPHABET),
     # the first zero-width symbol in input order is named
-    (bytes([1] * 10 + [7, 2, 3] + [2] * 51), _zero_width_model()),
-    ([2] * 63 + [0], _zero_width_model()),
+    (bytes([1] * 10 + [7, 2, 3] + [2] * 51), _zero_width_model(),
+     _zero_width(7)),
+    ([2] * 63 + [0], _zero_width_model(), _zero_width(0)),
     # bits
-    (b"\x00\x01" * 31 + b"\x02\x00", BinaryModel(100)),
-    ([0, 1] * 31 + [-1, 0], BinaryModel(100)),
-    ([0.5] + [0] * 63, BinaryModel(100)),
+    (b"\x00\x01" * 31 + b"\x02\x00", BinaryModel(100), _BITS),
+    ([0, 1] * 31 + [-1, 0], BinaryModel(100), _BITS),
+    ([0.5] + [0] * 63, BinaryModel(100), _BITS),
     # floats index no cdf table: the coder's TypeError, unless a zero-width
     # symbol comes first ...
-    ([1.0, 2.0] * 32, _zero_width_model()),
-    (np.array([1, 2] * 32, dtype=np.float64), _zero_width_model()),
-    ([1] * 20 + [2.0] + [1] * 43, _zero_width_model()),
-    ([1] * 20 + [7, 2.0] + [1] * 42, _zero_width_model()),
+    ([1.0, 2.0] * 32, _zero_width_model(), _FLOAT),
+    (np.array([1, 2] * 32, dtype=np.float64), _zero_width_model(),
+     (TypeError,
+      "'numpy.float64' object cannot be interpreted as an integer")),
+    ([1] * 20 + [2.0] + [1] * 43, _zero_width_model(), _FLOAT),
+    ([1] * 20 + [7, 2.0] + [1] * 42, _zero_width_model(), _zero_width(7)),
     # ... or a symbol outside 0..255 anywhere in the input
-    ([1] * 20 + [2.0, 1, 256] + [1] * 41, _zero_width_model()),
-    ([1] * 3 + [2.0] + [1] * 40 + [300] + [1] * 19, _zero_width_model()),
-])
+    ([1] * 20 + [2.0, 1, 256] + [1] * 41, _zero_width_model(), _ALPHABET),
+    ([1] * 3 + [2.0] + [1] * 40 + [300] + [1] * 19, _zero_width_model(),
+     _ALPHABET),
+]
+
+
+# a bytes input is named "bytes", not after its escaped bytes; the other
+# inputs keep pytest's names, symbols<case>-model<case>
+@pytest.mark.parametrize(
+    "symbols, model", [case[:2] for case in _ERROR_CASES],
+    ids=lambda value: "bytes" if isinstance(value, bytes) else None)
 def test_same_errors_as_scalar(symbols, model, monkeypatch):
     # encode_parallel checks the whole input before either engine runs, so
     # every stream count raises the error of coding it as one batch
+    kind, message = next(error for given, _, error in _ERROR_CASES
+                         if given is symbols)
     enc = Encoder()
     code = enc.encode_bits if isinstance(model, BinaryModel) \
         else enc.encode_symbols
-    with pytest.raises((ValueError, TypeError)) as batch:
+    with pytest.raises(kind) as batch:
         code(model, symbols)
+    assert str(batch.value) == message
+    assert enc.state == Encoder().state and not enc._out
 
     def no_engine(*args):
         raise AssertionError("an engine ran before the symbols were checked")
@@ -402,10 +429,10 @@ def test_same_errors_as_scalar(symbols, model, monkeypatch):
     monkeypatch.setattr(pipeline, "_encode_scalar", no_engine)
     monkeypatch.setattr(pipeline, "_encode_lockstep", no_engine)
     for n_streams in (1, 2, 8, 64, 512, 1024):
-        with pytest.raises((ValueError, TypeError)) as parallel:
+        with pytest.raises(kind) as parallel:
             encode_parallel(symbols, model, n_streams)
-        assert type(parallel.value) is type(batch.value), n_streams
-        assert str(parallel.value) == str(batch.value), n_streams
+        assert type(parallel.value) is kind, n_streams
+        assert str(parallel.value) == message, n_streams
 
 
 @pytest.mark.parametrize("n_streams", (8, 1024))

@@ -190,7 +190,7 @@ class TestEncodeDecode:
 
         def counted(model, symbols):
             checked.append(isinstance(symbols, (bytes, bytearray)))
-            check(model, symbols)
+            return check(model, symbols)
 
         monkeypatch.setattr(rangecoder, "check_symbols", counted)
         monkeypatch.setattr(pipeline, "check_symbols", counted)
@@ -203,6 +203,41 @@ class TestEncodeDecode:
             checked.clear()
             assert encode_parallel(as_list, model, n_streams, "fr") == expected
             assert checked.count(False) == 1
+
+    @staticmethod
+    def _one_shot_inputs():
+        """(bytes, model, one-shot iterables of the same symbols): order0
+        text and Bernoulli(0.1) bits, on the run path and off it."""
+        rnd = random.Random(8)
+        data = bytes(rnd.choice(b"abcdefgh") for _ in range(3000))
+        bits = bytes(rnd.random() < 0.1 for _ in range(3000))
+        for symbols, model in ((data, order0(data)),
+                               (bits, BinaryModel.from_probability(0.9)),
+                               (bits, BinaryModel(30000))):
+            yield symbols, model, ((s for s in symbols), iter(list(symbols)),
+                                   map(int, symbols))
+
+    @pytest.mark.parametrize("n_streams", (1, 8, 512))
+    def test_one_shot_iterables_code_every_symbol(self, n_streams):
+        # a generator, an iterator or a map is read once, so the check
+        # cannot leave the coder an exhausted input
+        mode = "uni" if n_streams == 1 else "fr"
+        for symbols, model, given in self._one_shot_inputs():
+            expected = encode_parallel(symbols, model, n_streams, mode)
+            for one_shot in given:
+                assert encode_parallel(one_shot, model, n_streams,
+                                       mode) == expected
+
+    def test_encoder_codes_one_shot_iterables(self):
+        for symbols, model, given in self._one_shot_inputs():
+            code = ("encode_bits" if isinstance(model, BinaryModel)
+                    else "encode_symbols")
+            want = Encoder()
+            getattr(want, code)(model, symbols)
+            for one_shot in given:
+                enc = Encoder()
+                getattr(enc, code)(model, one_shot)
+                assert (enc._out, enc.state) == (want._out, want.state)
 
     def test_binary_model_rejects_nonbit_symbols(self):
         with pytest.raises(ValueError, match="0/1"):

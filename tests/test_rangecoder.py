@@ -467,19 +467,30 @@ class TestZeroRuns:
                 assert fast.state == plain.state
 
     @pytest.mark.parametrize("p0", RUN_P0)
-    def test_encode_bits_input_types(self, p0, rnd):
-        # the run path codes bytes and bytearrays; lists and numpy arrays
-        # take the per-bit loop, with the same bytes and state
+    def test_encode_bits_input_types(self, p0, rnd, monkeypatch):
+        # bytes, bytearrays, lists and numpy arrays all take the run path
+        # from _RUN_GATE on and the per-bit loop below it, with the bytes
+        # and state of the plain loop
         model = BinaryModel(p0)
         bits = random_bits(rnd, 3000, 0.1)
         want = Encoder()
         plain_encode_bits(want, model, bits)
+        runs = Encoder._encode_runs
+        ran = []
+
+        def spy(*args):
+            ran.append(True)
+            runs(*args)
+
+        monkeypatch.setattr(Encoder, "_encode_runs", spy)
         for given in (bits, bytearray(bits), list(bits),
                       np.frombuffer(bits, np.uint8),
                       np.frombuffer(bits, bool)):
+            ran.clear()
             enc = Encoder()
             enc.encode_bits(model, given)
             assert (enc._out, enc.state) == (want._out, want.state)
+            assert ran == ([True] if p0 >= _RUN_GATE else []), type(given)
 
     def test_encode_bits_splits_a_slice_at_a_time(self):
         # a split holds an object per run: split whole, these three slices
