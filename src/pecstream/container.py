@@ -158,10 +158,9 @@ def assemble_container(mode: str, index_codec: str,
         raise ValueError(f"segment sizes sum to {sum(sizes)}, region holds {data_size}")
     if data_size >= 1 << 32:
         raise ValueError("data region exceeds the u32 size field")
-    if index_codec == "rtc" and sizes and max(sizes) >= (1 << 24):
-        raise ValueError("rtc-coded containers cap segments at 16 MiB")
 
     sink = BitWriter()
+    # rtc refuses a segment of 16 MiB or more as it codes the tree's root
     encode_index(index_codec, sizes, data_size, sink)
     index_payload = sink.getvalue()
     if len(index_payload) > 0xFFFF:

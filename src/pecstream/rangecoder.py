@@ -277,11 +277,11 @@ def renormalize(state, rng):
     return shift
 
 
-#: the bytes `check_symbols` checks at a time under a `BinaryModel`.  The
-#: translate that deletes the legal bits copies its input first: 2**23
-#: bits checked whole peaked at 8.0 MiB under tracemalloc, and at 0.13 MiB
-#: in slices of 2**16 bytes, which took 1.14x as long (3.8-4.6 ms against
-#: 3.3-4.0 ms, 2-vCPU VM)
+#: the bytes `check_symbols` checks at a time.  The translate that deletes
+#: the legal symbols copies its input first: 2**23 bits checked whole
+#: peaked at 8.0 MiB under tracemalloc, and at 0.13 MiB in slices of 2**16
+#: bytes, which took 1.14x as long (3.8-4.6 ms against 3.3-4.0 ms, 2-vCPU
+#: VM); 8 MiB of text under a `CdfModel` also peaked at 8.0 MiB whole
 _CHECK_BYTES = 1 << 16
 
 
@@ -323,12 +323,15 @@ def check_symbols(model: BinaryModel | CdfModel,
                for k in range(0, len(symbols), _CHECK_BYTES)):
             raise ValueError("binary models code 0/1 symbols only")
     elif len(model.codable) < 256:
-        # bytes fit the alphabet; keep only the zero-width ones, in order.
-        # Without any, skip the translate: on 16-byte shards it costs 5% of
-        # the coding
-        rest = symbols.translate(None, model.codable)
-        if rest:
-            raise ValueError(f"symbol {rest[0]} has zero width in this model")
+        # bytes fit the alphabet; keep only the zero-width ones, in order,
+        # a slice at a time, so the first slice with any holds the first.
+        # A model with none skips this: on 16-byte shards the translate
+        # costs 5% of the coding
+        for k in range(0, len(symbols), _CHECK_BYTES):
+            rest = symbols[k:k + _CHECK_BYTES].translate(None, model.codable)
+            if rest:
+                raise ValueError(
+                    f"symbol {rest[0]} has zero width in this model")
     return symbols
 
 

@@ -343,7 +343,9 @@ def test_importing_pipeline_loads_no_numpy():
     src = Path(pecstream.__file__).resolve().parent.parent
     # a narrow encode and decode run on the scalar engines, which need none;
     # the last model is above the run gate, with 40 bits a stream, mostly
-    # zeros, so its run tables are built once, then used by both directions
+    # zeros, so its run tables are built once, then used by both directions.
+    # The widest scalar encode, uni, gives the rtc index one entry too few
+    # for its array form
     code = ("import sys; import pecstream, pecstream.pipeline, pecstream.cli\n"
             "from pecstream import BinaryModel, CdfModel\n"
             "from pecstream.pipeline import decode_parallel, encode_parallel\n"
@@ -358,6 +360,10 @@ def test_importing_pipeline_loads_no_numpy():
             "decoded = _run_tables.cache_info()\n"
             "assert encoded.misses == decoded.misses == 1, decoded\n"
             "assert encoded.hits >= 510 and decoded.hits - encoded.hits >= 510\n"
+            "text = b'etaoin shrdlu' * 400\n"
+            f"blob = encode_parallel(text, CdfModel.from_counts([1] * 256), "
+            f"{LOCKSTEP_MIN_STREAMS - 1}, 'uni')\n"
+            "assert decode_parallel(blob) == text\n"
             "sys.exit('numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], cwd=src,
                             env={**os.environ, "PYTHONPATH": str(src)},

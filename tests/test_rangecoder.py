@@ -221,6 +221,35 @@ class TestBinaryCoding:
 
 
 class TestSymbolCoding:
+    def test_symbol_check_peaks_below_one_mib(self):
+        # under a model with zero-width symbols the check deletes the
+        # codable bytes a slice at a time: whole, 8 MiB of text peaked at
+        # 8 MiB here
+        text = b"etaoin shrdlu" * ((8 << 20) // 13)
+        model = CdfModel.from_counts([s in text[:13] for s in range(256)])
+        tracemalloc.start()
+        try:
+            check_symbols(model, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("at", (0, _CHECK_BYTES + 7, 3 * _CHECK_BYTES + 4))
+    def test_first_zero_width_symbol_in_any_check_slice(self, at, rnd):
+        # a zero-width "z" in the first, a middle or the last slice, with
+        # zero-width "q"s after it in its own slice and in later ones
+        text = bytearray(rnd.choices(b"etaoin shrdlu", k=3 * _CHECK_BYTES + 5))
+        model = CdfModel.from_counts([s in text for s in range(256)])
+        for later in (at + 1, at + 2 * _CHECK_BYTES):
+            if later < len(text):
+                text[later] = ord("q")
+        text[at] = ord("z")
+        for given in (bytes(text), text):
+            with pytest.raises(ValueError,
+                               match="symbol 122 has zero width in this model"):
+                check_symbols(model, given)
+
     def test_uniform_cdf_rate(self):
         cdf = [256 * s for s in range(257)]
         model = CdfModel(cdf)

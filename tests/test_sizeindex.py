@@ -1,7 +1,9 @@
+import math
 import random
 import tracemalloc
 from functools import lru_cache
 from operator import ge
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,11 @@ from pecstream.bitio import (
     unpack_bounded,
 )
 from pecstream.pipeline import encode_parallel
-from pecstream.container import read_header
+from pecstream.bench import BENCH_RTC_BOUND
+from pecstream.container import MAX_STREAMS, read_header
 from pecstream.rangecoder import CdfModel
 from pecstream.sizeindex import (
+    _ARRAY_ENTRIES,
     RTC_CONTAINER_BOUND,
     RTC_TABLE_SPAN_CAP,
     CorruptIndexError,
@@ -219,11 +223,11 @@ def coded_nodes(sizes):
 
 
 @lru_cache(maxsize=None)
-def real_index(n_streams):
+def real_index(n_streams, mode="fr"):
     """The rtc index payload and entry count of the seeded 1 MiB
-    mixed-entropy input, order0 `fr` over `n_streams` streams."""
+    mixed-entropy input, order0 in `mode` over `n_streams` streams."""
     data = _mixed_entropy_file(random.Random(SEED), 1 << 20)
-    blob = encode_parallel(data, _order0(data), n_streams, "fr")
+    blob = encode_parallel(data, _order0(data), n_streams, mode)
     header = read_header(blob)
     offset = header.index_offset
     return blob[offset:offset + header.index_nbytes], header.entry_count
@@ -353,6 +357,121 @@ class TestRtcTables:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def both_forms(sizes, bound):
+    """The payload and bit count of `rtc_encode`'s pure coder and of its
+    array form, each written after a 3-bit prefix so that no codeword
+    starts where a byte does.  The array form's only check against the pure
+    coder: every container is built with it."""
+    runs = []
+    for edge in (math.inf, 1):
+        with mock.patch.object(sizeindex, "_ARRAY_ENTRIES", edge):
+            sink = BitWriter()
+            sink.write_bits(0b101, 3)
+            nbits = rtc_encode(sizes, bound, sink)
+        assert sink.bit_length == 3 + nbits
+        runs.append((sink.getvalue(), nbits))
+    return runs
+
+
+def assert_forms_agree(sizes, bound):
+    (pure, nbits), array = both_forms(sizes, bound)
+    assert array == (pure, nbits)
+    source = BitReader(pure, 3 + nbits)
+    source.read_bits(3)
+    assert rtc_decode(len(sizes), bound, source) == list(sizes)
+    assert source.bits_remaining == 0
+
+
+class TestRtcArrayForm:
+    """`rtc_encode`'s numpy form, from `_ARRAY_ENTRIES` entries on, against
+    its pure-Python coder."""
+
+    @given(count=st.integers(511, 1100),
+           bound=st.sampled_from([1, 2, 3, 300, 1 << 16, RTC_CONTAINER_BOUND,
+                                  BENCH_RTC_BOUND]),
+           low=st.floats(0, 1), spread=st.floats(0, 1),
+           rnd=st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_same_bits_as_the_pure_coder(self, count, bound, low, spread, rnd):
+        smallest = int(low * (bound - 1))
+        top = smallest + int(spread * (bound - 1 - smallest))
+        assert_forms_agree([rnd.randint(smallest, top) for _ in range(count)],
+                           bound)
+
+    @pytest.mark.parametrize("n_streams,mode", [(65536, "fr"), (65535, "uni")])
+    def test_real_indexes(self, n_streams, mode):
+        # 32768 entries, as perfbench's tiny-65536, and 65535, one short of
+        # a power of two, so the tree is padded with the minimum
+        payload, entries = real_index(n_streams, mode)
+        sizes = rtc_decode(entries, RTC_CONTAINER_BOUND, BitReader(payload))
+        assert entries == n_streams // (2 if mode == "fr" else 1)
+        assert_forms_agree(sizes, RTC_CONTAINER_BOUND)
+
+    @pytest.mark.parametrize("sizes", [[7] * 1000, [0] * 600, [7] * 999 + [8],
+                                       [8] + [7] * 1023])
+    def test_equal_sizes_and_one_above_the_minimum(self, sizes):
+        # no node above the minimum codes only the root and the minimum;
+        # one size above it codes the nodes on one leaf's path
+        assert_forms_agree(sizes, RTC_CONTAINER_BOUND)
+
+    def test_33_bit_codewords(self):
+        # against 2**32, a node whose children are 0 and 2**32 - 1 codes 32
+        # bisection bits after its selection bit; 33-bit words fall at every
+        # offset within the 32-bit words of the packed bits
+        top = BENCH_RTC_BOUND - 1
+        rnd = random.Random(16)
+        sizes = [top, 0] * 300 + [rnd.choice((0, top, rnd.randrange(top)))
+                                  for _ in range(700)]
+        assert_forms_agree(sizes, BENCH_RTC_BOUND)
+
+    @pytest.mark.parametrize("count,bound,array", [
+        (_ARRAY_ENTRIES - 1, RTC_CONTAINER_BOUND, False),
+        (_ARRAY_ENTRIES, RTC_CONTAINER_BOUND, True),
+        (_ARRAY_ENTRIES, BENCH_RTC_BOUND, True),
+        (_ARRAY_ENTRIES, BENCH_RTC_BOUND + 1, False),
+        (_ARRAY_ENTRIES, 1 << 70, False),
+    ])
+    def test_which_form_codes(self, count, bound, array):
+        # the array form holds a bound up to 2**32 exactly; a larger one
+        # takes the pure coder, whose ints have no width
+        sizes = [bound - 1 - k % 3 for k in range(count)]
+        with mock.patch.object(sizeindex, "_rtc_encode_array",
+                               wraps=sizeindex._rtc_encode_array) as spy:
+            sink = BitWriter()
+            nbits = rtc_encode(sizes, bound, sink)
+        assert spy.called == array
+        ref = BitWriter()
+        assert reference_rtc_encode(sizes, bound, ref) == nbits
+        assert ref.getvalue() == sink.getvalue()
+
+    @pytest.mark.parametrize("sizes,message", [
+        ([5] * 600 + [-1], "sizes must be nonnegative"),
+        ([5] * 600 + [RTC_CONTAINER_BOUND], "cap segments at 16 MiB"),
+    ])
+    def test_same_errors_as_the_pure_coder(self, sizes, message):
+        for edge in (math.inf, 1):
+            with mock.patch.object(sizeindex, "_ARRAY_ENTRIES", edge):
+                with pytest.raises(ValueError, match=message):
+                    rtc_encode(sizes, RTC_CONTAINER_BOUND, BitWriter())
+
+    def test_memory_peak_at_the_widest_index(self):
+        # MAX_STREAMS entries: the pure coder's lists of maxima peaked at
+        # 40.8 MiB, the array form's heap of uint32 maxima at 16.0 MiB
+        rnd = random.Random(17)
+        sizes = [rnd.randrange(13, 38) for _ in range(MAX_STREAMS)]
+        peaks = []
+        for edge in (math.inf, _ARRAY_ENTRIES):
+            with mock.patch.object(sizeindex, "_ARRAY_ENTRIES", edge):
+                tracemalloc.start()
+                try:
+                    rtc_encode(sizes, RTC_CONTAINER_BOUND, BitWriter())
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        pure, array = peaks
+        assert array <= pure
 
 
 class TestBic:
