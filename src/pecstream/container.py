@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .bitio import REVERSED_BYTES, BitReader, BitWriter, TruncatedStreamError
 from .rangecoder import PROB_ONE, BinaryModel, CdfModel
-from .sizeindex import decode_index, encode_index
+from .sizeindex import as_ints, decode_index, encode_index
 
 MAGIC = b"PEC1"
 VERSION = 1
@@ -149,13 +149,26 @@ def assemble_container(mode: str, index_codec: str,
                        n_streams: int, n_symbols: int,
                        sizes: Sequence[int], region: bytes) -> bytes:
     """Serialize a data region, whose segments have the given sizes in
-    order, behind its coded size index."""
+    order, behind its coded size index.
+
+    sizes is a sequence of ints or, as the lockstep encoder hands them
+    over, an integer array; both write the same bytes and raise the same
+    errors.
+    """
     expected_entries = check_layout(mode, index_codec, n_streams)
     if len(sizes) != expected_entries:
         raise ValueError(f"expected {expected_entries} segments, got {len(sizes)}")
     data_size = len(region)
-    if sum(sizes) != data_size:
-        raise ValueError(f"segment sizes sum to {sum(sizes)}, region holds {data_size}")
+    if (hasattr(sizes, "dtype") and 0 <= sizes.min()
+            and sizes.max() < 1 << 32):
+        # numpy's sum is exact here: MAX_STREAMS sizes below 2**32 stay
+        # below 2**52.  Other sizes are summed as Python ints, which do
+        # not wrap
+        total = int(sizes.sum())
+    else:
+        total = sum(as_ints(sizes))
+    if total != data_size:
+        raise ValueError(f"segment sizes sum to {total}, region holds {data_size}")
     if data_size >= 1 << 32:
         raise ValueError("data region exceeds the u32 size field")
 

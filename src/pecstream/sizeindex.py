@@ -106,6 +106,13 @@ class _NodeCodes(dict):
         return word
 
 
+def as_ints(sizes: Sequence[int]) -> Sequence[int]:
+    """sizes as a sequence of Python ints: an array as a list, since its
+    items are numpy scalars, which the pure-Python coders would read slowly
+    and which wrap at their width; other sequences as they are."""
+    return sizes.tolist() if hasattr(sizes, "tolist") else sizes
+
+
 def _check_range(smallest: int, root: int, bound: int) -> None:
     if smallest < 0:
         raise ValueError("sizes must be nonnegative")
@@ -135,6 +142,7 @@ def rtc_encode(sizes: Sequence[int], bound: int, sink: BitWriter) -> int:
         raise ValueError("need at least one size")
     if count >= _ARRAY_ENTRIES and bound <= 1 << 32:
         return _rtc_encode_array(sizes, bound, sink)
+    sizes = as_ints(sizes)
     smallest = min(sizes)
     n = _padded_length(count)
     maxima = _tree_maxima(list(sizes) + [smallest] * (n - count))
@@ -161,11 +169,12 @@ def _rtc_encode_array(sizes: Sequence[int], bound: int,
     holds the bound, built a level at a time.  Its internal nodes are coded
     `_CHUNK_NODES` at a time in int64: a node's codeword is at most 33 bits,
     so it spans at most two 32-bit words of the chunk's bits, and the
-    chunk goes to `sink` in one write.
+    chunk goes to `sink` in one write.  An int64 array of sizes is read
+    as it is, with no copy.
     """
     import numpy as np
     count = len(sizes)
-    leaves = np.fromiter(sizes, np.int64, count)
+    leaves = np.asarray(sizes, dtype=np.int64)
     smallest = int(leaves.min())
     root = int(leaves.max())
     _check_range(smallest, root, bound)
@@ -462,11 +471,17 @@ def i32_decode_sizes(count: int, source: BitReader) -> list[int]:
 
 def encode_index(codec: str, sizes: Sequence[int], total: int,
                  sink: BitWriter) -> int:
-    """Encode sizes with a named codec; returns bits written."""
-    if codec == "i32":
-        return i32_encode_sizes(sizes, sink)
+    """Encode sizes with a named codec; returns bits written.
+
+    sizes is a sequence of ints or an integer array.  `rtc_encode` codes an
+    array of `_ARRAY_ENTRIES` entries or more as it is; the pure-Python
+    coders read sizes as a list.
+    """
     if codec == "rtc":
         return rtc_encode(sizes, RTC_CONTAINER_BOUND, sink)
+    sizes = as_ints(sizes)
+    if codec == "i32":
+        return i32_encode_sizes(sizes, sink)
     if codec == "bic":
         return bic_encode(sizes, total, sink)
     if codec == "gamma":

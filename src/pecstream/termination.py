@@ -8,7 +8,8 @@ inside, so importing this module loads none.
    T whose byte step [T/256, (T+1)/256) lies inside it; storing T mod 256
    (carrying one into the bytes already produced when T >= 256) decodes
    exactly under any continuation.  When V < U one byte is renormalized
-   out first.  Forms: `valid_byte_set`, `valid_byte_sets`.
+   out first.  Forms: `valid_byte_set`, `valid_byte_sets` (which
+   renormalizes only the lanes that need it).
 2. Junction: a forward/backward pair stores one byte for both ends when
    some byte fits both sets.  That junction is the smallest z in 0..255
    with (z - U_f) mod 256 <= V_f - U_f and (perm[z] - U_b) mod 256 <=
@@ -17,8 +18,10 @@ inside, so importing this module loads none.
    then U + ((its byte - U) mod 256), unique because every set is
    narrower than 256.  Forms: `joint_terminate`, which scans the forward
    set's bytes in order, and `junction_bytes`, which ANDs the two sides'
-   256-bit masks of the bytes they can end on (built from per-mode prefix
-   masks) and takes the lowest bit set.
+   256-bit masks of the bytes they can end on (each XOR and OR of three
+   rows gathered from a per-mode table of prefix masks) and takes the
+   lowest bit set: a 16-entry table maps which of the four 64-bit words are
+   nonzero to the first one, and the bit is found in that word alone.
 3. Accounting: a stream's termination costs 8 * appended - pending bits
    beyond its pending information (`single_extra_bits`); a pair's costs
    the sum of its two streams' less 8 bits for a shared junction
@@ -114,18 +117,26 @@ def valid_byte_set(state: FinalCoderState) -> ValidByteSet:
 
 
 def valid_byte_sets(low, range_):
-    """Array form of `valid_byte_set`: (U, V, appended, low', range')."""
+    """Array form of `valid_byte_set`: (U, V, appended, low', range').
+
+    Takes int64 arrays.  Only the lanes with V < U renormalize, so their
+    new state and set are worked out on those lanes alone.
+    """
     import numpy as np
 
     set_lo = (low + (TOP - 1)) >> 24
     set_hi = ((low + range_) >> 24) - 1
-    renorm = set_hi < set_lo
-    low2 = np.where(renorm, (low << 8) & MASK32, low)
-    rng2 = np.where(renorm, np.minimum(range_ << 8, MASK32), range_)
-    set_lo = np.where(renorm, (low2 + (TOP - 1)) >> 24, set_lo)
-    set_hi = np.where(renorm, ((low2 + rng2) >> 24) - 1, set_hi)
-    appended = 1 + renorm.astype(np.int64)
-    return set_lo, set_hi, appended, low2, rng2
+    renorm = np.flatnonzero(set_hi < set_lo)
+    low, range_ = low.copy(), range_.copy()
+    appended = np.ones(len(low), dtype=np.int64)
+    if len(renorm):
+        low2 = (low[renorm] << 8) & MASK32
+        rng2 = np.minimum(range_[renorm] << 8, MASK32)
+        low[renorm], range_[renorm] = low2, rng2
+        set_lo[renorm] = (low2 + (TOP - 1)) >> 24
+        set_hi[renorm] = ((low2 + rng2) >> 24) - 1
+        appended[renorm] = 2
+    return set_lo, set_hi, appended, low, range_
 
 
 def terminate_single(state: FinalCoderState) -> SingleTermination:
@@ -191,8 +202,10 @@ def junction_bytes(fwd_lo, fwd_hi, bwd_lo, bwd_hi, mode: str):
 
     Takes each pair's forward and backward valid sets [U, V].  Each side's
     stored bytes are a 256-bit mask, bit z set when that side can end on
-    byte z, built from `_prefix_masks`; the junction is the lowest bit set
-    in both masks.
+    byte z, gathered from `_prefix_masks` rows; the junction is the lowest
+    bit set in both masks.  The 4-bit code of which of a pair's words are
+    nonzero gives its first nonzero word through `_first_word`'s table,
+    and the lowest bit is found in that word alone.
     """
     import numpy as np
 
@@ -201,29 +214,49 @@ def junction_bytes(fwd_lo, fwd_hi, bwd_lo, bwd_hi, mode: str):
         raise AssertionError("termination set wider than one byte period")
     both = _stored_masks(_prefix_masks("fb"), fwd_lo, fwd_span)
     both &= _stored_masks(_prefix_masks(mode), bwd_lo, bwd_span)
-    both &= ~both + np.uint64(1)  # each word's lowest set bit
-    _, bit = np.frexp(both)       # its position plus one; 0 in an empty word
-    word = (bit != 0).argmax(axis=1)
-    bit = np.take_along_axis(bit, word[:, None], axis=1)[:, 0]
+    # bit i of a pair's code is set when its word i is nonzero.  Packed
+    # flat, two pairs a byte: packing each row of four alone is several
+    # times slower
+    nonzero = np.packbits(both != 0, bitorder="little")
+    code = np.stack((nonzero & 0xF, nonzero >> 4), axis=1).reshape(-1)
+    word = _first_word().take(code[:len(both)])
+    # the pair's first nonzero word, or its word 0 where all four are zero
+    low = both.reshape(-1).take(np.arange(0, both.size, 4) + word)
+    low &= ~low + np.uint64(1)  # its lowest set bit
+    _, bit = np.frexp(low)      # that bit's position plus one; 0 if none
     return np.where(bit > 0, 64 * word + bit - 1, -1)
+
+
+@cache
+def _first_word():
+    """For each 4-bit code of which mask words are nonzero (bit i for word
+    i), the first nonzero word: the code's lowest set bit, 0 for code 0."""
+    import numpy as np
+
+    table = np.array([(c & -c).bit_length() - 1 if c else 0
+                      for c in range(16)], dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 @cache
 def _prefix_masks(mode: str):
     """P[k] for k in 0..256: the 256-bit mask of the z with perm[z] < k, as
-    one 32-byte row (four little-endian uint64 words, bit z in word z // 64)."""
+    a read-only (257, 4) array of little-endian uint64 words, bit z in word
+    z // 64."""
     import numpy as np
 
     perm = np.frombuffer(_perm(mode), dtype=np.uint8)
     below = perm < np.arange(257)[:, None]
-    masks = np.packbits(below, axis=1, bitorder="little").view("V32")[:, 0]
+    masks = np.packbits(below, axis=1, bitorder="little").view("<u8")
     masks.flags.writeable = False
     return masks
 
 
 def _stored_masks(prefix, lo, span):
     """Per set [U, U + span], the (sets, 4) uint64 mask of the stored bytes z
-    with perm[z] in it, perm being the one `prefix` is built from.
+    with perm[z] in it, perm being the one `prefix` is built from; three
+    gathers of whole `prefix` rows.
 
     With a = U mod 256 and b = a + span + 1 the set's bytes are a..b - 1,
     the part past 255 wrapping to 0..b - 257: the bytes below min(b, 256)
@@ -233,10 +266,10 @@ def _stored_masks(prefix, lo, span):
 
     a = lo & 0xFF
     b = a + span + 1
-    mask = prefix[np.minimum(b, 256)].view("<u8")
-    mask ^= prefix[a].view("<u8")
-    mask |= prefix[np.maximum(b - 256, 0)].view("<u8")
-    return mask.reshape(-1, 4)
+    mask = prefix.take(np.minimum(b, 256), axis=0)
+    mask ^= prefix.take(a, axis=0)
+    mask |= prefix.take(np.maximum(b - 256, 0), axis=0)
+    return mask
 
 
 def single_extra_bits(appended, pending):

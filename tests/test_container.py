@@ -1,6 +1,8 @@
+import random
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pecstream.bitio import REVERSED_BYTES, TruncatedStreamError
@@ -8,6 +10,7 @@ from pecstream.container import (
     INDEX_CODECS,
     MODES,
     ContainerFormatError,
+    assemble_container,
     read_container,
     read_header,
     segment_source,
@@ -164,6 +167,54 @@ class TestValidation:
                 read_container(bytes(blob))
             except (ContainerFormatError, TruncatedStreamError):
                 pass  # both are declared parse failures; anything else escapes
+
+
+class TestSizesAsArray:
+    """`assemble_container` takes the lockstep encoder's int64 array of
+    segment sizes as it takes a list: the same bytes and the same errors,
+    on both sides of `rtc`'s 512-entry array form."""
+
+    @pytest.mark.parametrize("codec", INDEX_CODECS)
+    @pytest.mark.parametrize("entries", (256, 511, 512, 32768))
+    def test_same_bytes(self, codec, entries):
+        rnd = random.Random(entries)
+        sizes = [rnd.randrange(40) for _ in range(entries)]
+        forms = (sizes, np.array(sizes, dtype=np.int64))
+        args = ("uni", codec, BinaryModel(5), entries, 0)
+        region = bytes(sum(sizes))
+        if codec == "i32" and 4 * entries > 0xFFFF:
+            for form in forms:
+                with pytest.raises(ValueError, match="u16 length field"):
+                    assemble_container(*args, form, region)
+            return
+        blobs = [assemble_container(*args, form, region) for form in forms]
+        assert blobs[0] == blobs[1]
+        assert read_container(blobs[0])[1].sizes() == sizes
+
+    @pytest.mark.parametrize("codec,case", [
+        (codec, case) for codec in INDEX_CODECS
+        for case in ("count", "sum", "negative", "wrap")] + [("rtc", "cap")])
+    @pytest.mark.parametrize("entries", (256, 512))
+    def test_same_errors(self, codec, case, entries):
+        sizes = [3] * entries
+        n_streams = entries + (case == "count")
+        if case == "negative":
+            sizes[-2:] = [-1, 7]
+        elif case == "wrap":
+            # four sizes of 2**62 would wrap an int64 sum back to the region
+            sizes[:4] = [1 << 62] * 4
+        elif case == "cap":
+            sizes[0] = 1 << 24
+        region = bytes(3 * entries if case in ("sum", "wrap") else sum(sizes))
+        if case in ("sum", "wrap"):
+            region = region[:-12 if case == "wrap" else -1]
+        errors = []
+        for form in (sizes, np.array(sizes, dtype=np.int64)):
+            with pytest.raises(ValueError) as info:
+                assemble_container("uni", codec, BinaryModel(5), n_streams, 0,
+                                   form, region)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 class TestSources:

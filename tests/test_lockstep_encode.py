@@ -14,6 +14,7 @@ import random
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -34,19 +35,23 @@ from pecstream.rangecoder import (
     CdfModel,
     Encoder,
     carry_lanes,
+    cdf_tables,
 )
 
 from test_acceptance import SEED, _mixed_entropy_file, _order0
 from test_golden import CODECS, INPUTS, MODES, STREAMS
-from test_lockstep import N_STREAMS, source
+from test_lockstep import N_STREAMS, both_engines, source
 from test_pipeline import order0
 
 
 def both_encoders(symbols, model, n_streams, mode):
     """The common segment sizes and joined region of both engines; fails
-    if they differ."""
+    if they differ.  The lockstep engine hands its sizes over as one int64
+    array, the scalar engine as a list."""
     scalar = _encode_scalar(symbols, model, n_streams, mode)
-    assert _encode_lockstep(symbols, model, n_streams, mode) == scalar
+    sizes, region = _encode_lockstep(symbols, model, n_streams, mode)
+    assert sizes.dtype == np.int64
+    assert (list(sizes), region) == scalar
     return scalar
 
 
@@ -80,6 +85,46 @@ def test_golden_inputs_encode_through_both_engines():
                 if n_streams == 1 and mode != "uni":
                     continue
                 both_encoders(symbols, model, n_streams, mode)
+
+
+def _widths(*pairs):
+    """256 widths, zero but for the given (symbol, width) pairs."""
+    widths = [0] * 256
+    for symbol, width in pairs:
+        widths[symbol] = width
+    return widths
+
+
+@pytest.mark.parametrize("widths", [
+    # the last symbol has width 1, so it starts at c_lo = 65535
+    pytest.param(_widths((0, 40000), (9, PROB_ONE - 40001), (255, 1)),
+                 id="last-width-1"),
+    # the top symbol, which keeps rng & 0xFFFF, has width 65535
+    pytest.param(_widths((3, 1), (200, PROB_ONE - 1)), id="top-width-65535"),
+    # two symbols, with zero-width symbols past the top one, at c_lo 65536
+    pytest.param(_widths((10, 30000), (20, PROB_ONE - 30000)),
+                 id="two-symbols"),
+])
+def test_cdf_tables_and_engines_on_edge_models(widths):
+    """`cdf_tables` against the model, and both lockstep engines against
+    the scalar `Encoder` and `Decoder`, where c_lo or a width sits at the
+    edge of 16 bits."""
+    model = CdfModel(accumulate(widths, initial=0))
+    cdf = model.cdf
+    rows, lookup = cdf_tables(model)
+    assert rows.tolist() == [
+        [cdf[s + 1] - cdf[s], cdf[s], 0xFFFF if cdf[s + 1] == PROB_ONE else 0,
+         0] for s in range(256)]
+    assert lookup.tolist() == [bisect_right(cdf, t) - 1
+                               for t in range(PROB_ONE)]
+    # the codable symbols, each as often as the others
+    rnd = random.Random(len(model.codable))
+    symbols = bytes(rnd.choices(model.codable, k=4000))
+    for n_streams, mode in ((512, "fr"), (513, "uni"), (514, "fb")):
+        sizes, region = both_encoders(symbols, model, n_streams, mode)
+        blob = assemble_container(mode, "rtc", model, n_streams, len(symbols),
+                                  sizes, region)
+        assert both_engines(blob) == symbols
 
 
 def _chase_lane(rnd, model, n):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from pecstream.termination import (
     single_extra_bits,
     terminate_single,
     valid_byte_set,
+    valid_byte_sets,
 )
 
 
@@ -84,6 +87,63 @@ class TestValidByteSet:
         with pytest.raises(ValueError):
             from pecstream.termination import ValidByteSet
             ValidByteSet(10, 9)
+
+
+def _wide_lane(rnd):
+    """A final (low, range) with at least one whole byte step inside."""
+    return rnd.randrange(1 << 32), rnd.randrange(1 << 25, 1 << 32)
+
+
+def _renorm_lane(rnd, k=None):
+    """A final (low, range) whose interval straddles step k + 1 without
+    holding a whole step, so V = k < U = k + 1: it must renormalize.  At
+    k = 255, U is the carried 256."""
+    k = rnd.randrange(256) if k is None else k
+    a = rnd.randrange(1, 1 << 24)
+    return ((k + 1) << 24) - a, rnd.randrange(1 << 24, (1 << 24) + a)
+
+
+def _carried_lane(rnd):
+    """A final (low, range) with U = 256 and no renormalization."""
+    return (1 << 32) - rnd.randrange(1, 1 << 24), rnd.randrange(1 << 25, 1 << 32)
+
+
+class TestValidByteSets:
+    """`valid_byte_sets` lane by lane against the scalar `valid_byte_set`,
+    the renormalized low and range included, which
+    `bench.simulate_termination_population` reads."""
+
+    @pytest.mark.parametrize("case,renormed", [
+        ("none", 0), ("all", 300), ("mix", 100), ("carried", 100)])
+    def test_lanes_match_the_scalar_set(self, case, renormed):
+        rnd = random.Random(case)
+        lanes = {
+            "none": lambda: [_wide_lane(rnd) for _ in range(300)],
+            "all": lambda: [_renorm_lane(rnd) for _ in range(300)],
+            "mix": lambda: rnd.sample([_wide_lane(rnd) for _ in range(200)]
+                                      + [_renorm_lane(rnd) for _ in range(100)],
+                                      300),
+            # U = 256 with and without a renormalization, beside plain lanes
+            "carried": lambda: rnd.sample(
+                [_carried_lane(rnd) for _ in range(100)]
+                + [_renorm_lane(rnd, 255) for _ in range(100)]
+                + [_wide_lane(rnd) for _ in range(100)], 300),
+        }[case]()
+        low, range_ = np.array(lanes, dtype=np.int64).T.copy()
+        inputs = low.copy(), range_.copy()
+        got = valid_byte_sets(low, range_)
+        expected = []
+        for lane in lanes:
+            state = FinalCoderState(*lane)
+            vset = valid_byte_set(state)
+            expected.append((vset.lo, vset.hi, vset.prefix_bytes + 1,
+                             state.low, state.range))
+        assert [tuple(map(int, lane)) for lane in zip(*got)] == expected
+        assert int((got[2] == 2).sum()) == renormed
+        if case == "carried":
+            assert int((got[0] >= 256).sum()) == 100
+        # the inputs are left as they were
+        assert (low == inputs[0]).all() and (range_ == inputs[1]).all()
 
 
 class TestTerminateSingle:
@@ -222,6 +282,9 @@ class TestJointTerminate:
             [f + b for f, b in pairs], dtype=np.int64).T
         got = junction_bytes(lo_f, lo_f + span_f, lo_b, lo_b + span_b, mode)
         assert got.tolist() == expected
+        # an odd count of pairs leaves the last packed byte half used
+        assert junction_bytes(lo_f[1:], (lo_f + span_f)[1:], lo_b[1:],
+                              (lo_b + span_b)[1:], mode).tolist() == expected[1:]
         # every mask word holds some pair's junction, and some pairs share none
         assert set(np.unique(got[got >= 0] // 64)) == {0, 1, 2, 3}
         assert (got == -1).any()
