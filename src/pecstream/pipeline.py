@@ -13,10 +13,11 @@ treat the streams as interleaved lanes (Giesen, "Interleaved entropy
 coders", arXiv:1402.3392): each numpy step codes one symbol on every lane
 with the array forms of `rangecoder` on uint32 lane state, which moves each
 lane's 0-2 bytes in one renormalization step.  The encoder carries into a
-lane's bytes in place, in rows sized from the model where they stay small
-and from each lane's symbols elsewhere, and terminates all lanes at once
-with the array forms of `termination`; the decoder's backward lanes read
-upward through one reversed copy of the container (bit-reversed in fr).
+lane's bytes in place, in rows that start at the model's bound on a lane,
+or at a cap where that is too wide, and widen as the lanes fill them, and
+terminates all lanes at once with the array forms of `termination`; the
+decoder's backward lanes read upward through one reversed copy of the
+container (bit-reversed in fr).
 A step costs about c0 + c1 * lanes and the scalar engines about
 c_s * lanes per symbol, so which one is faster depends on the stream count
 and not on the stream length; `encode_parallel` and `decode_parallel` use
@@ -104,27 +105,27 @@ def shard_ranges(n_symbols: int, n_streams: int) -> list[tuple[int, int]]:
 
 
 #: stream count from which both coding directions use the lockstep engines.
-#: On a 2-vCPU VM decode broke even near 64 lanes (order0) and 128-256
-#: (bernoulli), encode near 128 lanes (bernoulli with 256 symbols per lane:
-#: between 256 and 512); at 512 lanes lockstep decoded 2.0-5.2x and encoded
-#: 1.1-3.0x faster than the scalar loops
+#: On a 2-vCPU VM (ms, the scalar engines in 2 processes / lockstep, fr),
+#: 1 MiB of order0 data encoded in 307/359 at 128 streams, 236/131 at 256
+#: and 310/127 at 512, and decoded in 548/322, 477/160 and 511/118; 256
+#: Kbit of Bernoulli(0.1) bits encoded in 20/46 at 256 streams, 21/28 at
+#: 512 and 24/16 at 1024, and decoded in 22/39, 25/25 and 24/14
 LOCKSTEP_MIN_STREAMS = 512
-#: the lockstep engines code at most this many lanes at a time: their arrays
-#: stay in cache, and the decode leaves less freed heap behind (all 65536
-#: lanes at once decoded 20% slower and kept ~4 MB more resident).  Even, so
-#: a forward/backward pair never straddles two blocks
+#: the lockstep engines code this many lanes at a time: their arrays stay
+#: in cache, and the decode leaves less freed heap behind (all 65536 lanes
+#: at once decoded 20% slower and kept ~4 MB more resident).  Even, so a
+#: forward/backward pair never straddles two blocks
 _LOCKSTEP_BLOCK = 8192
-#: the lockstep encoder codes fewer lanes at a time where their byte matrix
-#: would pass this size; a block's matrix and gathers peak at a few times it
-_LOCKSTEP_BYTES = 32 << 20
-#: the lockstep encoder bounds its lanes by the model's costliest symbol,
-#: without reading a symbol, while a block's byte matrix stays within this
-#: size, and sums each lane's costs beyond it.  On a 2-vCPU VM (2 MiB L2 a
-#: core) the model's rows ran 1.03-1.11x as fast as the summed ones up to
-#: 0.27 MiB, but where they are several times what the lanes fill (a
-#: width-1 symbol: two bytes a step, where text fills about 0.5) matrices
-#: of 0.5-2 MiB ran 0.91-1.00x as fast, 8 MiB 0.90x, and 15 MiB of such
-#: text at 8192 lanes peaked 23 MiB higher
+#: the start cap of the lockstep encoder's rows: a block's rows start at
+#: the model's bound on a lane (`_lane_bytes`), or at this size over its
+#: lanes (at least 16 bytes) where that is narrower, and widen as the lanes
+#: fill them.  Under a width-1 symbol the bound is two bytes a step, where
+#: text fills about 0.5; on a 2-vCPU VM (2 MiB L2 a core) rows that wide
+#: ran 0.91-1.00x as fast as rows sized to the lanes at matrices of 0.5-2
+#: MiB, and 15 MiB of such text peaked 23 MiB higher.  Rows started at this
+#: cap ran 1.09-1.12x as fast as a pass summing each lane's symbol costs on
+#: 1-4 MiB of width-1 symbols at 8192 lanes, and 1.00-1.01x on 1 MiB of
+#: mixed data at 512 and 513 lanes
 _MODEL_ROWS_BYTES = 256 << 10
 
 
@@ -348,19 +349,11 @@ def _short_lanes(n_symbols: int, n_lanes: int):
     return is_short, (k * short + tail)[is_short]
 
 
-def _lane_bytes(lanes, widths: list[int]) -> int:
-    """A bound on the bytes any lane emits, plus one: the lockstep width.
+def _lane_bytes(steps: int, widths: list[int]) -> int:
+    """A bound on the bytes a lane of `steps` symbols emits, plus one: the
+    widest rows the lockstep encoder needs.
 
-    lanes is the encoder's step-major (steps, lanes) symbol array, a short
-    lane's padding symbol 0 included.  No lane costs more than its steps
-    at the model's costliest symbol, which bounds it without reading a
-    symbol.  Where rows that wide would make a block's matrix, at most
-    `_LOCKSTEP_BLOCK` lanes, pass `_MODEL_ROWS_BYTES`, each lane's symbol
-    costs are summed down its column instead, a chunk of rows at a time,
-    and the costliest lane sets the bound.  Where the model's rows are
-    taken a block holds `_LOCKSTEP_BLOCK` lanes, or all of them, as it
-    would with narrower rows: they fill at most 1/128 of `_LOCKSTEP_BYTES`.
-
+    No lane costs more than its steps at the model's costliest symbol.
     Coding a symbol of width w leaves more than (1 - 2**-8) * w / 65536 of
     a range >= 2**24, which is at most log2(65536 / w) + 0.0057 bits lost.
     Each byte emitted restores 8 bits and the range stays below 2**32, so a
@@ -369,25 +362,10 @@ def _lane_bytes(lanes, widths: list[int]) -> int:
     lane's length, at most C / 8 before the step, so no write passes the
     width either.
     """
-    import numpy as np
-
-    w = np.asarray(widths, dtype=np.float64)
-    bits = np.log2(PROB_ONE / np.maximum(w, 1)) - math.log2(1 - 2 ** -8)
-    # in 1/256 bits, rounded up; a zero-width symbol only pads short lanes
-    cost = np.where(w > 0, np.floor(256 * bits) + 1, 0).astype(np.uint16)
-    steps, n_lanes = lanes.shape
-    model_rows = steps * int(cost.max()) // 2048 + 3
-    if model_rows * min(_LOCKSTEP_BLOCK, n_lanes) <= _MODEL_ROWS_BYTES:
-        return model_rows
-    total = np.zeros(n_lanes, dtype=np.int64)
-    # an intp index gathers about twice as fast as the uint8 symbols, which
-    # a fancy index casts as it gathers; at about 2**16 symbols a chunk its
-    # copy takes 512 KiB
-    rows = max(1, (1 << 16) // n_lanes)
-    for j in range(0, len(lanes), rows):
-        total += cost[lanes[j:j + rows].astype(np.intp)].sum(axis=0,
-                                                             dtype=np.int64)
-    return int(total.max()) // 2048 + 3
+    bits = math.log2(PROB_ONE / min(w for w in widths if w)) - math.log2(
+        1 - 2 ** -8)
+    # in 1/256 bits, rounded up
+    return steps * (math.floor(256 * bits) + 1) // 2048 + 3
 
 
 def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
@@ -397,19 +375,20 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     The symbols must have passed `check_symbols`, as `encode_parallel`
     checks them.  Each shard is a lane holding the `Encoder` state (low,
     range) as uint32 and its bytes as one row of a uint8 matrix with a
-    length per lane; the matrix is as wide as `_lane_bytes` bounds the
-    longest lane, from the model or from the lanes' symbol costs.  The
-    symbols are held step-major, one (steps, lanes) array, so each step
-    reads one contiguous row.  A lane one symbol short of the longest (see
-    `_short_lanes`) is padded with symbol 0, which adds nothing to low, and
-    keeps its range at the last step, so it codes exactly its shard.  A
-    carry out of low, or a termination value >= 256, goes into the lane's
-    bytes as it happens, through `carry_lanes`.  Lanes are coded in blocks
-    of at most `_LOCKSTEP_BLOCK` lanes and `_LOCKSTEP_BYTES` matrix bytes,
-    each block for all steps, then terminated with `valid_byte_sets` and
-    `junction_bytes`.  A block's segments are gathered with one boolean
-    mask, one compare over its rows, after its backward rows are reversed
-    (and bit-reversed in fr, through one `bytes.translate`).  Returns the
+    length per lane.  The symbols are held step-major, one (steps, lanes)
+    array, so each step reads one contiguous row.  A lane one symbol short
+    of the longest (see `_short_lanes`) is padded with symbol 0, which adds
+    nothing to low, and keeps its range at the last step, so it codes
+    exactly its shard.  A carry out of low, or a termination value >= 256,
+    goes into the lane's bytes as it happens, through `carry_lanes`.  Lanes
+    are coded in blocks of `_LOCKSTEP_BLOCK`, each block for all steps,
+    then terminated with `valid_byte_sets` and `junction_bytes`.  A block's
+    rows start at the model's bound on a lane (`_lane_bytes`), capped by
+    `_MODEL_ROWS_BYTES`, and widen by a quarter whenever the longest lane
+    leaves them less than a step's room; rows as wide as the bound are
+    never checked.  A block's segments are gathered with one boolean mask,
+    one compare over its rows, after its backward rows are reversed (and
+    bit-reversed in fr, through one `bytes.translate`).  Returns the
     segment sizes as one int64 array, which `assemble_container` takes as
     it is, and the data region, the segments in order.
     """
@@ -427,15 +406,7 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     binary = isinstance(model, BinaryModel)
     split, probs = ((split_bits, model.p0) if binary
                     else (split_symbols, cdf_tables(model)))
-    width_bytes = _lane_bytes(lanes, model.widths())
-    # an even lane count, so a forward/backward pair shares its block
-    block_lanes = max(2, min(_LOCKSTEP_BLOCK, _LOCKSTEP_BYTES // width_bytes)
-                      // 2 * 2)
-    # a pair's columns, in the smallest dtype that holds them: a keep mask
-    # compares about twice as fast as in int64, and the dtype's wrap below
-    # 0 is what the pairs' mask reads
-    cols = np.arange(2 * width_bytes,
-                     dtype=np.min_scalar_type(2 * width_bytes - 1))
+    bound = _lane_bytes(steps, model.widths())
     perm = (np.frombuffer(REVERSED_BYTES, dtype=np.uint8) if mode == "fr"
             else np.arange(256))
     # one segment a lane, or a pair of lanes
@@ -443,22 +414,42 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     sizes = np.empty(n_streams // per_segment, dtype=np.int64)
     region: list[bytes] = []
 
-    for first in range(0, n_streams, block_lanes):
-        block = lanes[:, first:first + block_lanes]
+    for first in range(0, n_streams, _LOCKSTEP_BLOCK):
+        block = lanes[:, first:first + _LOCKSTEP_BLOCK]
         n = block.shape[1]
-        out = np.empty((n, width_bytes), dtype=np.uint8)
+        width = min(bound, max(16, _MODEL_ROWS_BYTES // n))
+        out = np.empty((n, width), dtype=np.uint8)
         flat = out.reshape(-1)
         # flat_next[j] is flat[j + 1]: the second byte scatters at the same
         # index
         flat_next = flat[1:]
-        row = np.arange(n) * width_bytes
+        row = np.arange(n) * width
         # lane k's next byte goes to flat[at[k]]; its length is at - row
         at = row.copy()
         low = np.zeros(n, dtype=np.uint32)
         rng = np.full(n, MASK32, dtype=np.uint32)
         pad = np.flatnonzero(short[first:first + n])
+        # the step at which the rows' room is next checked
+        check = 0 if width < bound else steps
 
         for i in range(steps):
+            if i == check:
+                # a step moves a lane at most 2 bytes and termination adds
+                # at most 2, so rows with room for r more bytes need no
+                # check for r // 2 steps
+                longest = int((at - row).max())
+                if width - 3 - longest < 2:
+                    wider = min(bound, width + max(16, width // 4))
+                    grown = np.empty((n, wider), dtype=np.uint8)
+                    grown[:, :width] = out
+                    out, width = grown, wider
+                    flat = out.reshape(-1)
+                    flat_next = flat[1:]
+                    at -= row
+                    row = np.arange(n) * width
+                    at += row
+                check = (steps if width == bound
+                         else i + (width - 3 - longest) // 2)
             # bits multiply in place into the uint32 range; intp indices
             # gather faster
             s = block[i] if binary else block[i].astype(np.intp)
@@ -497,12 +488,16 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
         carry_lanes(flat, at[hit] - 1, row[hit])
         flat[at] = (value & 0xFF).astype(np.uint8)
         length = at + 1 - row
-        if length.max() >= width_bytes:
-            raise AssertionError("a lane outgrew its byte bound")
+        if length.max() >= width:
+            raise AssertionError("a lane outgrew its byte rows")
+        # a pair's columns, in the smallest dtype that holds them: a keep
+        # mask compares about twice as fast as in int64, and the dtype's
+        # wrap below 0 is what the pairs' mask reads
+        cols = np.arange(2 * width, dtype=np.min_scalar_type(2 * width - 1))
 
         if mode == "uni":
             block_sizes = length
-            keep = cols[:width_bytes] < length.astype(cols.dtype)[:, None]
+            keep = cols[:width] < length.astype(cols.dtype)[:, None]
         else:
             # with each backward row reversed in place, a segment is its
             # pair's two rows read as one; the junction is stored once, as
@@ -519,8 +514,8 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
             # wrapped modulo cols' dtype range (at least 2 * width), is at
             # least that skip.  One pass over (pairs, 2 * width), where a
             # compare of the two rows against each length ran 1.5x slower
-            out = out.reshape(n // 2, 2 * width_bytes)
-            skip = (2 * width_bytes - block_sizes).astype(cols.dtype)
+            out = out.reshape(n // 2, 2 * width)
+            skip = (2 * width - block_sizes).astype(cols.dtype)
             keep = cols - fwd_len.astype(cols.dtype)[:, None] >= skip[:, None]
         region.append(out[keep].tobytes())
         sizes[first // per_segment:(first + n) // per_segment] = block_sizes

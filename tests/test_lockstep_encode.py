@@ -27,7 +27,6 @@ from pecstream.pipeline import (
     _encode_scalar,
     decode_parallel,
     encode_parallel,
-    shard_ranges,
 )
 from pecstream.rangecoder import (
     PROB_ONE,
@@ -224,16 +223,6 @@ def test_lanes_split_into_blocks(mode, monkeypatch):
             both_encoders(symbols, model, n_streams, mode)
 
 
-@pytest.mark.parametrize("budget", (1, 100, 1000))
-def test_byte_budget_splits_blocks(budget, monkeypatch):
-    # lanes too wide for the budget are coded a few pairs at a time
-    monkeypatch.setattr(pipeline, "_LOCKSTEP_BYTES", budget)
-    for model_name in ("order0", "bernoulli"):
-        symbols, model = source(model_name, 7 * 66 + 3)
-        for mode in MODES:
-            both_encoders(symbols, model, 66, mode)
-
-
 @pytest.mark.parametrize("symbols, model", [
     # 16 bits a symbol, two bytes a step: the byte bound's worst case ...
     (bytes(4000), CdfModel([0, 1] + [PROB_ONE] * 255)),
@@ -247,64 +236,33 @@ def test_byte_bound_holds_for_costliest_symbols(symbols, model):
         both_encoders(symbols, model, 4, mode)
 
 
-def _costs(widths):
-    """Each symbol's cost in 1/256 bits, rounded up; 0 for zero width."""
-    loss = -math.log2(1 - 2 ** -8)
-    return [math.floor(256 * (math.log2(PROB_ONE / w) + loss)) + 1 if w else 0
-            for w in widths]
-
-
-def _lane_bound(symbols, widths, n_lanes):
-    """The per-lane lockstep width, lane by lane in Python: the costliest
-    lane's symbol costs, a short lane padded with symbol 0, in bytes, plus
-    three."""
-    cost = _costs(widths)
-    steps = -(-len(symbols) // n_lanes)
-    worst = 0
-    for start, stop in shard_ranges(len(symbols), n_lanes):
-        bits = sum(map(cost.__getitem__, symbols[start:stop]))
-        worst = max(worst, bits + (steps - (stop - start)) * cost[0])
-    return worst // 2048 + 3
-
-
 def _model_rows(widths, n_symbols, n_lanes):
-    """The lockstep width from the model alone: every step at the cost of
-    the narrowest nonzero width."""
-    return -(-n_symbols // n_lanes) * max(_costs(widths)) // 2048 + 3
+    """The lockstep encoder's bound on its rows from the model alone: every
+    step at the cost, in 1/256 bits rounded up, of the narrowest nonzero
+    width, in bytes, plus three."""
+    loss = -math.log2(1 - 2 ** -8)
+    cost = max(math.floor(256 * (math.log2(PROB_ONE / w) + loss)) + 1
+               for w in widths if w)
+    return -(-n_symbols // n_lanes) * cost // 2048 + 3
 
 
-def _spy_lane_bytes(monkeypatch):
-    """The list each `_lane_bytes` result is appended to."""
-    bounds = []
-    lane_bytes = pipeline._lane_bytes
+def _spy_rows(monkeypatch):
+    """The widths of the lockstep encoder's byte matrices, one list per
+    block: the width its rows start at, then each one they widen to."""
+    blocks = []
+    empty = np.empty
 
-    def spy(lanes, widths):
-        bounds.append(lane_bytes(lanes, widths))
-        return bounds[-1]
+    def spy(shape, dtype=float, *args, **kwargs):
+        if dtype is np.uint8 and isinstance(shape, tuple) and len(shape) == 2:
+            # a block's rows only widen, so rows no wider than the last
+            # ones start the next block
+            if not blocks or shape[1] <= blocks[-1][-1]:
+                blocks.append([])
+            blocks[-1].append(shape[1])
+        return empty(shape, dtype, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "_lane_bytes", spy)
-    return bounds
-
-
-@pytest.mark.parametrize("model_name, n_lanes, steps, extra", [
-    ("order0", 512, 300, 77),       # three chunks of rows, short lanes
-    ("order0", 8194, 20, 0),        # two blocks, equal lanes
-    ("order0", 8194, 20, 4097),     # two blocks, short lanes
-    ("bernoulli", 8194, 20, 4097),
-])
-def test_lane_bytes_is_the_costliest_lane(model_name, n_lanes, steps, extra,
-                                          monkeypatch):
-    """Where the model's rows would be too wide, the encoder's byte bound
-    equals a per-lane sum in Python.
-
-    A change in the symbol layout or in the chunks the bound is summed in
-    cannot loosen or tighten it unnoticed.
-    """
-    symbols, model = source(model_name, steps * n_lanes + extra, seed=5)
-    monkeypatch.setattr(pipeline, "_MODEL_ROWS_BYTES", 0)
-    bounds = _spy_lane_bytes(monkeypatch)
-    _encode_lockstep(symbols, model, n_lanes, "fr")
-    assert bounds == [_lane_bound(symbols, model.widths(), n_lanes)]
+    monkeypatch.setattr(np, "empty", spy)
+    return blocks
 
 
 def _rare_byte_text(n, seed=9):
@@ -340,35 +298,112 @@ def _rare_byte_source(n):
 ], ids=("width1-cdf", "width1-bits", "carries", "bernoulli-0.1",
         "rare-byte-text"))
 def test_lane_bytes_from_the_model(symbols, model, n_lanes, monkeypatch):
-    # where a block's matrix stays small the rows come from the model's
-    # costliest symbol; no lane outgrows them, and the bytes are the
-    # scalar engine's
-    bounds = _spy_lane_bytes(monkeypatch)
+    # no block's rows pass the model's bound on a lane, and where that
+    # bound fits the start cap, as in all of these cases, the rows start
+    # there and never widen; the bytes are the scalar engine's
+    blocks = _spy_rows(monkeypatch)
     for mode in MODES:
         both_encoders(symbols, model, n_lanes, mode)
-    rows = _model_rows(model.widths(), len(symbols), n_lanes)
-    assert rows * min(n_lanes, pipeline._LOCKSTEP_BLOCK) <= \
+    bound = _model_rows(model.widths(), len(symbols), n_lanes)
+    assert max(max(rows) for rows in blocks) <= bound
+    assert bound * min(n_lanes, pipeline._LOCKSTEP_BLOCK) <= \
         pipeline._MODEL_ROWS_BYTES
-    assert bounds == [rows] * len(MODES)
+    n_blocks = -(-n_lanes // pipeline._LOCKSTEP_BLOCK)
+    assert blocks == [[bound]] * len(MODES) * n_blocks
+
+
+@pytest.mark.parametrize("n_streams", (2, 64, 66, 8194))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model_name, steps", [("order0", 150),
+                                               ("bernoulli", 600)])
+def test_rows_widen_as_lanes_fill_them(model_name, steps, mode, n_streams,
+                                       monkeypatch):
+    # with a 1-byte start cap, rows start at 16 bytes and the lanes,
+    # short ones included, fill them to 50-190 bytes, so every block
+    # widens at least twice, by a quarter or 16 bytes, and at 8194 order0
+    # lanes the first block's rows stop at the model's bound
+    monkeypatch.setattr(pipeline, "_MODEL_ROWS_BYTES", 1)
+    symbols, model = source(model_name, steps * n_streams + n_streams // 2 + 1)
+    blocks = _spy_rows(monkeypatch)
+    both_encoders(symbols, model, n_streams, mode)
+    bound = _model_rows(model.widths(), len(symbols), n_streams)
+    assert len(blocks) == -(-n_streams // pipeline._LOCKSTEP_BLOCK)
+    for rows in blocks:
+        assert rows[0] == min(bound, 16) and len(rows) >= 3, rows
+        assert rows[1:] == [min(bound, width + max(16, width // 4))
+                            for width in rows[:-1]]
+
+
+def test_carry_ripples_into_bytes_before_a_widening(monkeypatch):
+    """A carry ripples through 0xFF bytes into a byte that its lane wrote
+    before the rows widened, so the widening must have kept it.
+
+    The spies track each lane's length from the shifts `renormalize`
+    returns, note the lengths when a block's rows are made or widened, and
+    find the lowest byte each carry changes.
+    """
+    _, model = source("order0", 4096)
+    rnd = random.Random(8)
+    n_streams = 1024
+    symbols = bytes(s for _ in range(n_streams)
+                    for s in _chase_lane(rnd, model, 64))
+    monkeypatch.setattr(pipeline, "_MODEL_ROWS_BYTES", 1)
+    length = np.zeros(n_streams, dtype=np.int64)
+    widened = length.copy()
+    reached = []
+    renormalize, carry_lanes, empty = (pipeline.renormalize,
+                                       pipeline.carry_lanes, np.empty)
+
+    def spy_renormalize(low, rng):
+        shift = renormalize(low, rng)
+        length[:] += shift >> 3
+        return shift
+
+    def spy_empty(shape, dtype=float, *args, **kwargs):
+        if dtype is np.uint8 and isinstance(shape, tuple) and len(shape) == 2:
+            widened[:] = length
+        return empty(shape, dtype, *args, **kwargs)
+
+    def spy_carry(flat, last, first):
+        width = len(flat) // n_streams
+        for end, start in zip(last.tolist(), first.tolist()):
+            stop = end
+            while stop > start and flat[stop] == 0xFF:
+                stop -= 1
+            reached.append(stop < end and
+                           stop - start < widened[start // width])
+        carry_lanes(flat, last, first)
+
+    monkeypatch.setattr(pipeline, "renormalize", spy_renormalize)
+    monkeypatch.setattr(pipeline, "carry_lanes", spy_carry)
+    monkeypatch.setattr(np, "empty", spy_empty)
+    for mode in MODES:
+        length[:] = 0
+        reached.clear()
+        both_encoders(symbols, model, n_streams, mode)
+        assert any(reached), mode
 
 
 def test_encoder_memory_peak():
     """The lockstep encoder's Python-heap peak on about 1 MiB.
 
     On the 1 MiB mixed-entropy input at 65536 fr streams, and at 65537 uni
-    streams, whose lanes differ in length, its symbol layout and byte
-    bound hold no input-sized copy beyond the one (steps, lanes) array and,
+    streams, whose lanes differ in length, its symbol layout and byte rows
+    hold no input-sized copy beyond the one (steps, lanes) array and,
     while short lanes are padded to build it, np.insert's copy and mask:
     the peak was 4.3 and 3.7 MiB, and an intp copy of each 2**20-symbol
-    chunk that the per-lane bound gathers through took the first to 11.6
-    MiB.  Under a width-1 symbol the model bounds a lane at two bytes a
-    step, where text fills about 0.5: 1 MiB of such text at 512 uni
-    streams, where the lanes' own costs bound them, peaked at 3.0 MiB, and
-    3/4 MiB at 65536 fr streams, in the model's rows, at 3.3 MiB.
+    chunk that a per-lane cost pass gathered through took the first to
+    11.6 MiB.  Under a width-1 symbol the model bounds a lane at two bytes
+    a step, where text fills about 0.5.  On 1 MiB of such text the rows
+    start at the start cap, 512 bytes at 512 uni streams and 32 at 8192
+    fr, and widen as the lanes fill them: the peaks were 3.0 and 4.4 MiB
+    (3.0 and 4.1 where a pass summed each lane's costs instead).  3/4 MiB
+    at 65536 fr streams, in rows at the model's bound, peaked at 3.3 MiB.
     """
     data = _mixed_entropy_file(random.Random(SEED), 1 << 20)
     runs = ((data, 65536, "fr"), (data, 65537, "uni"),
             (_rare_byte_text(1 << 20), 512, "uni"),
+            (_rare_byte_text(1 << 20), 8192, "fr"),
             (_rare_byte_text(3 << 18), 65536, "fr"))
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
