@@ -44,6 +44,8 @@ _LN2 = math.log(2.0)
 #: exclusive value bound used when benchmarking the range-tree codec; wide
 #: enough that unclamped heavy-tail samples always fit.
 BENCH_RTC_BOUND = 1 << 32
+#: entries in each index that `redundancy_experiment` samples and codes
+INDEX_ENTRIES = 128
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +322,8 @@ def _index_bits(codec: str, sizes: list[int]) -> int:
 
 
 def redundancy_experiment(codecs: Sequence[str], sigmas: Sequence[float],
-                          log2_means: Sequence[float], trials: int, seed: int,
-                          entries: int = 128) -> list[RedundancyCell]:
+                          log2_means: Sequence[float], trials: int,
+                          seed: int) -> list[RedundancyCell]:
     """Average bits/entry minus source entropy per (codec, sigma, mean) cell."""
     if not sigmas or not log2_means:
         raise ValueError("grids must be nonempty")
@@ -333,9 +335,9 @@ def redundancy_experiment(codecs: Sequence[str], sigmas: Sequence[float],
                 rng = np.random.default_rng([seed, ci, si, mi])
                 total_bits = 0
                 for _ in range(trials):
-                    sizes = source.sample(rng, entries).tolist()
+                    sizes = source.sample(rng, INDEX_ENTRIES).tolist()
                     total_bits += _index_bits(codec, sizes)
-                rate = total_bits / (trials * entries)
+                rate = total_bits / (trials * INDEX_ENTRIES)
                 entropy = log2_normal_entropy(2.0 ** lm, sigma)
                 cells.append(RedundancyCell(
                     codec=codec, sigma=sigma, log2_mean=lm,

@@ -115,7 +115,8 @@ def cmd_bench_index(args) -> int:
          "redundancy", "estimator_gap"],
         [cell.as_row() for cell in cells],
         bench.csv_metadata(seed=args.seed, trials=args.trials,
-                           entries=128, entropy_estimator="log2-normal-fit"),
+                           entries=bench.INDEX_ENTRIES,
+                           entropy_estimator="log2-normal-fit"),
     )
     profile = bench.average_redundancy(cells)
     for (codec, sigma) in sorted(profile):

@@ -10,9 +10,9 @@ entries or more, against a bound of at most 2**32, is coded with numpy: the
 tree of maxima is built a level at a time and its nodes' codewords worked
 out and written a chunk at a time.  Such an index has at least 512 streams,
 the lockstep engines' edge, so the process has loaded numpy already.  A
-narrower index comes from the scalar engines, which never import numpy, and
-is coded in pure Python, as is an index against a larger bound; the pure
-coder is also the tests' reference.  All decoders are pure Python.
+narrower index, or one against a larger bound, is coded in pure Python one
+node at a time: the scalar engines never import numpy.  The pure coder is
+also the tests' reference.  All decoders are pure Python.
 """
 
 from __future__ import annotations
@@ -62,48 +62,16 @@ def _padded_length(count: int) -> int:
     return 1 << (count - 1).bit_length() if count > 1 else 1
 
 
-#: `rtc_encode` joins and writes the codewords of this many nodes at a time.
-#: The array form coded a 32768-entry index in 4.78 ms at 2**13, against
-#: 5.23, 5.30 and 6.11 ms at 2**12, 2**14 and 2**15 (medians of 41
-#: interleaved rounds, 2-vCPU VM)
+#: `_rtc_encode_array` joins and writes the codewords of this many nodes at
+#: a time.  It coded a 32768-entry index in 4.78 ms at 2**13, against 5.23,
+#: 5.30 and 6.11 ms at 2**12, 2**14 and 2**15 (medians of 41 interleaved
+#: rounds, 2-vCPU VM)
 _CHUNK_NODES = 1 << 13
-#: `_NodeCodes` keeps at most this many codewords: on sizes that differ
-#: widely nearly every pair is new, and keeping them all would cost ~200
-#: bytes an entry
-_NODE_CODES_KEPT = 1 << 12
 #: `rtc_encode` codes an index of this many entries or more with numpy.
 #: Such an index has at least 512 streams, where the pipeline's lockstep
 #: engines have loaded numpy already (`LOCKSTEP_MIN_STREAMS`); a narrower
 #: one comes from the scalar engines, whose processes never import it
 _ARRAY_ENTRIES = 512
-
-
-class _NodeCodes(dict):
-    """An internal node's codeword as a '0'/'1' string, keyed by the maxima
-    of its (left, right) children; a new pair runs `bounded_code` once."""
-
-    __slots__ = ("smallest",)
-
-    def __init__(self, smallest: int) -> None:
-        super().__init__()
-        self.smallest = smallest
-
-    def __missing__(self, pair: tuple[int, int]) -> str:
-        left, right = pair
-        # the selection bit y is 1 when the left child attains the maximum
-        # (ties select left); the other child is coded below the maximum
-        if left >= right:
-            top, y, offset = left, 1, left - right
-        else:
-            top, y, offset = right, 0, right - left - 1
-        if top == self.smallest:
-            word = ""
-        else:
-            code, nbits = bounded_code(offset, top - self.smallest + y)
-            word = bin((2 | y) << nbits | code)[3:]
-        if len(self) < _NODE_CODES_KEPT:
-            self[pair] = word
-        return word
 
 
 def as_ints(sizes: Sequence[int]) -> Sequence[int]:
@@ -134,8 +102,8 @@ def rtc_encode(sizes: Sequence[int], bound: int, sink: BitWriter) -> int:
 
     From `_ARRAY_ENTRIES` entries on, with a bound of at most 2**32, the
     tree and the codewords are numpy arrays (`_rtc_encode_array`).
-    Otherwise equal child pairs share their codeword, so each distinct
-    pair is coded once in Python.  Both write the same bits.
+    Otherwise each node's selection bit and code go to `sink` in one write.
+    Both write the same bits.
     """
     count = len(sizes)
     if count < 1:
@@ -151,13 +119,15 @@ def rtc_encode(sizes: Sequence[int], bound: int, sink: BitWriter) -> int:
     start = sink.bit_length
     pack_bounded(maxima[1], bound, sink)
     pack_bounded(smallest, maxima[1] + 1, sink)
-    codes = _NodeCodes(smallest)
-    for first in range(1, n, _CHUNK_NODES):
-        stop = 2 * min(first + _CHUNK_NODES, n)
-        pairs = zip(maxima[2 * first:stop:2], maxima[2 * first + 1:stop:2])
-        bits = "".join(map(codes.__getitem__, pairs))
-        if bits:
-            sink.write_bits(int(bits, 2), len(bits))
+    for left, right in zip(maxima[2::2], maxima[3::2]):
+        # the selection bit y is 1 when the left child attains the maximum
+        # (ties select left); the other child is coded below the maximum
+        if left < right:
+            code, nbits = bounded_code(right - left - 1, right - smallest)
+            sink.write_bits(code, nbits + 1)
+        elif left != smallest:
+            code, nbits = bounded_code(left - right, left - smallest + 1)
+            sink.write_bits(1 << nbits | code, nbits + 1)
     return sink.bit_length - start
 
 

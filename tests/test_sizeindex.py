@@ -239,8 +239,9 @@ class TestRtcTables:
     def test_matches_reference_on_seeded_sizes(self):
         rnd = random.Random(11)
         widths = (1, 2, 1 << 16, (1 << 24) - 1)
-        for case in range(480):
-            count = case % 300 + 1
+        # counts 1-511: the pure-Python form's whole production range
+        for case in range(1022):
+            count = case % 511 + 1
             width = widths[case % 4] if case % 5 else 1
             low = rnd.randrange(RTC_CONTAINER_BOUND - width + 1)
             sizes = [low + rnd.randrange(width) for _ in range(count)]
