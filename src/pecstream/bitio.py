@@ -69,9 +69,9 @@ class BitReader:
 
     __slots__ = ("_data", "_nbits", "_pos")
 
-    def __init__(self, data: bytes, bit_count: int | None = None) -> None:
+    def __init__(self, data: bytes) -> None:
         self._data = data
-        self._nbits = 8 * len(data) if bit_count is None else bit_count
+        self._nbits = 8 * len(data)
         self._pos = 0
 
     @property
@@ -85,8 +85,11 @@ class BitReader:
         For a decoder that reads bits straight from the bytes: it takes the
         position with `advance()`, reads no further than `bits_remaining`
         bits on, and hands back the bits it used with `advance(used)`.
-        Raises `TruncatedStreamError` when the advance passes the end.
+        Raises `TruncatedStreamError` when the advance passes the end and
+        `ValueError` on a negative count.
         """
+        if count < 0:
+            raise ValueError("bit count must be >= 0")
         pos = self._pos + count
         if pos > self._nbits:
             raise TruncatedStreamError("bit source exhausted")

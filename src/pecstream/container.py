@@ -208,10 +208,10 @@ def read_header(blob: bytes) -> Header:
         raise ContainerFormatError("reserved header bits set")
     mode = MODES[mode_bits]
     index_codec = INDEX_CODECS[codec_bits]
-    if not 1 <= n_streams <= MAX_STREAMS:
-        raise ContainerFormatError(f"stream count {n_streams} outside [1, {MAX_STREAMS}]")
-    if mode != "uni" and n_streams % 2:
-        raise ContainerFormatError("bidirectional modes need an even stream count")
+    try:
+        check_layout(mode, index_codec, n_streams)
+    except ValueError as exc:
+        raise ContainerFormatError(str(exc)) from None
 
     model, offset = _parse_model(model_id, blob, _FIXED_HEADER.size)
     if offset + 2 > len(blob):

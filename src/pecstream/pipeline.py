@@ -7,8 +7,9 @@ modes shard 2j becomes the forward stream of segment j and shard 2j+1 the
 backward stream, jointly terminated.
 
 Encoding and decoding each have two engines with the same output.  The
-scalar engines run one `Encoder` or `Decoder` per stream, one stream after
-the other in each process; they are the reference.  The lockstep engines
+scalar engines run one `Encoder` or `Decoder` per stream in one pass, each
+stream or forward/backward pair finished before the next starts in each
+process; they are the reference.  The lockstep engines
 treat the streams as interleaved lanes (Giesen, "Interleaved entropy
 coders", arXiv:1402.3392): each numpy step codes one symbol on every lane
 with the array forms of `rangecoder` on uint32 lane state, which moves each
@@ -283,49 +284,30 @@ def _scalar_map(fn: Callable, work: list, unit: int, n_symbols: int,
 
 def _encode_scalar(symbols: bytes, model: BinaryModel | CdfModel,
                    n_streams: int, mode: str) -> tuple[list[int], bytes]:
-    """One `Encoder` per shard, then one termination per stream or pair;
-    returns the segment sizes and the joined region, as `_encode_lockstep`.
+    """One `Encoder` per stream, each stream (uni) or forward/backward pair
+    coded, finalized and terminated before the next starts, in blocks
+    through `_scalar_map`; returns the segment sizes and the joined region,
+    as `_encode_lockstep`."""
+    code = (Encoder.encode_bits if isinstance(model, BinaryModel)
+            else Encoder.encode_symbols)
 
-    The shards are coded in blocks of whole streams (uni) or whole
-    forward/backward pairs, through `_scalar_map`.
-    """
-    parts = _scalar_map(
-        lambda block: _encode_shards(symbols, model, block, mode),
-        shard_ranges(len(symbols), n_streams), 1 if mode == "uni" else 2,
-        len(symbols), model)
-    segments = [segment for part in parts for segment in part]
-    return [len(segment) for segment in segments], b"".join(segments)
-
-
-def _encode_shards(symbols: bytes, model: BinaryModel | CdfModel,
-                   ranges: list[tuple[int, int]], mode: str) -> list[bytes]:
-    """The segments of a run of whole streams or pairs, one per range or
-    pair of ranges."""
-    binary = isinstance(model, BinaryModel)
-    encoders = []
-    for start, stop in ranges:
+    def final(start: int, stop: int, direction: str = "forward"):
         enc = Encoder()
-        if binary:
-            enc.encode_bits(model, symbols[start:stop])
-        else:
-            enc.encode_symbols(model, symbols[start:stop])
-        encoders.append(enc)
+        code(enc, model, symbols[start:stop])
+        return enc.finalize(direction=direction)
 
-    segments: list[bytes] = []
-    if mode == "uni":
-        for enc in encoders:
-            term = terminate_single(enc.finalize())
-            segments.append(term.data)
-    else:
-        reversed_bits = mode == "fr"
-        for j in range(0, len(encoders), 2):
-            fwd_state = encoders[j].finalize(direction="forward")
-            bwd_state = encoders[j + 1].finalize(direction="backward",
-                                                 bit_reversed=reversed_bits)
-            term = joint_terminate(fwd_state, bwd_state, mode)
-            segments.append(term.fwd_data + stream_bytes(
-                term.bwd_data, "backward", reversed_bits))
-    return segments
+    def segments(block: list[tuple[int, int]]) -> list[bytes]:
+        if mode == "uni":
+            return [terminate_single(final(*shard)).data for shard in block]
+        pairs = (joint_terminate(final(*fwd), final(*bwd, "backward"), mode)
+                 for fwd, bwd in zip(block[0::2], block[1::2]))
+        return [term.fwd_data + stream_bytes(term.bwd_data, "backward",
+                                             mode == "fr") for term in pairs]
+
+    parts = _scalar_map(segments, shard_ranges(len(symbols), n_streams),
+                        1 if mode == "uni" else 2, len(symbols), model)
+    joined = [segment for part in parts for segment in part]
+    return [len(segment) for segment in joined], b"".join(joined)
 
 
 def _short_lanes(n_symbols: int, n_lanes: int):
@@ -578,28 +560,21 @@ def decode_parallel(blob: bytes) -> bytes:
 
 
 def _decode_scalar(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
-    """One `Decoder` per stream, in blocks of streams through `_scalar_map`."""
+    """One `Decoder` per stream, each decoding its `segment_source` in
+    turn, in blocks of streams through `_scalar_map`."""
+    model = header.model
+    decode = (Decoder.decode_bits if isinstance(model, BinaryModel)
+              else Decoder.decode_symbols)
+
+    def symbols(block) -> bytes:
+        return b"".join(
+            decode(Decoder(segment_source(blob, seg_map, seg, direction,
+                                          reversed_bits)), model, stop - start)
+            for (start, stop), (seg, direction, reversed_bits) in block)
+
     work = list(zip(shard_ranges(header.n_symbols, header.n_streams),
                     stream_layout(header)))
-    return b"".join(_scalar_map(
-        lambda block: _decode_streams(blob, seg_map, header.model, block),
-        work, 1, header.n_symbols, header.model))
-
-
-def _decode_streams(blob: bytes, seg_map: SegmentMap,
-                    model: BinaryModel | CdfModel, block) -> bytes:
-    """The symbols of a run of streams, one `Decoder` after the other.
-
-    block holds each stream's shard range and `stream_layout` entry; the
-    result is the shards' contiguous span of symbols.
-    """
-    binary = isinstance(model, BinaryModel)
-    shards = []
-    for (start, stop), (seg, direction, reversed_bits) in block:
-        dec = Decoder(segment_source(blob, seg_map, seg, direction, reversed_bits))
-        decode = dec.decode_bits if binary else dec.decode_symbols
-        shards.append(decode(model, stop - start))
-    return b"".join(shards)
+    return b"".join(_scalar_map(symbols, work, 1, header.n_symbols, model))
 
 
 def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:

@@ -148,9 +148,10 @@ def _exhaustive_pack_check(limit: int) -> None:
         lengths = []
         for value in range(bound):
             lengths.append(pack_bounded(value, bound, sink))
-        source = BitReader(sink.getvalue(), sink.bit_length)
+        source = BitReader(sink.getvalue())
         for value in range(bound):
             assert unpack_bounded(bound, source) == value
+        assert source.bits_remaining == -sink.bit_length % 8
         floor_len = bound.bit_length() - 1
         ceil_len = floor_len + (1 if bound & (bound - 1) else 0)
         assert set(lengths) <= {floor_len, ceil_len}
@@ -179,17 +180,23 @@ def _index_fuzz(cases_per_codec: int) -> None:
             sink = BitWriter()
             if codec == "rtc":
                 rtc_encode(sizes, 1 << 20, sink)
-                got = rtc_decode(n, 1 << 20, BitReader(sink.getvalue(), sink.bit_length))
+                source = BitReader(sink.getvalue())
+                got = rtc_decode(n, 1 << 20, source)
             elif codec == "bic":
                 bic_encode(sizes, sum(sizes), sink)
-                got = bic_decode(n, sum(sizes), BitReader(sink.getvalue(), sink.bit_length))
+                source = BitReader(sink.getvalue())
+                got = bic_decode(n, sum(sizes), source)
             elif codec == "gamma":
                 gamma_encode_sizes(sizes, sink)
-                got = gamma_decode_sizes(n, BitReader(sink.getvalue(), sink.bit_length))
+                source = BitReader(sink.getvalue())
+                got = gamma_decode_sizes(n, source)
             else:
                 i32_encode_sizes(sizes, sink)
-                got = i32_decode_sizes(n, BitReader(sink.getvalue(), sink.bit_length))
+                source = BitReader(sink.getvalue())
+                got = i32_decode_sizes(n, source)
             assert got == sizes, (codec, n)
+            # the decoder read exactly the bits the encoder wrote
+            assert source.bits_remaining == -sink.bit_length % 8, (codec, n)
 
 
 def test_criterion_5_index_codecs(rtc_rate_trials):
@@ -201,8 +208,9 @@ def test_criterion_5_index_codecs(rtc_rate_trials):
         nbits = rtc_encode(sizes, 8, sink)
         text = "".join(format(b, "08b") for b in sink.getvalue())[:nbits]
         assert text == expected
-        back = rtc_decode(len(sizes), 8, BitReader(sink.getvalue(), nbits))
-        assert back == sizes
+        source = BitReader(sink.getvalue())
+        assert rtc_decode(len(sizes), 8, source) == sizes
+        assert source.bits_remaining == -nbits % 8
 
     _index_fuzz(2500)  # 10^4 cases across the four codecs
 

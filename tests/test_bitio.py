@@ -39,8 +39,10 @@ class TestBitStreams:
         w = BitWriter()
         for b in bits:
             w.write_bits(b, 1)
-        r = BitReader(w.getvalue(), len(bits))
+        r = BitReader(w.getvalue())
         assert [r.read_bit() for _ in bits] == bits
+        # only the last byte's zero padding is left
+        assert r.bits_remaining == -len(bits) % 8
 
     @given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 48)),
                     max_size=50))
@@ -51,30 +53,45 @@ class TestBitStreams:
             value &= (1 << width) - 1
             w.write_bits(value, width)
             expected.append((value, width))
-        r = BitReader(w.getvalue(), w.bit_length)
+        r = BitReader(w.getvalue())
         for value, width in expected:
             assert r.read_bits(width) == value
+        assert r.bits_remaining == -w.bit_length % 8
 
     def test_read_past_end_raises(self):
-        r = BitReader(b"\xff", 3)
+        r = BitReader(b"\xff")
         r.read_bits(3)
+        assert r.read_bits(5) == 0x1F
         with pytest.raises(TruncatedStreamError):
             r.read_bit()
+        with pytest.raises(TruncatedStreamError):
+            BitReader(b"\xff").read_bits(16)
 
     def test_advance(self):
         data = bytes([0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC])
-        r = BitReader(data, 43)
+        r = BitReader(data)
         assert r.advance() == (data, 0)
         assert r.advance(11) == (data, 11)
         # reads go on from the advanced position
         assert r.read_bits(5) == 0x14
-        assert r.advance(24) == (data, 40)
-        assert r.bits_remaining == 3
+        assert r.advance(21) == (data, 37)
+        assert r.bits_remaining == 11
         with pytest.raises(TruncatedStreamError):
-            r.advance(4)
+            r.advance(12)
         # a failed advance leaves the position where it was
-        assert r.advance(3) == (data, 43)
+        assert r.advance(11) == (data, 48)
         assert r.bits_remaining == 0
+
+    def test_negative_advance_is_refused(self):
+        r = BitReader(b"\xf0")
+        r.read_bits(2)
+        with pytest.raises(ValueError):
+            r.advance(-1)
+        with pytest.raises(ValueError):
+            BitReader(b"\xf0").advance(-4)
+        # the refused advance left the position where it was
+        assert r.advance() == (b"\xf0", 2)
+        assert r.read_bits(6) == 0x30
 
     def test_bits_bytes_helpers(self):
         data = bytes(range(256))
@@ -108,8 +125,9 @@ class TestPackBounded:
         w = BitWriter()
         for b in bits:
             w.write_bits(int(b), 1)
-        r = BitReader(w.getvalue(), len(bits))
+        r = BitReader(w.getvalue())
         assert unpack_bounded(bound, r) == expected
+        assert r.bits_remaining == -len(bits) % 8
 
     def test_contract_violations(self):
         w = BitWriter()
@@ -124,7 +142,7 @@ class TestPackBounded:
 
     def test_truncated_codeword(self):
         with pytest.raises(TruncatedStreamError):
-            unpack_bounded(8, BitReader(b"", 0))
+            unpack_bounded(8, BitReader(b""))
 
     @pytest.mark.parametrize("bound", [2, 3, 5, 6, 7, 8, 12, 64, 100, 127, 129])
     def test_prefix_free_and_lengths(self, bound):
@@ -149,9 +167,9 @@ class TestPackBounded:
         bound, value = case
         w = BitWriter()
         pack_bounded(value, bound, w)
-        r = BitReader(w.getvalue(), w.bit_length)
+        r = BitReader(w.getvalue())
         assert unpack_bounded(bound, r) == value
-        assert r.bits_remaining == 0
+        assert r.bits_remaining == -w.bit_length % 8
 
 
 class TestEliasGamma:
@@ -177,8 +195,9 @@ class TestEliasGamma:
     def test_truncated_in_zero_run(self):
         w = BitWriter()
         w.write_bits(0, 4)
+        # the byte's padding extends the zero run, which the end then cuts
         with pytest.raises(TruncatedStreamError):
-            elias_gamma_decode(BitReader(w.getvalue(), 4))
+            elias_gamma_decode(BitReader(w.getvalue()))
 
     @given(st.integers(1, 1 << 20))
     @settings(max_examples=300)
@@ -186,8 +205,9 @@ class TestEliasGamma:
         w = BitWriter()
         nbits = elias_gamma_encode(value, w)
         assert nbits == 2 * (value.bit_length() - 1) + 1
-        r = BitReader(w.getvalue(), w.bit_length)
+        r = BitReader(w.getvalue())
         assert elias_gamma_decode(r) == value
+        assert r.bits_remaining == -w.bit_length % 8
 
 
 class TestReverseByte:

@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from pecstream.container import (
     MODES,
     ContainerFormatError,
     assemble_container,
+    check_layout,
     read_container,
     read_header,
     segment_source,
@@ -138,6 +140,27 @@ class TestValidation:
         struct.pack_into("<I", blob, 8, 0xFFFFFFFF)
         with pytest.raises(ContainerFormatError, match="stream count"):
             read_container(bytes(blob))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("codec", INDEX_CODECS)
+    def test_forged_stream_counts_fail_where_the_writer_refuses(self, mode,
+                                                                codec):
+        # read_header accepts exactly the layouts check_layout accepts,
+        # the i32 payload limit (16383 entries) included
+        blob = bytearray(write_container(mode, codec, BinaryModel(5), 2, 0,
+                                         sample_segments(2 if mode == "uni"
+                                                         else 1)))
+        for n_streams in (0, 1, 2, 3, 16383, 16384, 32766, 32768, 1 << 20,
+                          (1 << 20) + 1):
+            struct.pack_into("<I", blob, 8, n_streams)
+            try:
+                entries = check_layout(mode, codec, n_streams)
+            except ValueError as exc:
+                with pytest.raises(ContainerFormatError,
+                                   match=re.escape(str(exc))):
+                    read_header(bytes(blob))
+            else:
+                assert read_header(bytes(blob)).entry_count == entries
 
     def test_write_side_contracts(self):
         with pytest.raises(ValueError):

@@ -434,10 +434,12 @@ class TestProcessSplit:
         assert len(forks) == (2 + 4 if fork_allowed() else 0)
         assert_no_children()
 
+    # the scalar engines call these through the module as they run: one
+    # termination a pair, one source a stream
     @pytest.mark.parametrize("name, error", (
-        ("_encode_shards", ChildError("shard 3 failed")),
-        ("_decode_streams", ChildError("shard 3 failed")),
-        ("_encode_shards", UnpicklableError(7, "shard 3 failed")),
+        ("joint_terminate", ChildError("shard 3 failed")),
+        ("segment_source", ChildError("shard 3 failed")),
+        ("joint_terminate", UnpicklableError(7, "shard 3 failed")),
     ))
     def test_child_exception_reaches_caller(self, name, error, monkeypatch,
                                             forks):
@@ -455,7 +457,7 @@ class TestProcessSplit:
         else:
             expected = ChildError, "^shard 3 failed$"
         with pytest.raises(expected[0], match=expected[1]):
-            if name == "_decode_streams":
+            if name == "segment_source":
                 decode_parallel(blob)
             else:
                 encode_parallel(data, model, 8, "fr")
@@ -468,14 +470,14 @@ class TestProcessSplit:
         data = mixed_bytes(15, 1000)
         split(monkeypatch, 2)
         parent = os.getpid()
-        real = pipeline._encode_shards
+        real = pipeline.joint_terminate
 
         def killed(*args):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(*args)
 
-        monkeypatch.setattr(pipeline, "_encode_shards", killed)
+        monkeypatch.setattr(pipeline, "joint_terminate", killed)
         with pytest.raises(ChildProcessError, match="died"):
             encode_parallel(data, order0(data), 8, "fr")
         assert len(forks) == 1
@@ -489,14 +491,14 @@ class TestProcessSplit:
         blob = encode_parallel(data, model, 8, "fr")
         split(monkeypatch, 2)
         parent = os.getpid()
-        real = pipeline._decode_streams
+        real = pipeline.segment_source
 
         def failing(*args):
             if os.getpid() == parent:
                 raise ChildError("parent block failed")
             return real(*args)
 
-        monkeypatch.setattr(pipeline, "_decode_streams", failing)
+        monkeypatch.setattr(pipeline, "segment_source", failing)
         with pytest.raises(ChildError, match="parent block failed"):
             decode_parallel(blob)
         assert len(forks) == 1

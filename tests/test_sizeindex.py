@@ -46,18 +46,15 @@ def encoded_bits(encode, *args) -> tuple[str, int]:
 
 
 def roundtrip(encode, decode, sizes, *, total=None, bound=None):
+    """The sizes decoded back; the decoder must read exactly the bits the
+    encoder wrote."""
     sink = BitWriter()
-    if bound is not None:
-        encode(sizes, bound, sink)
-        source = BitReader(sink.getvalue(), sink.bit_length)
-        return decode(len(sizes), bound, source)
-    if total is not None:
-        encode(sizes, total, sink)
-        source = BitReader(sink.getvalue(), sink.bit_length)
-        return decode(len(sizes), total, source)
-    encode(sizes, sink)
-    source = BitReader(sink.getvalue(), sink.bit_length)
-    return decode(len(sizes), source)
+    args = [arg for arg in (bound, total) if arg is not None]
+    encode(sizes, *args, sink)
+    source = BitReader(sink.getvalue())
+    decoded = decode(len(sizes), *args, source)
+    assert source.bits_remaining == -sink.bit_length % 8
+    return decoded
 
 
 def build_range_tree(values):
@@ -115,7 +112,9 @@ class TestRtc:
         sink = BitWriter()
         for b in bits:
             sink.write_bits(int(b), 1)
-        assert rtc_decode(count, 8, BitReader(sink.getvalue(), len(bits))) == expected
+        source = BitReader(sink.getvalue())
+        assert rtc_decode(count, 8, source) == expected
+        assert source.bits_remaining == -len(bits) % 8
 
     def test_single_entry(self):
         assert roundtrip(rtc_encode, rtc_decode, [123456], bound=1 << 24) == [123456]
@@ -136,7 +135,7 @@ class TestRtc:
 
     def test_truncation(self):
         with pytest.raises(TruncatedStreamError):
-            rtc_decode(2, 8, BitReader(b"", 0))
+            rtc_decode(2, 8, BitReader(b""))
 
 
 def reference_rtc_encode(sizes, bound, sink):
@@ -174,10 +173,10 @@ def reference_rtc_decode(count, bound, source):
     return values[:count]
 
 
-def decode_outcome(decode, count, bound, payload, nbits=None):
+def decode_outcome(decode, count, bound, payload):
     """The sizes a decoder returns and the bits it leaves, or the type of
     the error it raises."""
-    source = BitReader(payload, nbits)
+    source = BitReader(payload)
     try:
         return decode(count, bound, source), source.bits_remaining
     except (TruncatedStreamError, ValueError) as exc:
@@ -249,9 +248,9 @@ class TestRtcTables:
             ref_bits = reference_rtc_encode(sizes, RTC_CONTAINER_BOUND, ref)
             assert rtc_encode(sizes, RTC_CONTAINER_BOUND, sink) == ref_bits
             assert sink.getvalue() == ref.getvalue()
-            source = BitReader(sink.getvalue(), ref_bits)
+            source = BitReader(sink.getvalue())
             assert rtc_decode(count, RTC_CONTAINER_BOUND, source) == sizes
-            assert source.bits_remaining == 0
+            assert source.bits_remaining == -ref_bits % 8
 
     def test_tables_up_to_the_span_cap(self, monkeypatch):
         rnd = random.Random(15)
@@ -263,9 +262,9 @@ class TestRtcTables:
             assert rtc_encode(sizes, RTC_CONTAINER_BOUND, sink) == nbits
             assert sink.getvalue() == ref.getvalue()
             count = SlotCount(monkeypatch)
-            source = BitReader(sink.getvalue(), nbits)
+            source = BitReader(sink.getvalue())
             assert rtc_decode(len(sizes), RTC_CONTAINER_BOUND, source) == sizes
-            assert source.bits_remaining == 0
+            assert source.bits_remaining == -nbits % 8
             return count.widths
 
         # the widest table, at a span of RTC_TABLE_SPAN_CAP - 1, is built
@@ -293,13 +292,19 @@ class TestRtcTables:
         header = read_header(blob)
         payload = blob[header.index_offset:header.index_offset + header.index_nbytes]
         count = header.entry_count
-        sink = BitWriter()
-        nbits = rtc_encode(rtc_decode(count, RTC_CONTAINER_BOUND, BitReader(payload)),
-                           RTC_CONTAINER_BOUND, sink)
-        assert sink.getvalue() == payload
-        for cut in range(nbits):
-            for source in (BitReader(payload, cut),
-                           BitReader(payload[:(cut + 7) // 8], cut)):
+        sizes = rtc_decode(count, RTC_CONTAINER_BOUND, BitReader(payload))
+        # behind `lead` leading bits, the payload's bytes end 8 * end - lead
+        # bits into it: over lead 0-7, every cut short of its last bit
+        for lead in range(8):
+            sink = BitWriter()
+            sink.write_bits(0, lead)
+            nbits = rtc_encode(sizes, RTC_CONTAINER_BOUND, sink)
+            shifted = sink.getvalue()
+            if not lead:
+                assert shifted == payload
+            for end in range(-(-lead // 8), -(-(lead + nbits) // 8)):
+                source = BitReader(shifted[:end])
+                source.read_bits(lead)
                 with pytest.raises(TruncatedStreamError):
                     rtc_decode(count, RTC_CONTAINER_BOUND, source)
 
@@ -313,8 +318,9 @@ class TestRtcTables:
         nodes = coded_nodes(sizes)
         assert len(set(nodes)) > 2000
         count = SlotCount(monkeypatch)
-        source = BitReader(sink.getvalue(), nbits)
+        source = BitReader(sink.getvalue())
         assert rtc_decode(len(sizes), RTC_CONTAINER_BOUND, source) == sizes
+        assert source.bits_remaining == -nbits % 8
         assert count.slots <= 4 * len(nodes)
 
     @pytest.mark.parametrize("n_streams", [64, 4096, 16384])
@@ -379,10 +385,10 @@ def both_forms(sizes, bound):
 def assert_forms_agree(sizes, bound):
     (pure, nbits), array = both_forms(sizes, bound)
     assert array == (pure, nbits)
-    source = BitReader(pure, 3 + nbits)
+    source = BitReader(pure)
     source.read_bits(3)
     assert rtc_decode(len(sizes), bound, source) == list(sizes)
-    assert source.bits_remaining == 0
+    assert source.bits_remaining == -(3 + nbits) % 8
 
 
 class TestRtcArrayForm:
@@ -514,7 +520,7 @@ class TestGammaIndex:
 
     def test_truncation(self):
         with pytest.raises(TruncatedStreamError):
-            gamma_decode_sizes(1, BitReader(b"\x00", 6))
+            gamma_decode_sizes(1, BitReader(b"\x00"))
 
 
 class TestI32:
