@@ -29,7 +29,7 @@ from .rangecoder import (
 from .sizeindex import encode_index, rtc_encode
 from .termination import (
     TerminationStats,
-    junction_bytes,
+    junction_values,
     pair_extra_bits,
     single_extra_bits,
     valid_byte_sets,
@@ -271,8 +271,7 @@ def population_stats(pop: TerminationPopulation, mode: str) -> TerminationStats:
             streams=pop.n_streams,
             extra_bits_total=float(extra_single.sum()),
         )
-    shared = junction_bytes(pop.set_lo[0::2], pop.set_hi[0::2],
-                            pop.set_lo[1::2], pop.set_hi[1::2], mode) >= 0
+    _, shared = junction_values(pop.set_lo, pop.set_hi, mode)
     pair_total = pair_extra_bits(extra_single[0::2], extra_single[1::2], shared)
     return TerminationStats(
         streams=pop.n_streams,

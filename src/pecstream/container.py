@@ -18,11 +18,10 @@ Layout (all multi-byte integers little-endian):
     ..      var   index payload (bit-packed, zero-padded to whole bytes)
     ..      D     data region: segments in order
 
-In bidirectional modes each segment holds one forward stream followed by one
-backward stream stored in reverse byte order (bit-reversed bytes in fr mode),
-so the index has N_s/2 entries instead of N_s.  `stream_bytes` turns a stored
-segment back into a stream's bytes in decode order; decoders read 0x00 past
-their end.
+Each segment holds `streams_per_segment` streams: one in uni; in fb/fr a
+forward stream, then a backward one stored in reverse byte order through
+`BACKWARD_TABLE`, so their indexes have N_s/2 entries.  `stream_bytes` gives
+a stream's bytes in decode order; decoders read 0x00 past their end.
 """
 
 from __future__ import annotations
@@ -61,10 +60,7 @@ class Header:
     index_nbytes: int
     #: byte offset of the index payload within the container
     index_offset: int
-
-    @property
-    def entry_count(self) -> int:
-        return self.n_streams if self.mode == "uni" else self.n_streams // 2
+    entry_count: int
 
 
 @dataclass(frozen=True)
@@ -116,6 +112,16 @@ def _parse_model(model_id: int, blob: bytes, offset: int):
     raise ContainerFormatError(f"unknown model id {model_id}")
 
 
+#: per mode, the `bytes.translate` table between a backward stream's bytes
+#: and their stored form, its own inverse; None, the identity, outside fr
+BACKWARD_TABLE = {"uni": None, "fb": None, "fr": REVERSED_BYTES}
+
+
+def streams_per_segment(mode: str) -> int:
+    """1 in uni; 2 in fb/fr, where segment j holds streams 2j and 2j+1."""
+    return 1 if mode == "uni" else 2
+
+
 def check_layout(mode: str, index_codec: str, n_streams: int) -> int:
     """Raise `ValueError` unless a container can have this mode, index codec
     and stream count; return its index's entry count."""
@@ -125,10 +131,10 @@ def check_layout(mode: str, index_codec: str, n_streams: int) -> int:
         raise ValueError(f"unknown index codec: {index_codec!r}")
     if not 1 <= n_streams <= MAX_STREAMS:
         raise ValueError(f"stream count must be in [1, {MAX_STREAMS}]")
-    if mode != "uni" and n_streams % 2:
+    entries, odd = divmod(n_streams, streams_per_segment(mode))
+    if odd:
         raise ValueError("bidirectional modes need an even stream count")
     # i32 takes 4 bytes an entry, so at most 16383 entries fit the payload
-    entries = n_streams if mode == "uni" else n_streams // 2
     if index_codec == "i32" and 4 * entries > 0xFFFF:
         raise ValueError("index payload exceeds the u16 length field")
     return entries
@@ -209,7 +215,7 @@ def read_header(blob: bytes) -> Header:
     mode = MODES[mode_bits]
     index_codec = INDEX_CODECS[codec_bits]
     try:
-        check_layout(mode, index_codec, n_streams)
+        entry_count = check_layout(mode, index_codec, n_streams)
     except ValueError as exc:
         raise ContainerFormatError(str(exc)) from None
 
@@ -220,7 +226,7 @@ def read_header(blob: bytes) -> Header:
     return Header(mode=mode, index_codec=index_codec, model=model,
                   n_streams=n_streams, n_symbols=n_symbols,
                   data_size=data_size, index_nbytes=index_nbytes,
-                  index_offset=offset + 2)
+                  index_offset=offset + 2, entry_count=entry_count)
 
 
 def read_container(blob: bytes) -> tuple[Header, SegmentMap]:
@@ -254,15 +260,15 @@ def stream_bytes(segment: bytes, direction: str = "forward",
     """A stored segment's bytes in the decode order of one of its streams.
 
     A forward stream reads the segment as stored, a backward stream reads it
-    from its last byte; with `bit_reversed` every byte is bit-reversed.  This
-    undoes the packing of `encode_parallel`.
+    from its last byte; with `bit_reversed` every byte goes through fr's
+    `BACKWARD_TABLE`.  This undoes the packing of `encode_parallel`.
     """
     if direction == "backward":
         segment = segment[::-1]
     elif direction != "forward":
         raise ValueError(f"bad direction: {direction!r}")
     if bit_reversed:
-        segment = segment.translate(REVERSED_BYTES)
+        segment = segment.translate(BACKWARD_TABLE["fr"])
     return segment
 
 

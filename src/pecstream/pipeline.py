@@ -2,27 +2,26 @@
 
 Symbols are split into N_s near-equal shards, each coded by an independent
 coder under the shared static model.  The streams share no coder state, so
-a decoder may start all of them at once from the index.  In bidirectional
-modes shard 2j becomes the forward stream of segment j and shard 2j+1 the
-backward stream, jointly terminated.
+a decoder may start all of them at once from the index.  Shard k is
+stream k, which the container's `streams_per_segment` and `BACKWARD_TABLE`
+place in its segment; fb/fr pairs are jointly terminated.
 
 Encoding and decoding each have two engines with the same output.  The
 scalar engines run one `Encoder` or `Decoder` per stream in one pass, each
 stream or forward/backward pair finished before the next starts in each
-process; they are the reference.  The lockstep engines
-treat the streams as interleaved lanes (Giesen, "Interleaved entropy
-coders", arXiv:1402.3392): each numpy step codes one symbol on every lane
-with the array forms of `rangecoder` on uint32 lane state, which moves each
-lane's 0-2 bytes in one renormalization step.  The encoder carries into a
-lane's bytes in place, in rows that start at the model's bound on a lane,
-or at a cap where that is too wide, and widen as the lanes fill them, and
-terminates all lanes at once with the array forms of `termination`; the
-decoder's backward lanes read upward through one reversed copy of the
-container (bit-reversed in fr).
-A step costs about c0 + c1 * lanes and the scalar engines about
-c_s * lanes per symbol, so which one is faster depends on the stream count
-and not on the stream length; `encode_parallel` and `decode_parallel` use
-the lockstep engines from `LOCKSTEP_MIN_STREAMS` on.
+process; they are the reference.  The lockstep engines treat the streams as
+interleaved lanes (Giesen, "Interleaved entropy coders", arXiv:1402.3392):
+each numpy step codes one symbol on every lane with the array forms of
+`rangecoder` on uint32 lane state, which moves each lane's 0-2 bytes in one
+renormalization step.  The encoder carries into a lane's bytes in place, in
+rows that start at the model's bound on a lane, or at a cap where that is
+too wide, and widen as the lanes fill them, and terminates all lanes at
+once with the array forms of `termination`; the decoder's backward lanes
+read upward through one reversed copy of the container, mapped through
+`BACKWARD_TABLE`.  A step costs about c0 + c1 * lanes and the scalar
+engines about c_s * lanes per symbol, so which one is faster depends on the
+stream count and not on the stream length; `encode_parallel` and
+`decode_parallel` use the lockstep engines from `LOCKSTEP_MIN_STREAMS` on.
 `encode_parallel` reads its input as bytes through `check_symbols` before
 either engine runs (bytes as they are, integer or bool arrays in the
 alphabet as their bytes, other iterables of integers once), so an input's
@@ -53,6 +52,7 @@ serial and each block is only a few steps long.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import signal
@@ -61,8 +61,8 @@ import threading
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bitio import REVERSED_BYTES
 from .container import (
+    BACKWARD_TABLE,
     ContainerFormatError,
     Header,
     SegmentMap,
@@ -71,6 +71,7 @@ from .container import (
     read_container,
     segment_source,
     stream_bytes,
+    streams_per_segment,
 )
 from .rangecoder import (
     MASK32,
@@ -91,7 +92,7 @@ from .rangecoder import (
 )
 from .termination import (
     joint_terminate,
-    junction_bytes,
+    junction_values,
     terminate_single,
     valid_byte_sets,
 )
@@ -260,6 +261,7 @@ def encode_parallel(symbols: Iterable[int], model: BinaryModel | CdfModel,
     other iterable of integers once.  So an input the model cannot code
     raises the same error at every stream count.
     """
+    n_streams = operator.index(n_streams)
     check_layout(mode, index_codec, n_streams)
     symbols = check_symbols(model, symbols)
     encode = (_encode_lockstep if n_streams >= LOCKSTEP_MIN_STREAMS
@@ -296,16 +298,19 @@ def _encode_scalar(symbols: bytes, model: BinaryModel | CdfModel,
         code(enc, model, symbols[start:stop])
         return enc.finalize(direction=direction)
 
+    per_segment = streams_per_segment(mode)
+    bit_reversed = BACKWARD_TABLE[mode] is not None
+
     def segments(block: list[tuple[int, int]]) -> list[bytes]:
-        if mode == "uni":
+        if per_segment == 1:
             return [terminate_single(final(*shard)).data for shard in block]
         pairs = (joint_terminate(final(*fwd), final(*bwd, "backward"), mode)
                  for fwd, bwd in zip(block[0::2], block[1::2]))
         return [term.fwd_data + stream_bytes(term.bwd_data, "backward",
-                                             mode == "fr") for term in pairs]
+                                             bit_reversed) for term in pairs]
 
     parts = _scalar_map(segments, shard_ranges(len(symbols), n_streams),
-                        1 if mode == "uni" else 2, len(symbols), model)
+                        per_segment, len(symbols), model)
     joined = [segment for part in parts for segment in part]
     return [len(segment) for segment in joined], b"".join(joined)
 
@@ -364,7 +369,7 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     exactly its shard.  A carry out of low, or a termination value >= 256,
     goes into the lane's bytes as it happens, through `carry_lanes`.  Lanes
     are coded in blocks of `_LOCKSTEP_BLOCK`, each block for all steps,
-    then terminated with `valid_byte_sets` and `junction_bytes`.  A block's
+    then terminated with `valid_byte_sets` and `junction_values`.  A block's
     rows start at the model's bound on a lane (`_lane_bytes`), capped by
     `_MODEL_ROWS_BYTES`, and widen by a quarter whenever the longest lane
     leaves them less than a step's room; rows as wide as the bound are
@@ -389,10 +394,8 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     split, probs = ((split_bits, model.p0) if binary
                     else (split_symbols, cdf_tables(model)))
     bound = _lane_bytes(steps, model.widths())
-    perm = (np.frombuffer(REVERSED_BYTES, dtype=np.uint8) if mode == "fr"
-            else np.arange(256))
-    # one segment a lane, or a pair of lanes
-    per_segment = 1 if mode == "uni" else 2
+    table = BACKWARD_TABLE[mode]
+    per_segment = streams_per_segment(mode)
     sizes = np.empty(n_streams // per_segment, dtype=np.int64)
     region: list[bytes] = []
 
@@ -456,16 +459,8 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
         flat[at] = (low >> 24).astype(np.uint8)
         at += appended - 1
         value = set_lo
-        if mode != "uni":
-            # a pair's junction z gives each side U + ((its byte - U) mod
-            # 256); without one, z is U's own byte and the value U
-            z = junction_bytes(set_lo[0::2], set_hi[0::2],
-                               set_lo[1::2], set_hi[1::2], mode)
-            shared = z >= 0
-            byte = np.empty(n, dtype=np.int64)
-            byte[0::2] = np.where(shared, z, set_lo[0::2])
-            byte[1::2] = np.where(shared, perm[z], set_lo[1::2])
-            value = set_lo + ((byte - set_lo) & 0xFF)
+        if per_segment == 2:
+            value, shared = junction_values(set_lo, set_hi, mode)
         hit = np.flatnonzero(value >> 8)
         carry_lanes(flat, at[hit] - 1, row[hit])
         flat[at] = (value & 0xFF).astype(np.uint8)
@@ -477,7 +472,7 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
         # wrap below 0 is what the pairs' mask reads
         cols = np.arange(2 * width, dtype=np.min_scalar_type(2 * width - 1))
 
-        if mode == "uni":
+        if per_segment == 1:
             block_sizes = length
             keep = cols[:width] < length.astype(cols.dtype)[:, None]
         else:
@@ -486,8 +481,8 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
             # the forward side's last byte
             fwd_len, bwd_len = length[0::2], length[1::2] - shared
             bwd = out[1::2, ::-1]
-            if mode == "fr":
-                bwd = np.frombuffer(bwd.tobytes().translate(REVERSED_BYTES),
+            if table is not None:
+                bwd = np.frombuffer(bwd.tobytes().translate(table),
                                     dtype=np.uint8).reshape(bwd.shape)
             out[1::2] = bwd
             block_sizes = fwd_len + bwd_len
@@ -506,12 +501,11 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
 
 def stream_layout(header: Header) -> list[tuple[int, str, bool]]:
     """Per-stream (segment, direction, bit_reversed) in shard order."""
-    out = []
-    for k in range(header.n_streams):
-        seg, backward = divmod(k, 1 if header.mode == "uni" else 2)
-        out.append((seg, "backward" if backward else "forward",
-                    bool(backward) and header.mode == "fr"))
-    return out
+    per_segment = streams_per_segment(header.mode)
+    sides = [("forward", False),
+             ("backward", BACKWARD_TABLE[header.mode] is not None)]
+    return [(seg, *side) for seg in range(header.entry_count)
+            for side in sides[:per_segment]]
 
 
 def _min_cost_bits(model: BinaryModel | CdfModel) -> float:
@@ -597,15 +591,13 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
     steps = -(-n_symbols // n_lanes)
     if steps == 0:
         return b""
-    size = len(blob)
-    if header.mode == "uni":
-        data = np.frombuffer(blob, dtype=np.uint8)
-    else:
-        data = np.empty(2 * size, dtype=np.uint8)
-        data[:size] = np.frombuffer(blob, dtype=np.uint8)
-        data[size:] = np.frombuffer(
-            blob.translate(REVERSED_BYTES) if header.mode == "fr" else blob,
-            dtype=np.uint8)[::-1]
+    per_segment = streams_per_segment(header.mode)
+    data = np.frombuffer(blob, dtype=np.uint8)
+    if per_segment == 2:
+        # the translated copy is freed once joined: decoding keeps data alone
+        table = BACKWARD_TABLE[header.mode]
+        data = np.concatenate((data, np.frombuffer(
+            blob if table is None else blob.translate(table), np.uint8)[::-1]))
     # data_next[j] is data[j + 1]: the second byte gathers at the same index
     data_next = data[1:]
     bounds = np.fromiter(seg_map.boundaries, dtype=np.int64,
@@ -622,10 +614,10 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
         lane = np.arange(first, min(first + _LOCKSTEP_BLOCK, n_lanes))
         block = out[first:first + len(lane)]
         # lanes are laid out as stream_layout lists the streams
-        seg, backward = np.divmod(lane, 1 if header.mode == "uni" else 2)
+        seg, backward = np.divmod(lane, per_segment)
         start, stop = bounds[seg], bounds[seg + 1]
         # lane k's next byte is data[at[k]] while at[k] < end[k]
-        at = np.where(backward, 2 * size - stop, start)
+        at = np.where(backward, 2 * len(blob) - stop, start)
         end = at + (stop - start)
         end_next = end - 1
 

@@ -13,15 +13,15 @@ inside, so importing this module loads none.
 2. Junction: a forward/backward pair stores one byte for both ends when
    some byte fits both sets.  That junction is the smallest z in 0..255
    with (z - U_f) mod 256 <= V_f - U_f and (perm[z] - U_b) mod 256 <=
-   V_b - U_b, perm being the bit reversal in `fr` (backward bytes are
-   stored bit-reversed) and the identity in `fb`.  Each side's value is
-   then U + ((its byte - U) mod 256), unique because every set is
-   narrower than 256.  Forms: `joint_terminate`, which scans the forward
-   set's bytes in order, and `junction_bytes`, which ANDs the two sides'
-   256-bit masks of the bytes they can end on (each XOR and OR of three
-   rows gathered from a per-mode table of prefix masks) and takes the
-   lowest bit set: a 16-entry table maps which of the four 64-bit words are
-   nonzero to the first one, and the bit is found in that word alone.
+   V_b - U_b, perm being the container's `BACKWARD_TABLE` (the bit
+   reversal in `fr`, the identity in `fb`).  Each side's value is then
+   U + ((its byte - U) mod 256), unique as every set is narrower than 256,
+   or U without a junction.  Forms: `joint_terminate`, which scans the
+   forward set's bytes in order, and `junction_values` on `junction_bytes`,
+   which ANDs the two sides' 256-bit masks of the bytes they can end on
+   (each XOR and OR of three rows from a per-mode table of prefix masks)
+   and takes the lowest bit set: a 16-entry table maps which of the four
+   64-bit words are nonzero to the first one, found in that word alone.
 3. Accounting: a stream's termination costs 8 * appended - pending bits
    beyond its pending information (`single_extra_bits`); a pair's costs
    the sum of its two streams' less 8 bits for a shared junction
@@ -34,11 +34,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
-from .bitio import REVERSED_BYTES
+from .container import BACKWARD_TABLE
 from .rangecoder import MASK32, TOP, FinalCoderState
-
-#: the backward side's value byte for each stored junction byte, per mode
-_PERM = {"fb": bytes(range(256)), "fr": REVERSED_BYTES}
 
 
 @dataclass
@@ -151,9 +148,9 @@ def terminate_single(state: FinalCoderState) -> SingleTermination:
 
 
 def _perm(mode: str) -> bytes:
-    if mode not in _PERM:
+    if mode not in ("fb", "fr"):
         raise ValueError(f"joint termination mode must be fb or fr, got {mode!r}")
-    return _PERM[mode]
+    return BACKWARD_TABLE[mode] or bytes(range(256))
 
 
 def joint_terminate(fwd: FinalCoderState, bwd: FinalCoderState,
@@ -195,6 +192,18 @@ def joint_terminate(fwd: FinalCoderState, bwd: FinalCoderState,
         pending_fwd=fwd.pending_info, pending_bwd=bwd.pending_info,
         renormed=bool(vf.prefix_bytes or vb.prefix_bytes),
     )
+
+
+def junction_values(set_lo, set_hi, mode: str):
+    """Array form of `joint_terminate`'s values from each lane's set [U, V],
+    pair j in lanes 2j, 2j + 1: (per lane its value, per pair if shared)."""
+    import numpy as np
+
+    z = junction_bytes(set_lo[0::2], set_hi[0::2],
+                       set_lo[1::2], set_hi[1::2], mode)
+    shared = z >= 0
+    byte = np.column_stack((z, np.frombuffer(_perm(mode), np.uint8)[z])).ravel()
+    return set_lo + ((byte - set_lo) & 0xFF) * shared.repeat(2), shared
 
 
 def junction_bytes(fwd_lo, fwd_hi, bwd_lo, bwd_hi, mode: str):

@@ -5,6 +5,7 @@ import signal
 from array import array
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from pecstream import pipeline, rangecoder
@@ -146,6 +147,51 @@ class TestEncodeDecode:
                                 (0, "fr"), (MAX_STREAMS + 2, "fr")):
             with pytest.raises(ValueError, match="stream count"):
                 encode_parallel(b"\x00\x01", BinaryModel(30000), n_streams, mode)
+
+    def test_stream_count_is_read_as_an_integer(self, monkeypatch):
+        # a numpy integer count writes the Python int's container on either
+        # engine; a float count fails alike at either width, before coding
+        rnd = random.Random(7)
+        data = bytes(rnd.choice(b"abcdefgh") for _ in range(4000))
+        model = order0(data)
+        for count in (np.int64(8), np.uint16(512), np.int64(600)):
+            assert (encode_parallel(data, model, count, "fr")
+                    == encode_parallel(data, model, int(count), "fr"))
+
+        def no_engine(*args):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(pipeline, "_encode_scalar", no_engine)
+        monkeypatch.setattr(pipeline, "_encode_lockstep", no_engine)
+        errors = set()
+        for n_streams in (8.0, 600.0):
+            with pytest.raises(TypeError) as raised:
+                encode_parallel(data, model, n_streams, "fr")
+            errors.add(str(raised.value))
+        assert len(errors) == 1
+
+    @pytest.mark.parametrize("n_streams, mode", [
+        (8, "fb"), (64, "uni"), (64, "fr"), (512, "fb"), (512, "fr"),
+        (513, "uni")])
+    def test_a_corrupt_segment_changes_only_its_own_shards(self, n_streams,
+                                                          mode):
+        """The streams share no coder state: with every byte of one segment
+        flipped, which leaves the index as it was, both engines decode every
+        other segment's shards as they were and that segment's differently.
+        """
+        rnd = random.Random(11)
+        data = bytes(rnd.choices(b"etaoin shrdlucmfwyp,.", k=1 << 16))
+        blob = bytearray(encode_parallel(data, order0(data), n_streams, mode))
+        header, seg_map = read_container(bytes(blob))
+        j = header.entry_count // 2
+        start, stop = seg_map.segment(j)
+        for i in range(seg_map.data_offset + start, seg_map.data_offset + stop):
+            blob[i] ^= 0xFF
+        out = decode_parallel(bytes(blob))
+        assert len(out) == len(data)
+        own = {j} if mode == "uni" else {2 * j, 2 * j + 1}
+        for k, (lo, hi) in enumerate(shard_ranges(len(data), n_streams)):
+            assert (out[lo:hi] != data[lo:hi]) == (k in own), k
 
     def test_index_codec_checked_before_coding(self, monkeypatch):
         def no_engine(*args):

@@ -19,6 +19,7 @@ from pecstream.termination import (
     TerminationStats,
     joint_terminate,
     junction_bytes,
+    junction_values,
     pair_extra_bits,
     single_extra_bits,
     terminate_single,
@@ -216,17 +217,28 @@ class TestJointTerminate:
         Checked for `fb` and `fr` against a brute force over all 256 stored
         bytes; in `fr` the backward side stores its byte bit-reversed.  The
         scalar `joint_terminate` and the array `junction_bytes` are both
-        checked.
+        checked, and `junction_values` against `joint_terminate`'s values.
+        Every seventh forward and fifth backward state renormalizes.
         """
+        def renormalizing(direction: str) -> FinalCoderState:
+            # [low, low + range) holds no whole byte step across 2**24 * k
+            k, a = rnd.randrange(1, 256), rnd.randrange(1 << 20, 1 << 24)
+            state = FinalCoderState((k << 24) - a, (1 << 24) + rnd.randrange(a),
+                                    direction=direction)
+            state.chain.append(0x42)
+            return state
+
         for mode in ("fb", "fr"):
             flip = REVERSED_BYTES if mode == "fr" else range(256)
-            shared = 0
-            sets, expected = [], []
-            for _ in range(200):
+            shared = renormed = 0
+            sets, expected, values = [], [], []
+            for i in range(200):
                 lo_f = rnd.randrange(0, 250)
                 lo_b = rnd.randrange(0, 250)
-                fwd = state_for_bounds(lo_f, lo_f + rnd.randrange(0, 120), "forward")
-                bwd = state_for_bounds(lo_b, lo_b + rnd.randrange(0, 120), "backward")
+                fwd = (renormalizing("forward") if i % 7 == 0 else
+                       state_for_bounds(lo_f, lo_f + rnd.randrange(0, 120), "forward"))
+                bwd = (renormalizing("backward") if i % 5 == 0 else
+                       state_for_bounds(lo_b, lo_b + rnd.randrange(0, 120), "backward"))
                 f_set = valid_byte_set(copy_state(fwd))
                 b_set = valid_byte_set(copy_state(bwd))
                 f_bytes = {t & 0xFF for t in range(f_set.lo, f_set.hi + 1)}
@@ -236,6 +248,8 @@ class TestJointTerminate:
                 sets.append((f_set.lo, f_set.hi, b_set.lo, b_set.hi))
                 expected.append(common[0] if common else -1)
                 term = joint_terminate(fwd, bwd, mode)
+                values += [term.fwd_value, term.bwd_value]
+                renormed += term.renormed
                 assert term.shared == bool(common)
                 if not common:
                     assert (term.fwd_value, term.bwd_value) == (f_set.lo, b_set.lo)
@@ -248,8 +262,15 @@ class TestJointTerminate:
                 assert term.fwd_value & 0xFF == z
                 assert term.bwd_value & 0xFF == flip[z]
             assert 0 < shared < 200
+            assert 0 < renormed and max(values) >= 256
             columns = np.array(sets, dtype=np.int64).T
             assert junction_bytes(*columns, mode).tolist() == expected
+            # lane 2j holds pair j's forward set, lane 2j + 1 its backward one
+            lanes_lo = columns[[0, 2]].T.reshape(-1)
+            lanes_hi = columns[[1, 3]].T.reshape(-1)
+            got, got_shared = junction_values(lanes_lo, lanes_hi, mode)
+            assert got.tolist() == values
+            assert got_shared.tolist() == [z >= 0 for z in expected]
         with pytest.raises(AssertionError):
             junction_bytes(np.array([0]), np.array([255]), np.array([0]),
                            np.array([0]), "fb")
