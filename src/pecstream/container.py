@@ -197,7 +197,11 @@ def assemble_container(mode: str, index_codec: str,
 
 
 def read_header(blob: bytes) -> Header:
-    """Parse and validate the fixed header, the model and the index length."""
+    """Parse and validate the fixed header, the model and the index length;
+    every reader starts here, and reads only bytes or a bytearray."""
+    if not isinstance(blob, (bytes, bytearray)):
+        raise TypeError(f"a container is bytes or a bytearray, not "
+                        f"{type(blob).__name__}")
     if len(blob) < _FIXED_HEADER.size:
         raise TruncatedStreamError("truncated header")
     magic, version, flags, model_id, reserved, n_streams, n_symbols, data_size = \

@@ -2,9 +2,9 @@
 
 Symbols are split into N_s near-equal shards, each coded by an independent
 coder under the shared static model.  The streams share no coder state, so
-a decoder may start all of them at once from the index.  Shard k is
-stream k, which the container's `streams_per_segment` and `BACKWARD_TABLE`
-place in its segment; fb/fr pairs are jointly terminated.
+a decoder may start all of them at once from the index.  Shard k is stream
+k, and `stream_plan` (`lane_plan` over lanes) says where its symbols and
+bytes lie; fb/fr pairs are jointly terminated.
 
 Encoding and decoding each have two engines with the same output.  The
 scalar engines run one `Encoder` or `Decoder` per stream in one pass, each
@@ -104,6 +104,55 @@ def shard_ranges(n_symbols: int, n_streams: int) -> list[tuple[int, int]]:
         raise ValueError("need at least one stream")
     return [(k * n_symbols // n_streams, (k + 1) * n_symbols // n_streams)
             for k in range(n_streams)]
+
+
+def stream_plan(blob: bytes, header: Header, seg_map: SegmentMap,
+                k: int) -> tuple[int, int, bytes]:
+    """Stream k's shard [k*n // N, (k+1)*n // N) of n symbols over N
+    streams and its bytes in decode order, in O(1): the one statement of
+    where a stream lives, with `lane_plan` as its array form.  Stream k is
+    stream k % s of segment k // s, s = `streams_per_segment`."""
+    n, n_streams = header.n_symbols, header.n_streams
+    if not 0 <= k < n_streams:
+        raise IndexError(f"stream {k} of {n_streams}")
+    seg, backward = divmod(k, streams_per_segment(header.mode))
+    source = (segment_source(blob, seg_map, seg, "backward",
+                             BACKWARD_TABLE[header.mode] is not None)
+              if backward else segment_source(blob, seg_map, seg))
+    return k * n // n_streams, (k + 1) * n // n_streams, source
+
+
+def lane_shards(n_symbols: int, n_lanes: int, first: int, stop: int):
+    """Which of the lanes [first, stop) hold a shard of `stream_plan` one
+    symbol shorter than the longest, as a boolean vector, and where each of
+    those shards stops: floor((k+1)n/N) = (k+1)(n // N) + floor((k+1)(n %
+    N)/N), the second form exact in int64 where (k+1)n would not be."""
+    import numpy as np
+
+    short, extra = divmod(n_symbols, n_lanes)
+    if not extra:
+        # every lane holds n // N
+        return np.zeros(stop - first, dtype=bool), np.zeros(0, dtype=np.int64)
+    k = np.arange(first, stop + 1, dtype=np.int64)
+    tail = k * extra // n_lanes
+    is_short = np.diff(tail) == 0
+    return is_short, (k[1:] * short + tail[1:])[is_short]
+
+
+def lane_plan(header: Header, seg_map: SegmentMap, first: int, stop: int):
+    """`stream_plan` in array form over the lanes [first, stop), lane k
+    being stream k: which are short (`lane_shards`), their bytes as [start,
+    stop) offsets into the container, and which are backward."""
+    import numpy as np
+
+    per_segment = streams_per_segment(header.mode)
+    seg, backward = np.divmod(np.arange(first, stop), per_segment)
+    lo, hi = first // per_segment, (stop - 1) // per_segment + 2
+    bounds = np.fromiter(seg_map.boundaries[lo:hi], dtype=np.int64)
+    bounds += seg_map.data_offset
+    seg -= lo
+    short, _ = lane_shards(header.n_symbols, header.n_streams, first, stop)
+    return short, bounds[seg], bounds[seg + 1], backward == 1
 
 
 #: stream count from which both coding directions use the lockstep engines.
@@ -315,27 +364,6 @@ def _encode_scalar(symbols: bytes, model: BinaryModel | CdfModel,
     return [len(segment) for segment in joined], b"".join(joined)
 
 
-def _short_lanes(n_symbols: int, n_lanes: int):
-    """Which lockstep lanes are one symbol shorter than the longest, as a
-    boolean vector, and the end of each one's shard.
-
-    Lane k holds shard k of `shard_ranges`, one symbol per step, so a lane
-    is either as long as the longest or one symbol shorter.  The shard ends
-    at floor((k+1)n/N) = (k+1)(n // N) + floor((k+1)(n % N)/N); the second
-    form keeps int64 exact where (k+1)n would not be.
-    """
-    import numpy as np
-
-    short, extra = divmod(n_symbols, n_lanes)
-    if not extra:
-        # every lane holds n // N
-        return np.zeros(n_lanes, dtype=bool), np.zeros(0, dtype=np.int64)
-    k = np.arange(1, n_lanes + 1, dtype=np.int64)
-    tail = k * extra // n_lanes
-    is_short = np.diff(tail, prepend=0) == 0
-    return is_short, (k * short + tail)[is_short]
-
-
 def _lane_bytes(steps: int, widths: list[int]) -> int:
     """A bound on the bytes a lane of `steps` symbols emits, plus one: the
     widest rows the lockstep encoder needs.
@@ -364,7 +392,7 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     range) as uint32 and its bytes as one row of a uint8 matrix with a
     length per lane.  The symbols are held step-major, one (steps, lanes)
     array, so each step reads one contiguous row.  A lane one symbol short
-    of the longest (see `_short_lanes`) is padded with symbol 0, which adds
+    of the longest (see `lane_shards`) is padded with symbol 0, which adds
     nothing to low, and keeps its range at the last step, so it codes
     exactly its shard.  A carry out of low, or a termination value >= 256,
     goes into the lane's bytes as it happens, through `carry_lanes`.  Lanes
@@ -383,7 +411,7 @@ def _encode_lockstep(symbols: bytes, model: BinaryModel | CdfModel,
     import numpy as np
 
     arr = np.frombuffer(symbols, dtype=np.uint8)
-    short, ends = _short_lanes(len(arr), n_streams)
+    short, ends = lane_shards(len(arr), n_streams, 0, n_streams)
     steps = -(-len(arr) // n_streams)
     # padding symbol 0 ends each short lane's shard; np.insert copies even
     # where it inserts nothing
@@ -554,68 +582,59 @@ def decode_parallel(blob: bytes) -> bytes:
 
 
 def _decode_scalar(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
-    """One `Decoder` per stream, each decoding its `segment_source` in
-    turn, in blocks of streams through `_scalar_map`."""
+    """One `Decoder` per stream, each decoding its `stream_plan` in turn, in
+    blocks of streams through `_scalar_map`."""
     model = header.model
     decode = (Decoder.decode_bits if isinstance(model, BinaryModel)
               else Decoder.decode_symbols)
 
-    def symbols(block) -> bytes:
-        return b"".join(
-            decode(Decoder(segment_source(blob, seg_map, seg, direction,
-                                          reversed_bits)), model, stop - start)
-            for (start, stop), (seg, direction, reversed_bits) in block)
+    def symbols(block: range) -> bytes:
+        plans = (stream_plan(blob, header, seg_map, k) for k in block)
+        return b"".join(decode(Decoder(source), model, stop - start)
+                        for start, stop, source in plans)
 
-    work = list(zip(shard_ranges(header.n_symbols, header.n_streams),
-                    stream_layout(header)))
-    return b"".join(_scalar_map(symbols, work, 1, header.n_symbols, model))
+    return b"".join(_scalar_map(symbols, range(header.n_streams), 1,
+                                header.n_symbols, model))
 
 
 def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
     """Decode all streams at once, one symbol on every stream per step.
 
     Each stream is a lane holding the `Decoder` state (val, range) as
-    uint32 and the index of its next byte.  Every lane reads upward: a
-    forward lane from its segment's start in `blob`, a backward lane from
-    its segment's end in a reversed copy of `blob` placed after it
-    (bit-reversed in fr), and 0x00 at and past the segment length.  A lane
-    one symbol short of the longest (see `_short_lanes`) decodes one symbol
-    too many at the last step; the reassembly drops that cell.  Lanes are
-    decoded in blocks of `_LOCKSTEP_BLOCK`, each block for all steps.
+    uint32 and the index of its next byte, at the bounds `lane_plan` gives.
+    Every lane reads upward: a forward lane from its segment's start in
+    `blob`, a backward lane from its segment's end in a reversed copy of
+    `blob` placed after it (bit-reversed in fr), and 0x00 at and past the
+    segment length.  A short lane decodes one symbol too many at the last
+    step; the reassembly drops that cell.  Lanes are decoded in blocks of
+    `_LOCKSTEP_BLOCK`, each block for all steps.
     """
     # imported here: importing the pipeline must not load numpy (~0.2 s)
     import numpy as np
 
     n_lanes = header.n_streams
-    n_symbols = header.n_symbols
-    steps = -(-n_symbols // n_lanes)
-    if steps == 0:
-        return b""
-    per_segment = streams_per_segment(header.mode)
+    steps = -(-header.n_symbols // n_lanes)
     data = np.frombuffer(blob, dtype=np.uint8)
-    if per_segment == 2:
+    if streams_per_segment(header.mode) == 2:
         # the translated copy is freed once joined: decoding keeps data alone
         table = BACKWARD_TABLE[header.mode]
         data = np.concatenate((data, np.frombuffer(
             blob if table is None else blob.translate(table), np.uint8)[::-1]))
     # data_next[j] is data[j + 1]: the second byte gathers at the same index
     data_next = data[1:]
-    bounds = np.fromiter(seg_map.boundaries, dtype=np.int64,
-                         count=len(seg_map.boundaries))
-    bounds += seg_map.data_offset
     model = header.model
     if isinstance(model, BinaryModel):
         pick, probs = pick_bits, model.p0
     else:
         pick, probs = pick_symbols, cdf_tables(model)
     out = np.empty((n_lanes, steps), dtype=np.uint8)
+    short_lanes = []
 
     for first in range(0, n_lanes, _LOCKSTEP_BLOCK):
-        lane = np.arange(first, min(first + _LOCKSTEP_BLOCK, n_lanes))
-        block = out[first:first + len(lane)]
-        # lanes are laid out as stream_layout lists the streams
-        seg, backward = np.divmod(lane, per_segment)
-        start, stop = bounds[seg], bounds[seg + 1]
+        short, start, stop, backward = lane_plan(
+            header, seg_map, first, min(first + _LOCKSTEP_BLOCK, n_lanes))
+        short_lanes.append(first + np.flatnonzero(short))
+        block = out[first:first + len(short)]
         # lane k's next byte is data[at[k]] while at[k] < end[k]
         at = np.where(backward, 2 * len(blob) - stop, start)
         end = at + (stop - start)
@@ -638,14 +657,13 @@ def _decode_lockstep(blob: bytes, header: Header, seg_map: SegmentMap) -> bytes:
         at += 2
         val |= fetch()
         at += 2
-        rng = np.full(len(lane), MASK32, dtype=np.uint32)
+        rng = np.full(len(short), MASK32, dtype=np.uint32)
         for i in range(steps):
             block[:, i] = pick(val, rng, probs)
             shift = renormalize(val, rng)
             val |= fetch() >> (16 - shift)
             at += shift >> 3
 
-    short, _ = _short_lanes(n_symbols, n_lanes)
-    drop = np.flatnonzero(short) * steps + steps - 1
+    drop = np.concatenate(short_lanes) * steps + steps - 1
     # np.delete copies even where it drops nothing
     return (np.delete(out, drop) if len(drop) else out).tobytes()

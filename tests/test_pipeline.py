@@ -9,15 +9,26 @@ import numpy as np
 import pytest
 
 from pecstream import pipeline, rangecoder
-from pecstream.container import MAX_STREAMS, read_container, write_container
+from pecstream.container import (
+    BACKWARD_TABLE,
+    MAX_STREAMS,
+    read_container,
+    read_header,
+    segment_source,
+    stream_bytes,
+    streams_per_segment,
+    write_container,
+)
 from pecstream.pipeline import (
-    _short_lanes,
     decode_parallel,
     encode_parallel,
+    lane_plan,
+    lane_shards,
     shard_ranges,
     stream_layout,
+    stream_plan,
 )
-from pecstream.rangecoder import BinaryModel, CdfModel, Encoder
+from pecstream.rangecoder import BinaryModel, CdfModel, Decoder, Encoder
 from pecstream.termination import terminate_single
 
 from test_golden import GOLDEN, INPUTS, mixed_bytes
@@ -64,23 +75,30 @@ def short_shards(n, n_lanes):
 
 
 class TestShortLanes:
-    """The lockstep engines' short lanes are `shard_ranges`' short shards,
-    and each one's padding goes where its shard stops."""
+    """`lane_shards`, the shard part of the array plan, gives `shard_ranges`'
+    short shards on any lane range, and where each one stops."""
 
     @pytest.mark.parametrize("n_lanes", [1, 2, 3, 512, 8194, 65537])
     def test_matches_shard_ranges(self, n_lanes):
         for n in (0, 1, n_lanes - 1, n_lanes, n_lanes + 1, 7 * n_lanes + 3):
-            short, ends = _short_lanes(n, n_lanes)
+            short, ends = lane_shards(n, n_lanes, 0, n_lanes)
             assert (short.tolist(), ends.tolist()) == short_shards(n, n_lanes)
+            # any lane range is the same slice of the whole split
+            first, stop = n_lanes // 3, n_lanes - n_lanes // 4
+            part, part_ends = lane_shards(n, n_lanes, first, stop)
+            assert part.tolist() == short[first:stop].tolist()
+            whole = shard_ranges(n, n_lanes)
+            assert part_ends.tolist() == [whole[k][1] for k in range(
+                first, stop) if short[k]]
 
     def test_exact_where_products_pass_int64(self):
         # (k + 1) * n passes 2**63 here.  Only the counts are computed, no
-        # symbol is allocated, and the reference is `shard_ranges`' floor
+        # symbol is allocated, and the reference is the scalar plan's floor
         # form in Python ints, one lane at a time rather than a million
         # tuples at once
         n, n_lanes = 2 ** 50 + 12345, 2 ** 20 - 1
         assert n_lanes * n >= 2 ** 63
-        short, ends = _short_lanes(n, n_lanes)
+        short, ends = lane_shards(n, n_lanes, 0, n_lanes)
         stops = iter(ends)
         for k, is_short in enumerate(short.tolist()):
             stop = (k + 1) * n // n_lanes
@@ -89,6 +107,114 @@ class TestShortLanes:
                 assert next(stops) == stop
         assert next(stops, None) is None
         assert len(ends) == n_lanes - n % n_lanes
+
+
+#: symbols that the plan tests slice their inputs from
+PLAN_SYMBOLS = mixed_bytes(31, 2 * 65538 + 1)
+#: about 256 KiB of order0 text
+PLAN_TEXT = bytes(random.Random(21).choices(b"etaoin shrdlucmfwyp,.",
+                                            k=256 << 10))
+
+
+def plan_container(n_symbols, n_streams, mode, symbols=PLAN_SYMBOLS):
+    data = symbols[:n_symbols]
+    blob = encode_parallel(data, order0(data), n_streams, mode)
+    return data, blob, *read_container(blob)
+
+
+class TestStreamPlan:
+    """`stream_plan` states where each stream lives, and `lane_plan` states
+    it over lane ranges: they agree with each other and with the old
+    per-stream lists, and one stream decodes from its plan alone."""
+
+    @pytest.mark.parametrize("n_streams, mode", [
+        (n, mode) for n in (1, 2, 8, 511, 512, 513, 4094, 65535, 65536, 65538)
+        for mode in ("uni", "fb", "fr") if mode == "uni" or n % 2 == 0])
+    def test_plan_equals_the_old_views(self, n_streams, mode):
+        # split evenly, unevenly, fewer symbols than streams, and none
+        for n in sorted({2 * n_streams, 2 * n_streams + 1, n_streams - 1, 0}):
+            _, blob, header, seg_map = plan_container(n, n_streams, mode)
+            ranges = shard_ranges(n, n_streams)
+            layout = stream_layout(header)
+            # two lane ranges, split at an odd lane, make up the whole
+            cut = n_streams // 2 | 1
+            parts = [lane_plan(header, seg_map, 0, cut),
+                     lane_plan(header, seg_map, cut, n_streams)]
+            short, starts, stops, backward = (
+                np.concatenate([part[i] for part in parts]).tolist()
+                for i in range(4))
+            _, ends = lane_shards(n, n_streams, 0, n_streams)
+            ends = iter(ends.tolist())
+            steps = -(-n // n_streams)
+            bit_reversed = BACKWARD_TABLE[mode] is not None
+            for k in range(n_streams):
+                start, stop, source = stream_plan(blob, header, seg_map, k)
+                assert (start, stop) == ranges[k]
+                assert source == segment_source(blob, seg_map, *layout[k])
+                assert short[k] == (stop - start < steps)
+                if short[k]:
+                    assert next(ends) == stop
+                lane = blob[starts[k]:stops[k]]
+                if backward[k]:
+                    lane = stream_bytes(lane, "backward", bit_reversed)
+                assert lane == source, (n, k)
+                assert backward[k] == (layout[k][1] == "backward")
+            assert next(ends, None) is None
+            for k in (-1, n_streams):
+                with pytest.raises(IndexError):
+                    stream_plan(blob, header, seg_map, k)
+
+    @pytest.mark.parametrize("n_streams, mode", [
+        (8, "fb"), (64, "uni"), (512, "fr"), (513, "uni"), (65538, "fr")])
+    def test_one_stream_decodes_alone(self, n_streams, mode):
+        data, blob, header, seg_map = plan_container(
+            len(PLAN_TEXT), n_streams, mode, PLAN_TEXT)
+        assert decode_parallel(blob) == data
+        per_segment = streams_per_segment(mode)
+        off = seg_map.data_offset
+        for k in sorted({0, n_streams // 2 - 1, n_streams // 2,
+                         n_streams - 2, n_streams - 1}):
+            # every segment but stream k's is flipped; the index is kept
+            lo, hi = seg_map.segment(k // per_segment)
+            flipped = np.frombuffer(blob, dtype=np.uint8).copy()
+            flipped[off:off + lo] ^= 0xFF
+            flipped[off + hi:] ^= 0xFF
+            flipped = flipped.tobytes()
+            parsed, parsed_map = read_container(flipped)
+            assert parsed_map == seg_map
+            start, stop, source = stream_plan(flipped, parsed, parsed_map, k)
+            decoded = Decoder(source).decode_symbols(parsed.model, stop - start)
+            assert decoded == data[start:stop], k
+
+    def test_plan_builds_no_per_stream_list(self, monkeypatch):
+        data, blob, header, seg_map = plan_container(
+            len(PLAN_TEXT), 65536, "fr", PLAN_TEXT)
+
+        def per_stream_list(*args):
+            raise AssertionError("built a list of every stream")
+
+        monkeypatch.setattr(pipeline, "shard_ranges", per_stream_list)
+        monkeypatch.setattr(pipeline, "stream_layout", per_stream_list)
+        start, stop, source = stream_plan(blob, header, seg_map, 65535)
+        assert stop == len(data)
+        decoded = Decoder(source).decode_symbols(header.model, stop - start)
+        assert decoded == data[start:]
+        short, starts, stops, backward = lane_plan(header, seg_map, 65535, 65536)
+        assert not short[0] and backward[0]
+        lo, hi = seg_map.segment(32767)
+        off = seg_map.data_offset
+        assert (starts[0], stops[0]) == (off + lo, off + hi)
+
+    @pytest.mark.parametrize("n_streams", [8, 512])
+    @pytest.mark.parametrize("codec", ["i32", "rtc", "bic", "gamma"])
+    def test_only_bytes_and_bytearrays_are_read(self, codec, n_streams):
+        # a memoryview once failed in a different place on each path
+        data = mixed_bytes(32, 3000)
+        blob = encode_parallel(data, order0(data), n_streams, "fr", codec)
+        for reader in (read_header, read_container, decode_parallel):
+            with pytest.raises(TypeError, match="not memoryview$"):
+                reader(memoryview(blob))
+        assert decode_parallel(bytearray(blob)) == data
 
 
 class TestStreamLayout:
@@ -481,10 +607,10 @@ class TestProcessSplit:
         assert_no_children()
 
     # the scalar engines call these through the module as they run: one
-    # termination a pair, one source a stream
+    # termination a pair, one plan a stream
     @pytest.mark.parametrize("name, error", (
         ("joint_terminate", ChildError("shard 3 failed")),
-        ("segment_source", ChildError("shard 3 failed")),
+        ("stream_plan", ChildError("shard 3 failed")),
         ("joint_terminate", UnpicklableError(7, "shard 3 failed")),
     ))
     def test_child_exception_reaches_caller(self, name, error, monkeypatch,
@@ -503,7 +629,7 @@ class TestProcessSplit:
         else:
             expected = ChildError, "^shard 3 failed$"
         with pytest.raises(expected[0], match=expected[1]):
-            if name == "segment_source":
+            if name == "stream_plan":
                 decode_parallel(blob)
             else:
                 encode_parallel(data, model, 8, "fr")
@@ -537,14 +663,14 @@ class TestProcessSplit:
         blob = encode_parallel(data, model, 8, "fr")
         split(monkeypatch, 2)
         parent = os.getpid()
-        real = pipeline.segment_source
+        real = pipeline.stream_plan
 
         def failing(*args):
             if os.getpid() == parent:
                 raise ChildError("parent block failed")
             return real(*args)
 
-        monkeypatch.setattr(pipeline, "segment_source", failing)
+        monkeypatch.setattr(pipeline, "stream_plan", failing)
         with pytest.raises(ChildError, match="parent block failed"):
             decode_parallel(blob)
         assert len(forks) == 1
